@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -19,17 +18,14 @@ from . import __version__
 from .core import (
     CmcParams,
     QUAD_TOL,
-    b_inverse,
     entire_graph_profile,
-    f_closed,
-    g_residual,
-    integrand,
-    j_bound_witness,
-    j_remainder,
-    lambda_height,
     necksize,
     profile,
+    verify_appendix,
 )
+# re-exported so that hcat.cli.b_inverse stays importable; the benchmark's
+# tests check that tracing rebinds it in every layer module
+from .core import b_inverse as b_inverse
 from .disjoint import (
     DisjointnessCertificate,
     GRID_STEP_DEFAULT,
@@ -61,12 +57,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _threads_hint() -> int:
-    raw = os.environ.get("HCAT_THREADS", "1")
+def _positive_float(text: str) -> float:
+    # tolerances and grid steps: zero, negative and non-finite are usage errors
     try:
-        return max(1, int(raw))
+        value = float(text)
     except ValueError:
-        raise _UsageError(f"HCAT_THREADS must be an integer, got {raw!r}")
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
 
 
 def _envelope(command: str, config: dict, result: dict) -> dict:
@@ -88,6 +87,8 @@ def _emit(doc: dict, out: str | None) -> None:
 
 
 def _frange(lo: float, hi: float, step: float) -> list[float]:
+    if not (lo <= hi and math.isfinite(hi - lo)):
+        raise _UsageError(f"need a finite range with t_min <= t_max, got [{lo}, {hi}]")
     n = int(math.floor((hi - lo) / step + 0.5))
     vals = [lo + i * step for i in range(n + 1)]
     if vals[-1] < hi - 1e-12:
@@ -109,7 +110,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--d", type=float, required=True)
     p.add_argument("--rho-max", type=float, required=True)
     p.add_argument("--n", type=int, default=128)
-    p.add_argument("--quad-tol", type=float, default=QUAD_TOL)
+    p.add_argument("--quad-tol", type=_positive_float, default=QUAD_TOL)
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--json", dest="json_out", default=None, help="JSON output path")
 
@@ -117,7 +118,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--rho-max", type=float, required=True)
     p.add_argument("--n", type=int, default=128)
-    p.add_argument("--quad-tol", type=float, default=QUAD_TOL)
+    p.add_argument("--quad-tol", type=_positive_float, default=QUAD_TOL)
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--json", dest="json_out", default=None)
 
@@ -128,7 +129,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--H", type=float, nargs="+", default=[0.1, 0.25, 0.4])
     p.add_argument("--d", type=float, nargs="+", default=[2.5, 3.0, 10.0, 100.0])
     p.add_argument("--grid-points", type=int, default=50)
-    p.add_argument("--quad-tol", type=float, default=QUAD_TOL)
+    p.add_argument("--quad-tol", type=_positive_float, default=QUAD_TOL)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("disjoint", help="solve the threshold and/or certify a pair")
@@ -140,17 +141,17 @@ def _build_parser() -> _Parser:
         "--solve-d0", action="store_true", help="take d2 as the solved threshold"
     )
     p.add_argument("--t-max", type=float, default=50.0)
-    p.add_argument("--step", type=float, default=GRID_STEP_DEFAULT)
-    p.add_argument("--quad-tol", type=float, default=QUAD_TOL)
+    p.add_argument("--step", type=_positive_float, default=GRID_STEP_DEFAULT)
+    p.add_argument("--quad-tol", type=_positive_float, default=QUAD_TOL)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("strips", help="strip and sweep checks for a certified pair")
     p.add_argument("--cert", required=True, help="certificate JSON path")
     p.add_argument("--t-min", type=float, default=-50.0)
     p.add_argument("--t-max", type=float, default=50.0)
-    p.add_argument("--step", type=float, default=0.1)
+    p.add_argument("--step", type=_positive_float, default=0.1)
     p.add_argument("--d-points", type=int, default=20)
-    p.add_argument("--quad-tol", type=float, default=QUAD_TOL)
+    p.add_argument("--quad-tol", type=_positive_float, default=QUAD_TOL)
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None, help="margin table CSV path")
 
@@ -208,76 +209,11 @@ def _cmd_curve(args, entire_graph: bool) -> int:
 
 
 def _cmd_verify_appendix(args) -> int:
-    quad_tol = args.quad_tol
-    checks = []
-    passed = True
-    for H in args.H:
-        for d in args.d:
-            params = CmcParams(H, d)
-            eta = necksize(params)
-            rhos = [
-                eta + 1e-6 + (10.0 - 1e-6) * i / (args.grid_points - 1)
-                for i in range(args.grid_points)
-            ]
-            max_decomp = 0.0
-            max_deriv = 0.0
-            sup_j = 0.0
-            prev_g = None
-            g_decays = True
-            for rho in rhos:
-                lam = lambda_height(params, rho, quad_tol)
-                fc = f_closed(params, rho)
-                jr = j_remainder(params, rho, quad_tol)
-                max_decomp = max(
-                    max_decomp, abs(lam - (fc + jr)) / max(1.0, lam)
-                )
-                sup_j = max(sup_j, jr)
-                if rho - eta >= 0.05:
-                    h = min(1e-4, 0.25 * (rho - eta))
-                    fd = (f_closed(params, rho + h) - f_closed(params, rho - h)) / (2 * h)
-                    target = (
-                        integrand(params, rho)
-                        * 2.0 * H * math.sinh(rho)
-                        / ((d + 2.0 * H) + 4.0 * H * math.sinh(0.5 * rho) ** 2)
-                    )
-                    max_deriv = max(max_deriv, abs(fd - target) / abs(target))
-                if rho - eta >= 1.0:
-                    g = abs(g_residual(params, rho))
-                    if prev_g is not None and g > prev_g + 1e-12:
-                        g_decays = False
-                    prev_g = g
-            bound = 2.0 * math.pi * math.sqrt(1.0 - 2.0 * H)
-            stated_bound = math.pi * math.sqrt(1.0 - 2.0 * H)
-            entry = {
-                "H": H,
-                "d": d,
-                "decomposition_max_scaled_residual": max_decomp,
-                "decomposition_ok": max_decomp <= 1e-8,
-                "derivative_max_rel_err": max_deriv,
-                "derivative_ok": max_deriv <= 1e-6,
-                "j_sup": sup_j,
-                "j_bound": bound,
-                "j_bound_margin": bound - sup_j,
-                "j_bound_ok": (sup_j < bound) if d > 2.0 else None,
-                "stated_pi_bound_held": sup_j < stated_bound,
-                "g_residual_decays": g_decays,
-            }
-            if d > 2.0:
-                w = j_bound_witness(params)
-                entry["witness"] = {
-                    "alpha": w.alpha, "beta": w.beta, "omega": w.omega,
-                    "bound": w.bound,
-                }
-            checks.append(entry)
-            passed = passed and entry["decomposition_ok"] and entry["derivative_ok"] \
-                and (entry["j_bound_ok"] is not False) and g_decays
-    config = {
-        "H": args.H, "d": args.d, "grid_points": args.grid_points,
-        "quad_tol": quad_tol, "threads_hint": _threads_hint(),
-    }
-    _emit(_envelope("verify-appendix", config,
-                    {"passed": passed, "checks": checks}), args.out)
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    result = verify_appendix(args.H, args.d, args.grid_points, args.quad_tol)
+    config = {"H": args.H, "d": args.d, "grid_points": args.grid_points,
+              "quad_tol": args.quad_tol}
+    _emit(_envelope("verify-appendix", config, result), args.out)
+    return EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
 
 
 def _cmd_disjoint(args) -> int:
@@ -290,7 +226,6 @@ def _cmd_disjoint(args) -> int:
     config = {
         "H": args.H, "d1": args.d1, "d2": d2, "solve_d0": args.solve_d0,
         "t_max": args.t_max, "step": args.step, "quad_tol": args.quad_tol,
-        "threads_hint": _threads_hint(),
     }
     try:
         cert = certify(
@@ -323,6 +258,8 @@ def _load_certificate(path: str) -> DisjointnessCertificate:
 
 def _log_spaced(lo: float, hi: float, n: int) -> list[float]:
     # n interior points, strictly inside (lo, hi)
+    if n < 1:
+        raise _UsageError(f"need at least one intermediate parameter, got {n}")
     llo, lhi = math.log(lo), math.log(hi)
     return [math.exp(llo + (lhi - llo) * (i + 1) / (n + 1)) for i in range(n)]
 
@@ -330,8 +267,7 @@ def _log_spaced(lo: float, hi: float, n: int) -> list[float]:
 def _cmd_strips(args) -> int:
     config = {
         "cert": args.cert, "t_min": args.t_min, "t_max": args.t_max,
-        "step": args.step, "d_points": args.d_points,
-        "quad_tol": args.quad_tol, "threads_hint": _threads_hint(),
+        "step": args.step, "d_points": args.d_points, "quad_tol": args.quad_tol,
     }
     cert = _load_certificate(args.cert)
     try:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -43,21 +43,44 @@ _LARGE_R = 350.0
 
 @dataclass(frozen=True)
 class CmcParams:
-    """One member of the rotational family: mean curvature H and parameter d."""
+    """One member of the rotational family: mean curvature H and parameter d.
+
+    The member's derived constants are computed once, on construction:
+    q = 1 - 4H^2, s = sqrt(d^2 + q), the roots alpha > 0 > beta of
+    c^2 - 1 - (d + 2Hc)^2 in c = cosh r, and the neck radius eta.
+    """
 
     H: float
     d: float
+    q: float = field(init=False, repr=False, compare=False)
+    s: float = field(init=False, repr=False, compare=False)
+    alpha: float = field(init=False, repr=False, compare=False)
+    beta: float = field(init=False, repr=False, compare=False)
+    eta: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (0.0 < self.H < 0.5):
-            raise PreconditionError(f"H must lie in (0, 1/2), got {self.H}")
-        if self.d + 2.0 * self.H < 0.0:
-            raise PreconditionError(f"d must be >= -2H = {-2.0 * self.H}, got {self.d}")
-
-    @property
-    def q(self) -> float:
-        """1 - 4H^2, positive on the valid range of H."""
-        return 1.0 - 4.0 * self.H * self.H
+        H, d = self.H, self.d
+        if not (0.0 < H < 0.5):
+            raise PreconditionError(f"H must lie in (0, 1/2), got {H}")
+        if d + 2.0 * H < 0.0:
+            raise PreconditionError(f"d must be >= -2H = {-2.0 * H}, got {d}")
+        q = 1.0 - 4.0 * H * H
+        s = math.sqrt(q + d * d)
+        # cosh(eta) = alpha, through acosh(1 + y) with the cancellation-free
+        # rearrangement y = (d + 2H)^2 / (s + 1 - 4H^2 - 2dH)
+        w = d + 2.0 * H
+        eta = _stable_acosh1p(w * w / (s + q - 2.0 * d * H))
+        if not math.isfinite(eta):
+            # d is NaN, infinite, or so large (~1e154) that d^2 overflows
+            raise PreconditionError(f"d must be finite with a finite neck radius, got {d}")
+        for name, value in (
+            ("q", q),
+            ("s", s),
+            ("alpha", (2.0 * d * H + s) / q),
+            ("beta", (2.0 * d * H - s) / q),
+            ("eta", eta),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def is_entire_graph(self) -> bool:
@@ -71,24 +94,9 @@ def _stable_acosh1p(y: float) -> float:
     return math.log1p(y + math.sqrt(y * (y + 2.0)))
 
 
-def _roots(params: CmcParams) -> tuple[float, float]:
-    """Roots alpha > 0 > beta of c^2 - 1 - (d + 2Hc)^2 in c = cosh r."""
-    H, d, q = params.H, params.d, params.q
-    s = math.sqrt(q + d * d)
-    return (2.0 * d * H + s) / q, (2.0 * d * H - s) / q
-
-
 def necksize(params: CmcParams) -> float:
-    """Neck radius: the minimal rho of the profile, 0 exactly at d = -2H.
-
-    cosh(neck) = alpha; evaluated through acosh(1 + y) with the
-    cancellation-free rearrangement
-    y = (d + 2H)^2 / (sqrt(1 - 4H^2 + d^2) + 1 - 4H^2 - 2dH).
-    """
-    H, d, q = params.H, params.d, params.q
-    w = d + 2.0 * H
-    denom = math.sqrt(q + d * d) + q - 2.0 * d * H
-    return _stable_acosh1p(w * w / denom)
+    """Neck radius: the minimal rho of the profile, 0 exactly at d = -2H."""
+    return params.eta
 
 
 def _numerator_profile(params: CmcParams, r: float) -> float:
@@ -103,15 +111,22 @@ def _numerator_remainder(params: CmcParams, r: float) -> float:
     return (d + 2.0 * H) + 2.0 * H * math.expm1(-r)
 
 
-def _integrand_large_r(params: CmcParams, r: float, numerator_over_c: float) -> float:
-    # everything divided by c = cosh r; z = e^{-r} avoids overflow
-    q = params.q
-    alpha, beta = _roots(params)
+def _integrand_large_r(params: CmcParams, r: float, remainder: bool) -> float:
+    """Height (or remainder) integrand at r >= _LARGE_R.
+
+    Numerator and radicand are divided by c = cosh r, and z = e^{-r}
+    avoids overflow.
+    """
+    H, d = params.H, params.d
     z = math.exp(-r)
     inv_c = 2.0 * z / (1.0 + z * z)
-    a1 = 1.0 - alpha * inv_c
-    a2 = 1.0 - beta * inv_c
-    return numerator_over_c / math.sqrt(q * a1 * a2)
+    if remainder:
+        num_over_c = (d + 2.0 * H * z) * inv_c
+    else:
+        num_over_c = 2.0 * H + 2.0 * d * z / (1.0 + z * z)
+    a1 = 1.0 - params.alpha * inv_c
+    a2 = 1.0 - params.beta * inv_c
+    return num_over_c / math.sqrt(params.q * a1 * a2)
 
 
 def integrand(params: CmcParams, r: float) -> float:
@@ -120,20 +135,15 @@ def integrand(params: CmcParams, r: float) -> float:
     Requires r strictly above the neck (strictly above 0 for the entire
     graph), where the radicand is positive.
     """
-    eta = necksize(params)
+    eta = params.eta
     if r <= eta:
         raise DomainError(f"integrand needs r > neck = {eta}, got {r}")
     if r >= _LARGE_R:
-        H, d = params.H, params.d
-        z = math.exp(-r)
-        num_over_c = 2.0 * H + 2.0 * d * z / (1.0 + z * z)
-        return _integrand_large_r(params, r, num_over_c)
-    q = params.q
-    _, beta = _roots(params)
+        return _integrand_large_r(params, r, False)
     # cosh r - alpha = 2 sinh((r + eta)/2) sinh((r - eta)/2), exact identity
     c_minus_alpha = 2.0 * math.sinh(0.5 * (r + eta)) * math.sinh(0.5 * (r - eta))
-    c_minus_beta = math.cosh(r) - beta
-    radicand = q * c_minus_alpha * c_minus_beta
+    c_minus_beta = math.cosh(r) - params.beta
+    radicand = params.q * c_minus_alpha * c_minus_beta
     if radicand <= 0.0:
         raise DomainError(f"radicand non-positive at r = {r}")
     return _numerator_profile(params, r) / math.sqrt(radicand)
@@ -147,24 +157,18 @@ def _sinhc_half_sq(u: float) -> float:
     return math.sinh(x) / x
 
 
-def _substituted(params: CmcParams, eta: float, u: float, remainder: bool) -> float:
+def _substituted(params: CmcParams, u: float, remainder: bool) -> float:
     """Integrand after r = neck + u^2, i.e. 2u * integrand(neck + u^2).
 
     Written so the 1/sqrt(r - neck) singularity cancels algebraically;
     smooth in u down to u = 0.
     """
+    eta = params.eta
     r = eta + u * u
     if r >= _LARGE_R:
-        if remainder:
-            z = math.exp(-r)
-            num_over_c = (params.d + 2.0 * params.H * z) * (2.0 * z / (1.0 + z * z))
-        else:
-            z = math.exp(-r)
-            num_over_c = 2.0 * params.H + 2.0 * params.d * z / (1.0 + z * z)
-        return 2.0 * u * _integrand_large_r(params, r, num_over_c)
+        return 2.0 * u * _integrand_large_r(params, r, remainder)
     num = _numerator_remainder(params, r) if remainder else _numerator_profile(params, r)
-    q = params.q
-    _, beta = _roots(params)
+    q, beta = params.q, params.beta
     if u == 0.0:
         sh = math.sinh(eta)
         if sh == 0.0:
@@ -176,12 +180,12 @@ def _substituted(params: CmcParams, eta: float, u: float, remainder: bool) -> fl
 
 
 def _integrate_substituted(
-    params: CmcParams, eta: float, u_hi: float, remainder: bool, tol: float
+    params: CmcParams, u_hi: float, remainder: bool, tol: float
 ) -> float:
     if u_hi == 0.0:
         return 0.0
     val, _ = quad(
-        lambda u: _substituted(params, eta, u, remainder),
+        lambda u: _substituted(params, u, remainder),
         0.0,
         u_hi,
         epsabs=tol,
@@ -193,10 +197,10 @@ def _integrate_substituted(
 
 def lambda_height(params: CmcParams, rho: float, tol: float = QUAD_TOL) -> float:
     """Height of the generating curve at radius rho (0 at the neck)."""
-    eta = necksize(params)
+    eta = params.eta
     if rho < eta:
         raise DomainError(f"rho must be >= neck = {eta}, got {rho}")
-    return _integrate_substituted(params, eta, math.sqrt(rho - eta), False, tol)
+    return _integrate_substituted(params, math.sqrt(rho - eta), False, tol)
 
 
 def f_closed(params: CmcParams, rho: float, tol: float = 1e-12) -> float:
@@ -208,10 +212,8 @@ def f_closed(params: CmcParams, rho: float, tol: float = 1e-12) -> float:
     """
     if params.is_entire_graph:
         raise PreconditionError("closed-form decomposition needs d > -2H")
-    eta = necksize(params)
-    q = params.q
+    eta, q, s = params.eta, params.q, params.s
     scale = 2.0 * params.H / math.sqrt(q)
-    s = math.sqrt(params.d * params.d + q)
     if rho >= _LARGE_R:
         # acosh(x) = log(2x) up to O(x^-2); x ~ q e^rho / (2 s)
         z = math.exp(-rho)
@@ -227,8 +229,7 @@ def f_closed(params: CmcParams, rho: float, tol: float = 1e-12) -> float:
 def f_asymptote(params: CmcParams, rho: float) -> float:
     """Linear large-rho asymptote of the closed-form part."""
     q = params.q
-    s = math.sqrt(params.d * params.d + q)
-    return 2.0 * params.H / math.sqrt(q) * (rho + math.log(q / s))
+    return 2.0 * params.H / math.sqrt(q) * (rho + math.log(q / params.s))
 
 
 def g_residual(params: CmcParams, rho: float) -> float:
@@ -240,10 +241,10 @@ def j_remainder(params: CmcParams, rho: float, tol: float = QUAD_TOL) -> float:
     """Remainder integral of the height decomposition (numerator d + 2H e^{-r})."""
     if params.is_entire_graph:
         raise PreconditionError("remainder decomposition needs d > -2H")
-    eta = necksize(params)
+    eta = params.eta
     if rho < eta:
         raise DomainError(f"rho must be >= neck = {eta}, got {rho}")
-    return _integrate_substituted(params, eta, math.sqrt(rho - eta), True, tol)
+    return _integrate_substituted(params, math.sqrt(rho - eta), True, tol)
 
 
 @dataclass(frozen=True)
@@ -260,17 +261,87 @@ def j_bound_witness(params: CmcParams) -> JBoundWitness:
     """Roots and margin data behind the d > 2 remainder bound 2*pi*sqrt(1-2H)."""
     if not params.d > 2.0:
         raise PreconditionError(f"bound witness requires d > 2, got d = {params.d}")
-    alpha, beta = _roots(params)
+    alpha = params.alpha
     witness = JBoundWitness(
         alpha=alpha,
-        beta=beta,
+        beta=params.beta,
         omega=alpha - 1.0,
         bound=2.0 * math.pi * math.sqrt(1.0 - 2.0 * params.H),
     )
-    cosh_eta = math.cosh(necksize(params))
+    cosh_eta = math.cosh(params.eta)
     if abs(alpha - cosh_eta) > 1e-10 * max(1.0, alpha):
         raise ConvergenceError("root alpha does not match cosh(necksize)")
     return witness
+
+
+def verify_appendix(
+    H_values: list[float],
+    d_values: list[float],
+    grid_points: int = 50,
+    quad_tol: float = QUAD_TOL,
+) -> dict:
+    """The appendix checks for every (H, d), as a {"passed", "checks"} report.
+
+    On `grid_points` radii from the neck to 10 beyond it: height = f + J
+    (scaled residual <= 1e-8), f' = 2H sinh(rho) / sqrt(radicand) by
+    central differences (relative error <= 1e-6), sup J < 2 pi sqrt(1-2H)
+    for d > 2 with its root witness, and |g_residual| decaying from 1
+    beyond the neck.
+    """
+    if grid_points < 2:
+        raise PreconditionError(f"grid_points must be >= 2, got {grid_points}")
+    checks = []
+    passed = True
+    for H in H_values:
+        for d in d_values:
+            params = CmcParams(H, d)
+            eta = params.eta
+            max_decomp = 0.0
+            max_deriv = 0.0
+            sup_j = 0.0
+            prev_g = None
+            g_decays = True
+            for i in range(grid_points):
+                rho = eta + 1e-6 + (10.0 - 1e-6) * i / (grid_points - 1)
+                lam = lambda_height(params, rho, quad_tol)
+                fc = f_closed(params, rho)
+                jr = j_remainder(params, rho, quad_tol)
+                max_decomp = max(max_decomp, abs(lam - (fc + jr)) / max(1.0, lam))
+                sup_j = max(sup_j, jr)
+                if rho - eta >= 0.05:
+                    h = min(1e-4, 0.25 * (rho - eta))
+                    fd = (f_closed(params, rho + h) - f_closed(params, rho - h)) / (2 * h)
+                    target = (
+                        integrand(params, rho) * 2.0 * H * math.sinh(rho)
+                        / _numerator_profile(params, rho)
+                    )
+                    max_deriv = max(max_deriv, abs(fd - target) / abs(target))
+                if rho - eta >= 1.0:
+                    g = abs(g_residual(params, rho))
+                    if prev_g is not None and g > prev_g + 1e-12:
+                        g_decays = False
+                    prev_g = g
+            bound = 2.0 * math.pi * math.sqrt(1.0 - 2.0 * H)
+            entry = {
+                "H": H,
+                "d": d,
+                "decomposition_max_scaled_residual": max_decomp,
+                "decomposition_ok": max_decomp <= 1e-8,
+                "derivative_max_rel_err": max_deriv,
+                "derivative_ok": max_deriv <= 1e-6,
+                "j_sup": sup_j,
+                "j_bound": bound,
+                "j_bound_margin": bound - sup_j,
+                "j_bound_ok": (sup_j < bound) if d > 2.0 else None,
+                "stated_pi_bound_held": sup_j < math.pi * math.sqrt(1.0 - 2.0 * H),
+                "g_residual_decays": g_decays,
+            }
+            if d > 2.0:
+                entry["witness"] = asdict(j_bound_witness(params))
+            checks.append(entry)
+            passed = passed and entry["decomposition_ok"] and entry["derivative_ok"] \
+                and (entry["j_bound_ok"] is not False) and g_decays
+    return {"passed": passed, "checks": checks}
 
 
 def b_inverse(
@@ -291,12 +362,12 @@ def b_inverse(
     if params.is_entire_graph:
         raise PreconditionError("profile inversion needs d > -2H")
     t = abs(t)
-    eta = necksize(params)
+    eta = params.eta
     if t == 0.0:
         return eta
 
     def h(u: float) -> float:
-        return _integrate_substituted(params, eta, u, False, quad_tol) - t
+        return _integrate_substituted(params, u, False, quad_tol) - t
 
     u_cap = math.sqrt(max(rho_max - eta, 0.0))
 
@@ -345,16 +416,11 @@ class ProfileSample:
 
 @dataclass(frozen=True)
 class ProfileCurve:
-    """Sampled generating curve with strictly increasing rho and t.
-
-    Interpolation between samples is monotone cubic (PCHIP), so the
-    interpolant inherits strict monotonicity from the samples.
-    """
+    """Sampled generating curve with strictly increasing rho and t."""
 
     params: CmcParams
     samples: tuple[ProfileSample, ...]
     quad_tol: float = QUAD_TOL
-    _interp: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.samples) < 2:
@@ -365,21 +431,6 @@ class ProfileCurve:
             raise PreconditionError("profile rho values must be strictly increasing")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise PreconditionError("profile heights must be strictly increasing")
-
-    def height_at(self, rho: float) -> float:
-        """Monotone-cubic interpolated height at rho within the sampled range."""
-        interp = self._interp
-        if interp is None:
-            from scipy.interpolate import PchipInterpolator
-
-            interp = PchipInterpolator(
-                [s.rho for s in self.samples], [s.t for s in self.samples]
-            )
-            object.__setattr__(self, "_interp", interp)
-        lo, hi = self.samples[0].rho, self.samples[-1].rho
-        if not (lo <= rho <= hi):
-            raise DomainError(f"rho = {rho} outside sampled range [{lo}, {hi}]")
-        return float(interp(rho))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -409,9 +460,9 @@ def profile(
     params: CmcParams, rho_max: float, n: int, tol: float = QUAD_TOL
 ) -> ProfileCurve:
     """Sample the generating curve on a neck-graded grid up to rho_max."""
-    eta = necksize(params)
-    if not rho_max > eta:
-        raise PreconditionError(f"rho_max must exceed the neck radius {eta}")
+    eta = params.eta
+    if not eta < rho_max < math.inf:
+        raise PreconditionError(f"rho_max must be finite and exceed the neck radius {eta}")
     if n < 2:
         raise PreconditionError("n must be >= 2")
     samples = [ProfileSample(eta, 0.0)]

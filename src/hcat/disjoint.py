@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict
 from scipy.optimize import brentq
 
 from . import __version__
-from .core import CmcParams, QUAD_TOL, ROOT_TOL, b_inverse, necksize
+from .core import CmcParams, QUAD_TOL, ROOT_TOL, b_inverse
 from .errors import CertificationFailure, PreconditionError
 
 #: tolerance for the monotone-decrease finite-difference check
@@ -26,25 +26,28 @@ GRID_STEP_DEFAULT = 0.05
 
 
 def _require_d1(d1: float) -> None:
-    if not d1 > 2.0:
-        raise PreconditionError(f"d1 must exceed 2, got {d1}")
+    if not 2.0 < d1 < math.inf:
+        raise PreconditionError(f"d1 must be finite and exceed 2, got {d1}")
 
 
-def d0_equation_lhs(H: float, d1: float, d0_candidate: float) -> float:
-    """Left-hand side of the threshold equation fixing d0 for a given d1 > 2.
+def separation_lower_bound(H: float, d1: float, d2: float) -> float:
+    """Asymptotic (large t) lower bound for the radial gap.
 
-    (sqrt(1-4H^2)/(4H)) * (ln sqrt((d0^2+1-4H^2)/(d1^2+1-4H^2))
-                           - 4 pi sqrt(1-2H));
-    the threshold d0 is its unique root at value 1.
+    (sqrt(1-4H^2)/(2H)) * (1/2 * ln sqrt((d2^2+1-4H^2)/(d1^2+1-4H^2))
+                           - 2 pi sqrt(1-2H)).
+    May be negative, in which case it certifies nothing by itself.  The
+    threshold d0 for a given d1 > 2 is the unique d2 where it equals 1.
     """
     _require_d1(d1)
     q = 1.0 - 4.0 * H * H
-    ratio_log = 0.5 * (math.log(d0_candidate * d0_candidate + q) - math.log(d1 * d1 + q))
-    return math.sqrt(q) / (4.0 * H) * (ratio_log - 4.0 * math.pi * math.sqrt(1.0 - 2.0 * H))
+    ratio_log = 0.5 * (math.log(d2 * d2 + q) - math.log(d1 * d1 + q))
+    return math.sqrt(q) / (2.0 * H) * (
+        0.5 * ratio_log - 2.0 * math.pi * math.sqrt(1.0 - 2.0 * H)
+    )
 
 
 def solve_d0(H: float, d1: float, residual_tol: float = 1e-10) -> float:
-    """Unique d0 > d1 with d0_equation_lhs(H, d1, d0) = 1.
+    """Unique d0 > d1 with separation_lower_bound(H, d1, d0) = 1.
 
     Bracket-doubling then Brent; the closed-form rearrangement of the
     equation exists but is kept out of the solver so it can serve as an
@@ -52,19 +55,19 @@ def solve_d0(H: float, d1: float, residual_tol: float = 1e-10) -> float:
     """
     _require_d1(d1)
     lo, hi = d1, 2.0 * d1
-    while d0_equation_lhs(H, d1, hi) < 1.0:
+    while separation_lower_bound(H, d1, hi) < 1.0:
         lo = hi
         hi *= 2.0
         if hi > 1e300:
             raise PreconditionError("threshold equation has no finite root")
     d0 = brentq(
-        lambda x: d0_equation_lhs(H, d1, x) - 1.0,
+        lambda x: separation_lower_bound(H, d1, x) - 1.0,
         lo,
         hi,
         xtol=1e-12,
         rtol=4.0 * math.ulp(1.0),
     )
-    if abs(d0_equation_lhs(H, d1, d0) - 1.0) > residual_tol:
+    if abs(separation_lower_bound(H, d1, d0) - 1.0) > residual_tol:
         raise CertificationFailure("threshold equation residual above tolerance")
     return d0
 
@@ -84,21 +87,6 @@ def gap(
     h1, h2 = rho_hints if rho_hints is not None else (None, None)
     return b_inverse(p2, t, rho_hint=h2, quad_tol=quad_tol) - b_inverse(
         p1, t, rho_hint=h1, quad_tol=quad_tol
-    )
-
-
-def separation_lower_bound(H: float, d1: float, d2: float) -> float:
-    """Asymptotic (large t) lower bound for the radial gap.
-
-    (sqrt(1-4H^2)/(2H)) * (1/2 * ln sqrt((d2^2+1-4H^2)/(d1^2+1-4H^2))
-                           - 2 pi sqrt(1-2H)).
-    May be negative, in which case it certifies nothing by itself.
-    """
-    _require_d1(d1)
-    q = 1.0 - 4.0 * H * H
-    ratio_log = 0.5 * (math.log(d2 * d2 + q) - math.log(d1 * d1 + q))
-    return math.sqrt(q) / (2.0 * H) * (
-        0.5 * ratio_log - 2.0 * math.pi * math.sqrt(1.0 - 2.0 * H)
     )
 
 
@@ -178,8 +166,10 @@ def certify(
     _require_d1(d1)
     if not d1 < d2:
         raise PreconditionError(f"need d1 < d2, got {d1} >= {d2}")
-    if not t_max > 0.0:
-        raise PreconditionError(f"t_max must be positive, got {t_max}")
+    if not 0.0 < t_max < math.inf:
+        raise PreconditionError(f"t_max must be positive and finite, got {t_max}")
+    if not grid_step > 0.0:
+        raise PreconditionError(f"grid_step must be positive, got {grid_step}")
 
     n = int(math.floor(t_max / grid_step + 0.5)) + 1
     ts = [min(i * grid_step, t_max) for i in range(n)]

@@ -103,29 +103,40 @@ def translate_along_geodesic(p: HypPoint, s: float) -> HypPoint:
     return HypPoint(rho, theta)
 
 
+def _signed_margins(c1: HypCircle, c2: HypCircle) -> tuple[float, float, float]:
+    # (D, D - |r1 - r2|, r1 + r2 - D) with D the distance between centers
+    d = hyp_distance(c1.center, c2.center)
+    return d, d - abs(c1.radius - c2.radius), c1.radius + c2.radius - d
+
+
+def two_point_margin(c1: HypCircle, c2: HypCircle) -> float:
+    """Signed margin of transversal intersection: positive iff the circles
+    meet in two points, |r1 - r2| < D < r1 + r2."""
+    _, inner, outer = _signed_margins(c1, c2)
+    return min(inner, outer)
+
+
 def classify_circle_intersection(
     c1: HypCircle, c2: HypCircle, tol: float = TANGENCY_TOL
 ) -> IntersectionClass:
     """Classify how two metric circles meet.
 
     With D the distance between centers: two transversal points iff
-    |r1 - r2| < D < r1 + r2; the boundary cases are resolved to the
-    tangent/coincident variants whenever they hold within `tol`
-    (absolute).  Symmetric in its two arguments.
+    both signed margins D - |r1 - r2| and r1 + r2 - D are positive; the
+    boundary cases are resolved to the tangent/coincident variants
+    whenever a margin vanishes within `tol` (absolute).  Symmetric in
+    its two arguments.
     """
-    d = hyp_distance(c1.center, c2.center)
-    r1, r2 = c1.radius, c2.radius
-    rsum = r1 + r2
-    rdiff = abs(r1 - r2)
-    if d <= tol and rdiff <= tol:
+    d, inner, outer = _signed_margins(c1, c2)
+    if d <= tol and abs(c1.radius - c2.radius) <= tol:
         return IntersectionClass.COINCIDENT_CIRCLES
-    if abs(d - rsum) <= tol:
+    if abs(outer) <= tol:
         return IntersectionClass.TANGENT_EXTERNAL
-    if abs(d - rdiff) <= tol and d > tol:
+    if abs(inner) <= tol and d > tol:
         return IntersectionClass.TANGENT_INTERNAL
-    if d > rsum:
+    if outer < 0.0:
         return IntersectionClass.DISJOINT_OUTSIDE
-    if d < rdiff:
+    if inner < 0.0:
         return IntersectionClass.DISJOINT_NESTED
     return IntersectionClass.TWO_POINTS
 

@@ -45,13 +45,6 @@ class SurfaceMesh:
             if any(not (0 <= idx < n) for idx in face):
                 raise PreconditionError(f"face index out of range: {face}")
 
-    def triangulated(self) -> tuple[tuple[int, int, int], ...]:
-        tris = []
-        for a, b, c, d in self.faces:
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-        return tuple(tris)
-
 
 def revolve(
     curve: ProfileCurve,

@@ -19,13 +19,7 @@ from . import __version__
 from .core import CmcParams, QUAD_TOL, b_inverse, necksize
 from .disjoint import DisjointnessCertificate
 from .errors import PreconditionError
-from .geom import (
-    ORIGIN,
-    HypCircle,
-    HypPoint,
-    IntersectionClass,
-    classify_circle_intersection,
-)
+from .geom import ORIGIN, HypCircle, HypPoint, two_point_margin
 
 
 @dataclass(frozen=True)
@@ -102,14 +96,6 @@ def compute_offsets(cert: DisjointnessCertificate) -> StripOffsets:
     return StripOffsets(delta=delta, delta1=delta1, delta2=delta - 0.5 * delta1)
 
 
-def _two_point_margin(c1: HypCircle, c2: HypCircle) -> float:
-    """Positive iff the circles meet transversally in two points."""
-    from .geom import hyp_distance
-
-    dist = hyp_distance(c1.center, c2.center)
-    return min(dist - abs(c1.radius - c2.radius), c1.radius + c2.radius - dist)
-
-
 def _b_grid(params: CmcParams, ts_abs: list[float], quad_tol: float) -> dict[float, float]:
     """Profile radii on a set of |t| values, scanned in increasing order."""
     out: dict[float, float] = {}
@@ -143,17 +129,13 @@ def verify_strip_claim(
             ("center1_inside", r1 - offsets.delta1),
             (
                 "shifted1_meets_inner",
-                _two_point_margin(
-                    HypCircle(ORIGIN, r1), HypCircle(center1, r1)
-                ),
+                two_point_margin(HypCircle(ORIGIN, r1), HypCircle(center1, r1)),
             ),
             ("shifted1_clears_outer", r2 - (r1 + offsets.delta1)),
             ("center2_inside", r2 - offsets.delta2),
             (
                 "shifted2_meets_outer",
-                _two_point_margin(
-                    HypCircle(ORIGIN, r2), HypCircle(center2, r2)
-                ),
+                two_point_margin(HypCircle(ORIGIN, r2), HypCircle(center2, r2)),
             ),
             ("shifted2_clears_inner", (r2 - offsets.delta2) - r1),
         ]
@@ -181,7 +163,7 @@ def verify_c3_lemma(
         checks = [
             (
                 "shifted3_meets_outer",
-                _two_point_margin(HypCircle(ORIGIN, r2), HypCircle(center3, r2)),
+                two_point_margin(HypCircle(ORIGIN, r2), HypCircle(center3, r2)),
             ),
             # eta2 - b2(t) < b1(t)
             ("shifted3_reaches_inner", r1 - (eta2 - r2)),
@@ -221,8 +203,8 @@ def remark_sweep(
                   r1: float, r2: float) -> tuple[float, float]:
         bd = b_inverse(pd, t, rho_hint=hint, quad_tol=quad_tol)
         m = max(
-            _two_point_margin(HypCircle(ORIGIN, bd), HypCircle(center1, r1)),
-            _two_point_margin(HypCircle(ORIGIN, bd), HypCircle(center2, r2)),
+            two_point_margin(HypCircle(ORIGIN, bd), HypCircle(center1, r1)),
+            two_point_margin(HypCircle(ORIGIN, bd), HypCircle(center2, r2)),
         )
         return m, bd
 

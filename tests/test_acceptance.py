@@ -9,16 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from hcat.core import (
-    CmcParams,
-    b_inverse,
-    f_closed,
-    integrand,
-    j_remainder,
-    lambda_height,
-    necksize,
-)
-from hcat.disjoint import certify, d0_equation_lhs, solve_d0
+from hcat.core import CmcParams, b_inverse, lambda_height, necksize, verify_appendix
+from hcat.disjoint import certify, separation_lower_bound, solve_d0
 from hcat.geom import (
     HypCircle,
     HypPoint,
@@ -44,11 +36,6 @@ def _report(capsys, number, label, ok, detail):
     assert ok, f"criterion {number} ({label}): {detail}"
 
 
-def _rho_grid(params, points=50):
-    eta = necksize(params)
-    return [eta + 1e-6 + (10.0 - 1e-6) * i / (points - 1) for i in range(points)]
-
-
 @pytest.fixture(scope="module")
 def full_certificate():
     """The headline pair: d2 solved from the threshold equation, scanned
@@ -59,56 +46,34 @@ def full_certificate():
     return cert, d0, time.perf_counter() - start
 
 
-def test_c1_decomposition_identity(capsys):
+@pytest.fixture(scope="module")
+def appendix():
+    """The appendix sweep (50 radii per pair) behind criteria 1-3, timed."""
     start = time.perf_counter()
-    worst = 0.0
-    for H in H_GRID:
-        for d in D_GRID:
-            params = CmcParams(H, d)
-            for rho in _rho_grid(params):
-                lam = lambda_height(params, rho)
-                resid = abs(lam - (f_closed(params, rho) + j_remainder(params, rho)))
-                worst = max(worst, resid / max(1.0, lam))
-    elapsed = time.perf_counter() - start
+    report = verify_appendix(H_GRID, D_GRID)
+    return report["checks"], time.perf_counter() - start
+
+
+def test_c1_decomposition_identity(capsys, appendix):
+    checks, elapsed = appendix
+    worst = max(c["decomposition_max_scaled_residual"] for c in checks)
     ok = worst <= 1e-8 and elapsed < 10.0
     _report(capsys, 1, "decomposition identity", ok,
             f"max scaled residual {worst:.3e} (tol 1e-8), {elapsed:.2f}s (budget 10s)")
 
 
-def test_c2_closed_form_derivative(capsys):
-    worst = 0.0
-    for H in H_GRID:
-        for d in D_GRID:
-            params = CmcParams(H, d)
-            eta = necksize(params)
-            for rho in _rho_grid(params):
-                if rho - eta < 0.05:
-                    continue
-                h = min(1e-4, 0.25 * (rho - eta))
-                fd = (f_closed(params, rho + h) - f_closed(params, rho - h)) / (2 * h)
-                # d/drho of the closed form is 2H sinh(rho) / sqrt(radicand)
-                target = (
-                    integrand(params, rho)
-                    * 2.0 * H * math.sinh(rho)
-                    / ((d + 2.0 * H) + 4.0 * H * math.sinh(0.5 * rho) ** 2)
-                )
-                worst = max(worst, abs(fd - target) / abs(target))
+def test_c2_closed_form_derivative(capsys, appendix):
+    # d/drho of the closed form is 2H sinh(rho) / sqrt(radicand)
+    worst = max(c["derivative_max_rel_err"] for c in appendix[0])
     ok = worst <= 1e-6
     _report(capsys, 2, "closed-form derivative", ok,
             f"max relative error {worst:.3e} (tol 1e-6)")
 
 
-def test_c3_remainder_bound(capsys):
-    margin = math.inf
-    pi_bound_held = True
-    for H in H_GRID:
-        bound = 2.0 * math.pi * math.sqrt(1.0 - 2.0 * H)
-        stated = math.pi * math.sqrt(1.0 - 2.0 * H)
-        for d in D_GRID:
-            params = CmcParams(H, d)
-            sup_j = max(j_remainder(params, rho) for rho in _rho_grid(params))
-            margin = min(margin, bound - sup_j)
-            pi_bound_held = pi_bound_held and sup_j < stated
+def test_c3_remainder_bound(capsys, appendix):
+    checks = appendix[0]
+    margin = min(c["j_bound_margin"] for c in checks)
+    pi_bound_held = all(c["stated_pi_bound_held"] for c in checks)
     ok = margin > 0.0
     _report(capsys, 3, "remainder bound", ok,
             f"min margin below 2*pi*sqrt(1-2H): {margin:.6f}; "
@@ -117,7 +82,7 @@ def test_c3_remainder_bound(capsys):
 
 def test_c4_disjointness_certificate(capsys, full_certificate):
     cert, d0, elapsed = full_certificate
-    residual = abs(d0_equation_lhs(0.25, 3.0, d0) - 1.0)
+    residual = abs(separation_lower_bound(0.25, 3.0, d0) - 1.0)
     q = 0.75
     rhs = 4.0 * math.pi * math.sqrt(0.5) + 1.0 / math.sqrt(q)
     d0_oracle = math.sqrt((9.0 + q) * math.exp(2.0 * rhs) - q)

@@ -65,6 +65,28 @@ class TestExitCodes:
                 "--out", str(tmp_path / "r.json")]
         assert run(args) == EXIT_CHECK_FAILED
 
+    @pytest.mark.parametrize("args", [
+        ["necksize", "--H", "0.25", "--d", "nan"],
+        ["necksize", "--H", "0.25", "--d", "inf"],
+        ["necksize", "--H", "0.25", "--d", "1e200"],
+        ["necksize", "--H", "0.25", "--d", "1e154"],
+        ["disjoint", "--H", "0.25", "--d1", "3", "--d2", "100", "--step", "0"],
+        ["disjoint", "--H", "0.25", "--d1", "3", "--d2", "100", "--step", "-1"],
+        ["disjoint", "--H", "0.25", "--d1", "3", "--d2", "100", "--t-max", "inf"],
+        ["disjoint", "--H", "0.25", "--d1", "inf", "--solve-d0"],
+        ["strips", "--cert", "{cert}", "--step", "0"],
+        ["strips", "--cert", "{cert}", "--d-points", "0"],
+        ["strips", "--cert", "{cert}", "--t-min", "1", "--t-max", "-1"],
+        ["curve", "--H", "0.25", "--d", "2", "--rho-max", "4", "--quad-tol", "0",
+         "--out", "{tmp}/c.csv"],
+        ["curve", "--H", "0.25", "--d", "2", "--rho-max", "inf", "--out", "{tmp}/c.csv"],
+        ["verify-appendix", "--quad-tol", "-1", "--out", "{tmp}/a.json"],
+    ])
+    def test_bad_input_is_named_usage_error(self, capsys, tmp_path, cert_file, args):
+        argv = [a.format(cert=cert_file, tmp=tmp_path) for a in args]
+        assert run(argv) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
     def test_inflated_gap_fails_margins(self, capsys, tmp_path, cert_file):
         doc = json.loads(cert_file.read_text())
         doc["result"]["min_gap_observed"] = 500.0
@@ -137,15 +159,14 @@ class TestVerifyAppendix:
             docs.append(out.read_bytes())
         assert docs[0] == docs[1]
 
-    def test_threads_hint_rejects_garbage(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("HCAT_THREADS", "lots")
-        assert run(self.ARGS + ["--out", str(tmp_path / "x.json")]) == EXIT_USAGE
-
-    def test_threads_hint_echoed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HCAT_THREADS", "4")
-        out = tmp_path / "t.json"
-        assert run(self.ARGS + ["--out", str(out)]) == EXIT_OK
-        assert json.loads(out.read_text())["config"]["threads_hint"] == 4
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_too_few_grid_points_is_usage(self, tmp_path, capsys, points):
+        # a sweep over fewer than two radii checks nothing and must not pass
+        args = ["verify-appendix", "--grid-points", points,
+                "--out", str(tmp_path / "x.json")]
+        assert run(args) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestDisjoint:

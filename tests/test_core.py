@@ -10,6 +10,7 @@ import pytest
 from scipy.special import roots_jacobi
 
 from hcat.core import (
+    _LARGE_R,
     CmcParams,
     ProfileCurve,
     ProfileSample,
@@ -24,6 +25,7 @@ from hcat.core import (
     lambda_height,
     necksize,
     profile,
+    _substituted,
 )
 from hcat.errors import ConvergenceError, DomainError, PreconditionError
 
@@ -136,6 +138,22 @@ class TestIntegrand:
         p = CmcParams(0.3, -0.6)
         r = 1e-4
         assert integrand(p, r) == pytest.approx(p.H * r, rel=1e-6)
+
+    @pytest.mark.parametrize("remainder", [False, True])
+    @pytest.mark.parametrize("H,d", [(0.25, 3.0), (0.1, 100.0), (0.4, 0.5)])
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_substituted_across_large_r_switch(self, H, d, remainder, side):
+        # both sides of _LARGE_R, for the height and the remainder numerator
+        p = CmcParams(H, d)
+        u = math.sqrt(_LARGE_R + side * 1e-9 - p.eta)
+        r = p.eta + u * u
+        assert (r >= _LARGE_R) == (side > 0)
+        mp.mp.dps = 40
+        rm, Hm = mp.mpf(r), mp.mpf(H)
+        num = d + 2 * Hm * (mp.exp(-rm) if remainder else mp.cosh(rm))
+        want = num / mp.sqrt(mp.sinh(rm) ** 2 - (d + 2 * Hm * mp.cosh(rm)) ** 2)
+        got = _substituted(p, u, remainder) / (2.0 * u)
+        assert got == pytest.approx(float(want), rel=1e-12)
 
     def test_large_r_limit(self):
         # derivative tends to 2H / sqrt(1 - 4H^2)
@@ -324,19 +342,6 @@ class TestProfile:
         curve = profile(CmcParams(0.25, 2.0), 6.0, 20)
         steps = [b.rho - a.rho for a, b in zip(curve.samples, curve.samples[1:])]
         assert all(b > a for a, b in zip(steps, steps[1:]))
-
-    def test_interpolated_height_tracks_quadrature(self):
-        p = CmcParams(0.25, 2.0)
-        curve = profile(p, 6.0, 80)
-        for rho in (2.5, 3.3, 5.1):
-            assert curve.height_at(rho) == pytest.approx(
-                lambda_height(p, rho), abs=1e-6
-            )
-
-    def test_height_at_outside_range_rejected(self):
-        curve = profile(CmcParams(0.25, 2.0), 6.0, 10)
-        with pytest.raises(DomainError):
-            curve.height_at(7.0)
 
     def test_csv_layout(self):
         curve = profile(CmcParams(0.25, 2.0), 4.0, 5)

@@ -9,7 +9,6 @@ from hcat.core import CmcParams, necksize
 from hcat.disjoint import (
     DisjointnessCertificate,
     certify,
-    d0_equation_lhs,
     gap,
     separation_lower_bound,
     solve_d0,
@@ -30,11 +29,11 @@ def _d0_closed_form(H, d1):
 
 class TestThreshold:
     def test_lhs_at_d1_is_pure_bound_term(self):
-        # the log ratio vanishes at d0_candidate = d1
+        # the log ratio vanishes at d2 = d1
         H, d1 = 0.25, 3.0
-        # sqrt(q)/(4H) * 4 pi sqrt(1-2H), with 4H = 1
+        # sqrt(q)/(2H) * 2 pi sqrt(1-2H), with 2H = 1/2
         want = -math.sqrt(0.75) * 4.0 * math.pi * math.sqrt(0.5)
-        assert d0_equation_lhs(H, d1, d1) == pytest.approx(want, rel=1e-14)
+        assert separation_lower_bound(H, d1, d1) == pytest.approx(want, rel=1e-14)
 
     def test_solver_matches_frozen_and_closed_form(self):
         d0 = solve_d0(0.25, 3.0)
@@ -50,8 +49,7 @@ class TestThreshold:
             solve_d0(0.25, 2.0)
 
     def test_separation_bound_is_one_at_threshold(self):
-        # the two expressions differ exactly by the factor 2 and the
-        # threshold normalization
+        # the solver's equation is this bound at value 1
         H, d1 = 0.25, 3.0
         d0 = solve_d0(H, d1)
         assert separation_lower_bound(H, d1, d0) == pytest.approx(1.0, rel=1e-9)

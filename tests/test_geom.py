@@ -11,11 +11,13 @@ from hcat.geom import (
     ORIGIN,
     HypCircle,
     HypPoint,
+    TANGENCY_TOL,
     IntersectionClass,
     circle_point,
     classify_circle_intersection,
     hyp_distance,
     translate_along_geodesic,
+    two_point_margin,
 )
 
 # acosh(cosh(1)^2): distance between (1, 0) and (1, pi/2), frozen from a
@@ -184,6 +186,12 @@ class TestCircleClassification:
     @settings(max_examples=200, deadline=None)
     def test_symmetric_in_arguments(self, c1, c2):
         assert classify_circle_intersection(c1, c2) is classify_circle_intersection(c2, c1)
+
+    @given(circles, circles)
+    @settings(max_examples=300, deadline=None)
+    def test_two_points_iff_margin_clears_tolerance(self, c1, c2):
+        two = classify_circle_intersection(c1, c2) is IntersectionClass.TWO_POINTS
+        assert two == (two_point_margin(c1, c2) > TANGENCY_TOL)
 
     @given(circles, circles, st.floats(-3.0, 3.0, allow_nan=False))
     @settings(max_examples=100, deadline=None)

@@ -82,12 +82,6 @@ class TestRevolve:
         with pytest.raises(PreconditionError):
             SurfaceMesh(((0.0, 0.0, 0.0),), ((0, 1, 2, 3),), {})
 
-    def test_triangulated_doubles_face_count(self):
-        mesh = revolve(_tiny_curve(), 3, EmbeddingMode.CYLINDER_POLAR)
-        tris = mesh.triangulated()
-        assert len(tris) == 2 * len(mesh.faces)
-        assert all(len(t) == 3 for t in tris)
-
 
 class TestFamilyFrames:
     def test_one_mesh_per_parameter(self):
