@@ -39,7 +39,8 @@ from .errors import (
     PreconditionError,
 )
 from .mesh import EmbeddingMode, export_csv, export_meta, export_obj, family_frames, revolve
-from .strips import compute_offsets, remark_sweep, verify_c3_lemma, verify_strip_claim
+from .strips import (compute_offsets, pair_radii, remark_sweep, verify_c3_lemma,
+                     verify_strip_claim)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -278,9 +279,10 @@ def _cmd_strips(args) -> int:
         return EXIT_CHECK_FAILED
     t_grid = _frange(args.t_min, args.t_max, args.step)
     d_grid = _log_spaced(cert.d1, cert.d2, args.d_points)
-    strip = verify_strip_claim(cert, offsets, t_grid, args.quad_tol)
-    c3 = verify_c3_lemma(cert, t_grid, args.quad_tol)
-    remark = remark_sweep(cert, offsets, d_grid, t_grid, args.quad_tol)
+    pair = pair_radii(cert, t_grid, args.quad_tol)
+    strip = verify_strip_claim(pair, offsets)
+    c3 = verify_c3_lemma(pair)
+    remark = remark_sweep(pair, offsets, d_grid)
     passed = strip.passed and c3.passed and remark.passed
     result = {
         "passed": passed,

@@ -203,7 +203,7 @@ def lambda_height(params: CmcParams, rho: float, tol: float = QUAD_TOL) -> float
     return _integrate_substituted(params, math.sqrt(rho - eta), False, tol)
 
 
-def f_closed(params: CmcParams, rho: float, tol: float = 1e-12) -> float:
+def f_closed(params: CmcParams, rho: float) -> float:
     """Closed-form part of the height decomposition.
 
     (2H / sqrt(1-4H^2)) * acosh(((1-4H^2) cosh rho - 2dH) / sqrt(d^2+1-4H^2)),
@@ -221,7 +221,7 @@ def f_closed(params: CmcParams, rho: float, tol: float = 1e-12) -> float:
         return scale * (rho + math.log(q / s) + corr)
     # arg - 1 = q (cosh rho - cosh eta) / s, via the cosh-difference identity
     y = q * 2.0 * math.sinh(0.5 * (rho + eta)) * math.sinh(0.5 * (rho - eta)) / s
-    if y < -tol:
+    if y < -1e-12:
         raise DomainError(f"acosh argument below 1 at rho = {rho}")
     return scale * _stable_acosh1p(max(y, 0.0))
 
@@ -406,6 +406,20 @@ def b_inverse(
     else:
         u = brentq(h, lo, hi, xtol=tol, rtol=4.0 * math.ulp(1.0))
     return eta + u * u
+
+
+def b_grid(params: CmcParams, ts: list[float], quad_tol: float) -> dict[float, float]:
+    """Profile radii {|t|: b_d(t)} for every distinct |t| in `ts`.
+
+    The hinted monotone scan: each distinct |t| is inverted once, in
+    increasing order, with the previous radius as the bracket seed.
+    """
+    out: dict[float, float] = {}
+    hint = None
+    for t in sorted({abs(t) for t in ts}):
+        hint = b_inverse(params, t, rho_hint=hint, quad_tol=quad_tol)
+        out[t] = hint
+    return out
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict
 from scipy.optimize import brentq
 
 from . import __version__
-from .core import CmcParams, QUAD_TOL, ROOT_TOL, b_inverse
+from .core import CmcParams, QUAD_TOL, ROOT_TOL, b_grid, b_inverse
 from .errors import CertificationFailure, PreconditionError
 
 #: tolerance for the monotone-decrease finite-difference check
@@ -46,7 +46,7 @@ def separation_lower_bound(H: float, d1: float, d2: float) -> float:
     )
 
 
-def solve_d0(H: float, d1: float, residual_tol: float = 1e-10) -> float:
+def solve_d0(H: float, d1: float) -> float:
     """Unique d0 > d1 with separation_lower_bound(H, d1, d0) = 1.
 
     Bracket-doubling then Brent; the closed-form rearrangement of the
@@ -67,27 +67,17 @@ def solve_d0(H: float, d1: float, residual_tol: float = 1e-10) -> float:
         xtol=1e-12,
         rtol=4.0 * math.ulp(1.0),
     )
-    if abs(separation_lower_bound(H, d1, d0) - 1.0) > residual_tol:
+    if abs(separation_lower_bound(H, d1, d0) - 1.0) > 1e-10:
         raise CertificationFailure("threshold equation residual above tolerance")
     return d0
 
 
-def gap(
-    H: float,
-    d1: float,
-    d2: float,
-    t: float,
-    rho_hints: tuple[float, float] | None = None,
-    quad_tol: float = QUAD_TOL,
-) -> float:
+def gap(H: float, d1: float, d2: float, t: float) -> float:
     """Radial gap b_{d2}(t) - b_{d1}(t); even in t."""
     p1, p2 = CmcParams(H, d1), CmcParams(H, d2)
     if not d1 < d2:
         raise PreconditionError(f"need d1 < d2, got {d1} >= {d2}")
-    h1, h2 = rho_hints if rho_hints is not None else (None, None)
-    return b_inverse(p2, t, rho_hint=h2, quad_tol=quad_tol) - b_inverse(
-        p1, t, rho_hint=h1, quad_tol=quad_tol
-    )
+    return b_inverse(p2, t) - b_inverse(p1, t)
 
 
 @dataclass(frozen=True)
@@ -134,15 +124,10 @@ class DisjointnessCertificate:
 def _scan_gaps(
     H: float, d1: float, d2: float, ts: list[float], quad_tol: float
 ) -> list[float]:
-    p1, p2 = CmcParams(H, d1), CmcParams(H, d2)
-    gaps = []
-    h1 = h2 = None
-    for t in ts:
-        b1 = b_inverse(p1, t, rho_hint=h1, quad_tol=quad_tol)
-        b2 = b_inverse(p2, t, rho_hint=h2, quad_tol=quad_tol)
-        h1, h2 = b1, b2
-        gaps.append(b2 - b1)
-    return gaps
+    # ts is non-negative, so each t is its own grid key
+    b1 = b_grid(CmcParams(H, d1), ts, quad_tol)
+    b2 = b_grid(CmcParams(H, d2), ts, quad_tol)
+    return [b2[t] - b1[t] for t in ts]
 
 
 def certify(

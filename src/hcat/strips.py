@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, asdict
 
 from . import __version__
-from .core import CmcParams, QUAD_TOL, b_inverse, necksize
+from .core import CmcParams, b_grid, b_inverse, necksize
 from .disjoint import DisjointnessCertificate
 from .errors import PreconditionError
 from .geom import ORIGIN, HypCircle, HypPoint, two_point_margin
@@ -96,35 +96,43 @@ def compute_offsets(cert: DisjointnessCertificate) -> StripOffsets:
     return StripOffsets(delta=delta, delta1=delta1, delta2=delta - 0.5 * delta1)
 
 
-def _b_grid(params: CmcParams, ts_abs: list[float], quad_tol: float) -> dict[float, float]:
-    """Profile radii on a set of |t| values, scanned in increasing order."""
-    out: dict[float, float] = {}
-    hint = None
-    for t in sorted(set(ts_abs)):
-        hint = b_inverse(params, t, rho_hint=hint, quad_tol=quad_tol)
-        out[t] = hint
-    return out
+@dataclass(frozen=True)
+class PairRadii:
+    """The certified pair's profile radii on one height grid.
+
+    b1 and b2 map every distinct |t| of t_grid to b_{d1}(t) and
+    b_{d2}(t); the strip checks read them instead of inverting again.
+    """
+
+    cert: DisjointnessCertificate
+    t_grid: list[float]
+    quad_tol: float
+    p1: CmcParams
+    p2: CmcParams
+    b1: dict[float, float]
+    b2: dict[float, float]
 
 
-def verify_strip_claim(
-    cert: DisjointnessCertificate,
-    offsets: StripOffsets,
-    t_grid: list[float],
-    quad_tol: float = QUAD_TOL,
-) -> StripReport:
+def pair_radii(
+    cert: DisjointnessCertificate, t_grid: list[float], quad_tol: float
+) -> PairRadii:
+    """Invert both members of the certified pair once on t_grid."""
+    p1, p2 = CmcParams(cert.H, cert.d1), CmcParams(cert.H, cert.d2)
+    return PairRadii(cert, t_grid, quad_tol, p1, p2,
+                     b_grid(p1, t_grid, quad_tol), b_grid(p2, t_grid, quad_tol))
+
+
+def verify_strip_claim(pair: PairRadii, offsets: StripOffsets) -> StripReport:
     """Check, per height, the six inequalities making both shifted
     surfaces cut strips out of the region between the certified pair."""
     if not (offsets.delta1 > 0.0 and offsets.delta2 > 0.0):
         raise PreconditionError("offsets must be positive")
-    p1, p2 = CmcParams(cert.H, cert.d1), CmcParams(cert.H, cert.d2)
-    b1 = _b_grid(p1, [abs(t) for t in t_grid], quad_tol)
-    b2 = _b_grid(p2, [abs(t) for t in t_grid], quad_tol)
     center1 = HypPoint(offsets.delta1, 0.0)
     center2 = HypPoint(offsets.delta2, math.pi)
 
     records: list[StripCheck] = []
-    for t in t_grid:
-        r1, r2 = b1[abs(t)], b2[abs(t)]
+    for t in pair.t_grid:
+        r1, r2 = pair.b1[abs(t)], pair.b2[abs(t)]
         checks = [
             ("center1_inside", r1 - offsets.delta1),
             (
@@ -144,22 +152,15 @@ def verify_strip_claim(
     return _finish("strip_claim", records)
 
 
-def verify_c3_lemma(
-    cert: DisjointnessCertificate,
-    t_grid: list[float],
-    quad_tol: float = QUAD_TOL,
-) -> StripReport:
+def verify_c3_lemma(pair: PairRadii) -> StripReport:
     """Check that the outer surface shifted by its own neck radius cuts a
     pair of strips: per height, its circle meets both pair circles twice."""
-    p1, p2 = CmcParams(cert.H, cert.d1), CmcParams(cert.H, cert.d2)
-    eta2 = necksize(p2)
-    b1 = _b_grid(p1, [abs(t) for t in t_grid], quad_tol)
-    b2 = _b_grid(p2, [abs(t) for t in t_grid], quad_tol)
+    eta2 = necksize(pair.p2)
     center3 = HypPoint(eta2, 0.0)
 
     records: list[StripCheck] = []
-    for t in t_grid:
-        r1, r2 = b1[abs(t)], b2[abs(t)]
+    for t in pair.t_grid:
+        r1, r2 = pair.b1[abs(t)], pair.b2[abs(t)]
         checks = [
             (
                 "shifted3_meets_outer",
@@ -176,11 +177,7 @@ def verify_c3_lemma(
 
 
 def remark_sweep(
-    cert: DisjointnessCertificate,
-    offsets: StripOffsets,
-    d_grid: list[float],
-    t_grid: list[float],
-    quad_tol: float = QUAD_TOL,
+    pair: PairRadii, offsets: StripOffsets, d_grid: list[float]
 ) -> StripReport:
     """For each intermediate d, find a height whose circle meets one of
     the shifted barrier circles in two points.
@@ -189,13 +186,11 @@ def remark_sweep(
     that d before being recorded as a failure (grid coarseness, not a
     disproof).
     """
+    cert, quad_tol = pair.cert, pair.quad_tol
     for d in d_grid:
         if not (cert.d1 < d < cert.d2):
             raise PreconditionError(f"d = {d} outside ({cert.d1}, {cert.d2})")
-    p1, p2 = CmcParams(cert.H, cert.d1), CmcParams(cert.H, cert.d2)
-    ts_abs = sorted(set(abs(t) for t in t_grid))
-    b1 = _b_grid(p1, ts_abs, quad_tol)
-    b2 = _b_grid(p2, ts_abs, quad_tol)
+    ts_abs = list(pair.b1)  # increasing
     center1 = HypPoint(offsets.delta1, 0.0)
     center2 = HypPoint(offsets.delta2, math.pi)
 
@@ -214,7 +209,7 @@ def remark_sweep(
         best_margin, best_t = -math.inf, None
         hint = None
         for t in ts_abs:
-            m, hint = margin_at(pd, t, hint, b1[t], b2[t])
+            m, hint = margin_at(pd, t, hint, pair.b1[t], pair.b2[t])
             if m > best_margin:
                 best_margin, best_t = m, t
             if m > 0.0:
@@ -227,8 +222,8 @@ def remark_sweep(
             hint = None
             for t in fine:
                 m, hint = margin_at(pd, t, hint,
-                                    b_inverse(p1, t, quad_tol=quad_tol),
-                                    b_inverse(p2, t, quad_tol=quad_tol))
+                                    b_inverse(pair.p1, t, quad_tol=quad_tol),
+                                    b_inverse(pair.p2, t, quad_tol=quad_tol))
                 if m > best_margin:
                     best_margin, best_t = m, t
                 if m > 0.0:

@@ -9,7 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from hcat.core import CmcParams, b_inverse, lambda_height, necksize, verify_appendix
+from hcat.core import (
+    QUAD_TOL,
+    CmcParams,
+    b_inverse,
+    lambda_height,
+    necksize,
+    verify_appendix,
+)
 from hcat.disjoint import certify, separation_lower_bound, solve_d0
 from hcat.geom import (
     HypCircle,
@@ -21,7 +28,13 @@ from hcat.geom import (
     translate_along_geodesic,
 )
 from hcat.mesh import EmbeddingMode, export_obj, revolve
-from hcat.strips import compute_offsets, remark_sweep, verify_c3_lemma, verify_strip_claim
+from hcat.strips import (
+    compute_offsets,
+    pair_radii,
+    remark_sweep,
+    verify_c3_lemma,
+    verify_strip_claim,
+)
 
 from conftest import DATA_DIR
 
@@ -122,11 +135,12 @@ def test_c6_strip_claims(capsys, full_certificate):
     cert, _, _ = full_certificate
     offsets = compute_offsets(cert)
     t_grid = [-50.0 + 0.1 * k for k in range(1001)]
-    strip = verify_strip_claim(cert, offsets, t_grid)
-    c3 = verify_c3_lemma(cert, t_grid)
+    pair = pair_radii(cert, t_grid, QUAD_TOL)
+    strip = verify_strip_claim(pair, offsets)
+    c3 = verify_c3_lemma(pair)
     log_lo, log_hi = math.log(cert.d1), math.log(cert.d2)
     d_grid = [math.exp(log_lo + (log_hi - log_lo) * (i + 1) / 21) for i in range(20)]
-    remark = remark_sweep(cert, offsets, d_grid, t_grid)
+    remark = remark_sweep(pair, offsets, d_grid)
     ok = strip.passed and c3.passed and remark.passed
     _report(capsys, 6, "strip claims", ok,
             f"strip min margin {strip.min_margin:.4f} ({strip.min_margin_check}), "

@@ -11,9 +11,11 @@ from scipy.special import roots_jacobi
 
 from hcat.core import (
     _LARGE_R,
+    QUAD_TOL,
     CmcParams,
     ProfileCurve,
     ProfileSample,
+    b_grid,
     b_inverse,
     entire_graph_profile,
     f_asymptote,
@@ -27,6 +29,7 @@ from hcat.core import (
     profile,
     _substituted,
 )
+from hcat.disjoint import solve_d0
 from hcat.errors import ConvergenceError, DomainError, PreconditionError
 
 # acosh((2dH + sqrt(1-4H^2+d^2)) / (1-4H^2)) at H = 0.25, d = 2, 40 digits
@@ -57,6 +60,35 @@ def _mp_lambda(H, d, rho):
         return 2 * u * num / mp.sqrt(rad) if u > 0 else mp.mpf(0)
 
     return float(mp.re(mp.quad(sub, [0, mp.sqrt(mp.mpf(rho) - eta)])))
+
+
+def _mp_lambda_split(H, d, rho):
+    """High-precision height in the factored form, u-interval split in four.
+
+    cosh r - cosh(neck) = 2 sinh((r + neck)/2) sinh(u^2/2) cancels the
+    endpoint singularity exactly, so no radicand is formed by subtraction.
+    """
+    mp.mp.dps = 40
+    H, d = mp.mpf(H), mp.mpf(d)
+    q = 1 - 4 * H * H
+    beta = (2 * d * H - mp.sqrt(q + d * d)) / q
+    eta = _mp_eta(H, d)
+
+    def sub(u):
+        r = eta + u * u
+        half = u * u / 2
+        sinhc = mp.sinh(half) / half if half else mp.mpf(1)
+        rad = q * mp.sinh((r + eta) / 2) * sinhc * (mp.cosh(r) - beta)
+        return 2 * (d + 2 * H * mp.cosh(r)) / mp.sqrt(rad)
+
+    return float(mp.quad(sub, mp.linspace(0, mp.sqrt(mp.mpf(rho) - eta), 5)))
+
+
+# the threshold member d0(H, d1) (d0 ~ 71 463.5) at the radius its hinted
+# scan reaches for t = 25.65: QUADPACK accepts one 21-point Gauss-Kronrod
+# panel there whose true error is 7.06e-10
+DEFECT_H, DEFECT_D1 = 0.24820734518035178, 2.9255529619311083
+DEFECT_RHO = 54.475816978215796
 
 
 def _gauss_jacobi_lambda(H, d, rho, n=140):
@@ -325,6 +357,28 @@ class TestInversion:
     def test_unreachable_height_raises(self):
         with pytest.raises(ConvergenceError):
             b_inverse(CmcParams(0.25, 2.0), 5.0, rho_max=3.0)
+
+    def test_grid_holds_each_distinct_height_once(self):
+        p = CmcParams(0.25, 3.0)
+        grid = b_grid(p, [2.0, -1.0, 0.0, 1.0, -2.0], QUAD_TOL)
+        assert list(grid) == [0.0, 1.0, 2.0]
+        for t, rho in grid.items():
+            assert rho == pytest.approx(b_inverse(p, t), abs=1e-10)
+
+
+class TestHeightAccuracyAtThresholdMember:
+    def test_split_oracle_agrees_with_single_interval_route(self):
+        d = solve_d0(DEFECT_H, DEFECT_D1)
+        split = _mp_lambda_split(DEFECT_H, d, DEFECT_RHO)
+        assert split == pytest.approx(_mp_lambda(DEFECT_H, d, DEFECT_RHO), abs=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason="QUADPACK accepts a panel that is off by 7e-10")
+    def test_height_within_quad_tol(self):
+        d = solve_d0(DEFECT_H, DEFECT_D1)
+        want = _mp_lambda_split(DEFECT_H, d, DEFECT_RHO)
+        assert lambda_height(CmcParams(DEFECT_H, d), DEFECT_RHO) == pytest.approx(
+            want, abs=QUAD_TOL
+        )
 
 
 class TestProfile:

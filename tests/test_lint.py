@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses
+or defines a private function or class that nothing in it references."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,11 @@ from pathlib import Path
 import pytest
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src" / "hcat"
+SOURCES = sorted(SRC_DIR.glob("*.py"))
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -24,8 +30,21 @@ def _unused_imports(tree: ast.Module) -> list[str]:
                     continue
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = _names_read(tree)
     return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def _unused_private_defs(tree: ast.Module) -> list[str]:
+    """Module-level `_name` functions and classes that no expression of
+    the module reads."""
+    defined = {
+        node.name: node.lineno for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+    }
+    used = _names_read(tree)
+    return sorted(f"{name} (line {line})" for name, line in defined.items()
                   if name not in used)
 
 
@@ -35,6 +54,22 @@ def test_detects_unused_imports():
     assert _unused_imports(ast.parse(source)) == ["a (line 3)", "os (line 2)", "z (line 4)"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_detects_unused_private_defs():
+    source = ("def _used():\n    pass\n"
+              "def _unused():\n    return _used()\n"
+              "class _Orphan:\n    def _method(self):\n        pass\n"
+              "class _Base:\n    pass\n"
+              "class Public(_Base):\n    pass\n"
+              "def public():\n    pass\n")
+    assert _unused_private_defs(ast.parse(source)) == [
+        "_Orphan (line 5)", "_unused (line 3)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_private_defs(path):
+    assert _unused_private_defs(ast.parse(path.read_text())) == []

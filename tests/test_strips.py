@@ -1,20 +1,27 @@
 """Shifted-barrier strip checks and the intermediate-parameter sweep."""
 
 import math
+from collections import Counter
 
 import pytest
 
-from hcat.core import CmcParams, necksize
+from hcat.core import QUAD_TOL, CmcParams, necksize
 from hcat.errors import PreconditionError
 from hcat.strips import (
     StripOffsets,
     compute_offsets,
+    pair_radii,
     remark_sweep,
     verify_c3_lemma,
     verify_strip_claim,
 )
 
 T_GRID = [k * 0.5 - 2.0 for k in range(9)]  # [-2, 2] step 0.5
+
+
+@pytest.fixture(scope="module")
+def small_pair(small_cert):
+    return pair_radii(small_cert, T_GRID, QUAD_TOL)
 
 
 class TestOffsets:
@@ -46,9 +53,9 @@ class TestOffsets:
 
 
 class TestStripClaim:
-    def test_all_checks_pass_with_positive_margin(self, small_cert):
+    def test_all_checks_pass_with_positive_margin(self, small_cert, small_pair):
         offsets = compute_offsets(small_cert)
-        report = verify_strip_claim(small_cert, offsets, T_GRID)
+        report = verify_strip_claim(small_pair, offsets)
         assert report.passed
         assert report.min_margin > 0.0
         assert report.kind == "strip_claim"
@@ -64,28 +71,28 @@ class TestStripClaim:
             "shifted2_clears_inner",
         }
 
-    def test_min_margin_is_the_actual_minimum(self, small_cert):
+    def test_min_margin_is_the_actual_minimum(self, small_cert, small_pair):
         offsets = compute_offsets(small_cert)
-        report = verify_strip_claim(small_cert, offsets, T_GRID)
+        report = verify_strip_claim(small_pair, offsets)
         assert report.min_margin == min(r.margin for r in report.records)
 
     def test_absurd_offsets_fail_cleanly(self, small_cert):
         # a shift larger than the whole gap cannot clear the outer circle
         offsets = StripOffsets(delta=50.0, delta1=25.0, delta2=37.5)
-        report = verify_strip_claim(small_cert, offsets, [0.0])
+        report = verify_strip_claim(pair_radii(small_cert, [0.0], QUAD_TOL), offsets)
         assert not report.passed
         assert report.min_margin < 0.0
 
     def test_nonpositive_offsets_rejected(self, small_cert):
         with pytest.raises(PreconditionError):
             verify_strip_claim(
-                small_cert, StripOffsets(1.0, 0.0, 1.0), [0.0]
+                pair_radii(small_cert, [0.0], QUAD_TOL), StripOffsets(1.0, 0.0, 1.0)
             )
 
 
 class TestC3Lemma:
-    def test_all_checks_pass(self, small_cert):
-        report = verify_c3_lemma(small_cert, T_GRID)
+    def test_all_checks_pass(self, small_pair):
+        report = verify_c3_lemma(small_pair)
         assert report.passed
         assert report.min_margin > 0.0
         assert len(report.records) == 3 * len(T_GRID)
@@ -93,7 +100,7 @@ class TestC3Lemma:
     def test_reach_margin_at_zero_height(self, small_cert):
         # at t = 0 the radii are the necks, so the reach margin is
         # exactly eta1: b1 - (eta2 - b2) = eta1
-        report = verify_c3_lemma(small_cert, [0.0])
+        report = verify_c3_lemma(pair_radii(small_cert, [0.0], QUAD_TOL))
         eta1 = necksize(CmcParams(small_cert.H, small_cert.d1))
         reach = next(
             r for r in report.records if r.check_id == "shifted3_reaches_inner"
@@ -102,10 +109,10 @@ class TestC3Lemma:
 
 
 class TestRemarkSweep:
-    def test_witness_found_for_each_intermediate(self, small_cert):
+    def test_witness_found_for_each_intermediate(self, small_cert, small_pair):
         offsets = compute_offsets(small_cert)
         d_grid = [5.0, 10.0, 30.0, 60.0, 90.0]
-        report = remark_sweep(small_cert, offsets, d_grid, T_GRID)
+        report = remark_sweep(small_pair, offsets, d_grid)
         assert report.passed
         assert len(report.records) == len(d_grid)
         for record in report.records:
@@ -113,18 +120,43 @@ class TestRemarkSweep:
             assert record.witness is not None
             assert abs(record.witness) <= max(abs(t) for t in T_GRID)
 
-    def test_rejects_d_outside_open_interval(self, small_cert):
+    def test_rejects_d_outside_open_interval(self, small_cert, small_pair):
         offsets = compute_offsets(small_cert)
         with pytest.raises(PreconditionError):
-            remark_sweep(small_cert, offsets, [small_cert.d1], T_GRID)
+            remark_sweep(small_pair, offsets, [small_cert.d1])
         with pytest.raises(PreconditionError):
-            remark_sweep(small_cert, offsets, [small_cert.d2 + 1.0], T_GRID)
+            remark_sweep(small_pair, offsets, [small_cert.d2 + 1.0])
+
+
+class TestSharedRadii:
+    def test_strips_inverts_each_pair_height_once(self, small_cert, tmp_path, monkeypatch):
+        import hcat.core
+        import hcat.strips
+        from hcat import cli
+
+        calls = Counter()
+        original = hcat.core.b_inverse
+
+        def counting(params, t, *args, **kwargs):
+            calls[params.d, abs(t)] += 1
+            return original(params, t, *args, **kwargs)
+
+        monkeypatch.setattr(hcat.core, "b_inverse", counting)
+        monkeypatch.setattr(hcat.strips, "b_inverse", counting)
+        cert = tmp_path / "cert.json"
+        cert.write_text(small_cert.to_json())
+        assert cli.run(["strips", "--cert", str(cert), "--t-min", "-2", "--t-max", "2",
+                        "--step", "0.5", "--d-points", "3",
+                        "--out", str(tmp_path / "strips.json")]) == 0
+        pair = {k: n for k, n in calls.items() if k[0] in (small_cert.d1, small_cert.d2)}
+        assert len(pair) == 2 * 5  # |t| in {0, .5, 1, 1.5, 2} for d1 and d2
+        assert {k: n for k, n in pair.items() if n > 1} == {}
 
 
 class TestReportOutput:
     def test_margin_csv_layout(self, small_cert):
         offsets = compute_offsets(small_cert)
-        report = verify_strip_claim(small_cert, offsets, [0.0, 1.0])
+        report = verify_strip_claim(pair_radii(small_cert, [0.0, 1.0], QUAD_TOL), offsets)
         lines = report.to_margin_csv().splitlines()
         assert lines[0] == "t,check_id,margin"
         assert len(lines) == 1 + len(report.records)
@@ -136,8 +168,7 @@ class TestReportOutput:
     def test_json_dict_round_trips_through_json(self, small_cert):
         import json
 
-        offsets = compute_offsets(small_cert)
-        report = verify_c3_lemma(small_cert, [0.0])
+        report = verify_c3_lemma(pair_radii(small_cert, [0.0], QUAD_TOL))
         data = json.loads(report.to_json())
         assert data["passed"] is True
         assert data["min_margin"] == report.min_margin
