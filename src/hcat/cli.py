@@ -80,11 +80,14 @@ def _envelope(command: str, config: dict, result: dict) -> dict:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # streamed: with indent set, json.dumps would join the whole report in memory
     if out is None:
-        sys.stdout.write(text)
+        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def _frange(lo: float, hi: float, step: float) -> list[float]:

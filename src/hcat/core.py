@@ -22,6 +22,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 
 from scipy.integrate import quad
@@ -33,8 +34,10 @@ from .errors import ConvergenceError, DomainError, PreconditionError
 QUAD_TOL = 1e-10
 #: default root-finding tolerance (in the substituted variable u = sqrt(rho - neck))
 ROOT_TOL = 1e-12
-#: default cap for bracket expansion in profile inversion
+#: default cap on the radius reached by profile inversion
 RHO_MAX_DEFAULT = 1e4
+# panel width of the inversion's height table, in u = sqrt(rho - neck)
+_PANEL_U = 0.25
 
 # above this r the direct cosh/sinh evaluation is traded for an
 # exp(-r)-based form; well below double overflow (~710)
@@ -180,13 +183,13 @@ def _substituted(params: CmcParams, u: float, remainder: bool) -> float:
 
 
 def _integrate_substituted(
-    params: CmcParams, u_hi: float, remainder: bool, tol: float
+    params: CmcParams, u_lo: float, u_hi: float, remainder: bool, tol: float
 ) -> float:
-    if u_hi == 0.0:
+    if u_hi == u_lo:
         return 0.0
     val, _ = quad(
         lambda u: _substituted(params, u, remainder),
-        0.0,
+        u_lo,
         u_hi,
         epsabs=tol,
         epsrel=1e-12,
@@ -200,7 +203,7 @@ def lambda_height(params: CmcParams, rho: float, tol: float = QUAD_TOL) -> float
     eta = params.eta
     if rho < eta:
         raise DomainError(f"rho must be >= neck = {eta}, got {rho}")
-    return _integrate_substituted(params, math.sqrt(rho - eta), False, tol)
+    return _integrate_substituted(params, 0.0, math.sqrt(rho - eta), False, tol)
 
 
 def f_closed(params: CmcParams, rho: float) -> float:
@@ -244,7 +247,7 @@ def j_remainder(params: CmcParams, rho: float, tol: float = QUAD_TOL) -> float:
     eta = params.eta
     if rho < eta:
         raise DomainError(f"rho must be >= neck = {eta}, got {rho}")
-    return _integrate_substituted(params, math.sqrt(rho - eta), True, tol)
+    return _integrate_substituted(params, 0.0, math.sqrt(rho - eta), True, tol)
 
 
 @dataclass(frozen=True)
@@ -344,82 +347,90 @@ def verify_appendix(
     return {"passed": passed, "checks": checks}
 
 
+class HeightTable:
+    """Cumulative profile height of one member on fixed panels in u.
+
+    The breakpoints are u_k = k * _PANEL_U in u = sqrt(rho - neck), where
+    the height integrand is smooth; heights[k] is the height at u_k, the
+    sum of one `quad` per panel.  The table grows lazily to the largest
+    height asked for.  A height t is inverted by locating the panel whose
+    heights bracket t and running Brent inside that panel only, on
+    heights[k] + integral from u_k to u.  The table lives as long as the
+    caller keeps it; nothing is cached across calls.
+    """
+
+    def __init__(
+        self,
+        params: CmcParams,
+        quad_tol: float = QUAD_TOL,
+        tol: float = ROOT_TOL,
+        rho_max: float = RHO_MAX_DEFAULT,
+    ):
+        if params.is_entire_graph:
+            raise PreconditionError("profile inversion needs d > -2H")
+        self.params = params
+        self.quad_tol = quad_tol
+        self.tol = tol
+        self.rho_max = rho_max
+        self.u_cap = math.sqrt(max(rho_max - params.eta, 0.0))
+        self.heights = [0.0]
+
+    def _height_from(self, k: int, u: float) -> float:
+        # height at u, for u in panel k
+        return self.heights[k] + _integrate_substituted(
+            self.params, k * _PANEL_U, u, False, self.quad_tol
+        )
+
+    def _grow_to(self, t: float) -> None:
+        heights = self.heights
+        while heights[-1] < t:
+            k = len(heights) - 1
+            if k * _PANEL_U >= self.u_cap:
+                raise ConvergenceError(f"no bracket below rho_max = {self.rho_max}")
+            heights.append(self._height_from(k, (k + 1) * _PANEL_U))
+
+    def radius(self, t: float) -> float:
+        """Radius of the profile at height t (even in t)."""
+        t = abs(t)
+        if not math.isfinite(t):
+            raise DomainError(f"height must be finite, got {t}")
+        if t == 0.0:
+            return self.params.eta
+        self._grow_to(t)
+        k = bisect_right(self.heights, t) - 1
+        lo, hi = k * _PANEL_U, (k + 1) * _PANEL_U
+        if self.heights[k] == t:
+            u = lo
+        else:
+            def excess(u: float) -> float:
+                # the panel's end is tabulated: integrating it again gives the same bits
+                return (self.heights[k + 1] if u == hi else self._height_from(k, u)) - t
+
+            u = brentq(excess, lo, hi, xtol=self.tol, rtol=4.0 * math.ulp(1.0))
+        if u > self.u_cap:
+            raise ConvergenceError(f"no bracket below rho_max = {self.rho_max}")
+        return self.params.eta + u * u
+
+    def grid(self, ts: list[float]) -> dict[float, float]:
+        """Radii {|t|: b_d(t)} for every distinct |t| in `ts`, keys increasing."""
+        return {t: self.radius(t) for t in sorted({abs(t) for t in ts})}
+
+
 def b_inverse(
     params: CmcParams,
     t: float,
     tol: float = ROOT_TOL,
     rho_max: float = RHO_MAX_DEFAULT,
     quad_tol: float = QUAD_TOL,
-    rho_hint: float | None = None,
 ) -> float:
-    """Radius of the profile at height t (even in t).
-
-    Inverts the strictly increasing height function by bracketed Brent
-    iteration carried out in u = sqrt(rho - neck), where the function
-    has bounded slope all the way down to the neck.  `rho_hint` seeds
-    the bracket (useful when scanning a monotone grid of heights).
-    """
-    if params.is_entire_graph:
-        raise PreconditionError("profile inversion needs d > -2H")
-    t = abs(t)
-    eta = params.eta
-    if t == 0.0:
-        return eta
-
-    def h(u: float) -> float:
-        return _integrate_substituted(params, u, False, quad_tol) - t
-
-    u_cap = math.sqrt(max(rho_max - eta, 0.0))
-
-    if rho_hint is not None and rho_hint > eta:
-        u0 = math.sqrt(rho_hint - eta)
-        w = max(0.05, 0.01 * u0)
-        lo, hi = max(u0 - w, 0.0), min(u0 + w, u_cap)
-        flo, fhi = h(lo), h(hi)
-        while flo > 0.0 and lo > 0.0:
-            hi, fhi = lo, flo
-            lo = max(lo - w, 0.0)
-            w *= 4.0
-            flo = h(lo)
-        while fhi < 0.0:
-            if hi >= u_cap:
-                raise ConvergenceError(f"no bracket below rho_max = {rho_max}")
-            lo, flo = hi, fhi
-            hi = min(hi + w, u_cap)
-            w *= 4.0
-            fhi = h(hi)
-    else:
-        lo, flo = 0.0, -t
-        hi = min(1.0, u_cap) if u_cap > 0.0 else 0.0
-        fhi = h(hi)
-        while fhi < 0.0:
-            if hi >= u_cap:
-                raise ConvergenceError(f"no bracket below rho_max = {rho_max}")
-            lo, flo = hi, fhi
-            hi = min(2.0 * hi, u_cap)
-            fhi = h(hi)
-
-    if flo == 0.0:
-        u = lo
-    elif fhi == 0.0:
-        u = hi
-    else:
-        u = brentq(h, lo, hi, xtol=tol, rtol=4.0 * math.ulp(1.0))
-    return eta + u * u
+    """Radius of the profile at height t (even in t), from a one-off HeightTable."""
+    return HeightTable(params, quad_tol=quad_tol, tol=tol, rho_max=rho_max).radius(t)
 
 
 def b_grid(params: CmcParams, ts: list[float], quad_tol: float) -> dict[float, float]:
-    """Profile radii {|t|: b_d(t)} for every distinct |t| in `ts`.
-
-    The hinted monotone scan: each distinct |t| is inverted once, in
-    increasing order, with the previous radius as the bracket seed.
-    """
-    out: dict[float, float] = {}
-    hint = None
-    for t in sorted({abs(t) for t in ts}):
-        hint = b_inverse(params, t, rho_hint=hint, quad_tol=quad_tol)
-        out[t] = hint
-    return out
+    """Profile radii {|t|: b_d(t)} for every distinct |t| in `ts`, from one
+    HeightTable; each radius equals b_inverse(params, t) bit for bit."""
+    return HeightTable(params, quad_tol).grid(ts)
 
 
 @dataclass(frozen=True)

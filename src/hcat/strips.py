@@ -16,7 +16,10 @@ import math
 from dataclasses import dataclass, asdict
 
 from . import __version__
-from .core import CmcParams, b_grid, b_inverse, necksize
+from .core import CmcParams, HeightTable, necksize
+# re-exported so that hcat.strips.b_inverse stays importable; the benchmark's
+# tests read it after tracing to check that it was restored
+from .core import b_inverse as b_inverse
 from .disjoint import DisjointnessCertificate
 from .errors import PreconditionError
 from .geom import ORIGIN, HypCircle, HypPoint, two_point_margin
@@ -100,15 +103,17 @@ def compute_offsets(cert: DisjointnessCertificate) -> StripOffsets:
 class PairRadii:
     """The certified pair's profile radii on one height grid.
 
-    b1 and b2 map every distinct |t| of t_grid to b_{d1}(t) and
-    b_{d2}(t); the strip checks read them instead of inverting again.
+    h1 and h2 are the height tables of the members d1 and d2; b1 and b2
+    map every distinct |t| of t_grid to b_{d1}(t) and b_{d2}(t).  The
+    strip checks read the radii instead of inverting again, and the
+    sweep's refinement reads the tables.
     """
 
     cert: DisjointnessCertificate
     t_grid: list[float]
     quad_tol: float
-    p1: CmcParams
-    p2: CmcParams
+    h1: HeightTable
+    h2: HeightTable
     b1: dict[float, float]
     b2: dict[float, float]
 
@@ -116,10 +121,10 @@ class PairRadii:
 def pair_radii(
     cert: DisjointnessCertificate, t_grid: list[float], quad_tol: float
 ) -> PairRadii:
-    """Invert both members of the certified pair once on t_grid."""
-    p1, p2 = CmcParams(cert.H, cert.d1), CmcParams(cert.H, cert.d2)
-    return PairRadii(cert, t_grid, quad_tol, p1, p2,
-                     b_grid(p1, t_grid, quad_tol), b_grid(p2, t_grid, quad_tol))
+    """Tabulate both members of the certified pair and invert them once on t_grid."""
+    h1 = HeightTable(CmcParams(cert.H, cert.d1), quad_tol)
+    h2 = HeightTable(CmcParams(cert.H, cert.d2), quad_tol)
+    return PairRadii(cert, t_grid, quad_tol, h1, h2, h1.grid(t_grid), h2.grid(t_grid))
 
 
 def verify_strip_claim(pair: PairRadii, offsets: StripOffsets) -> StripReport:
@@ -155,7 +160,7 @@ def verify_strip_claim(pair: PairRadii, offsets: StripOffsets) -> StripReport:
 def verify_c3_lemma(pair: PairRadii) -> StripReport:
     """Check that the outer surface shifted by its own neck radius cuts a
     pair of strips: per height, its circle meets both pair circles twice."""
-    eta2 = necksize(pair.p2)
+    eta2 = necksize(pair.h2.params)
     center3 = HypPoint(eta2, 0.0)
 
     records: list[StripCheck] = []
@@ -186,7 +191,7 @@ def remark_sweep(
     that d before being recorded as a failure (grid coarseness, not a
     disproof).
     """
-    cert, quad_tol = pair.cert, pair.quad_tol
+    cert = pair.cert
     for d in d_grid:
         if not (cert.d1 < d < cert.d2):
             raise PreconditionError(f"d = {d} outside ({cert.d1}, {cert.d2})")
@@ -194,22 +199,19 @@ def remark_sweep(
     center1 = HypPoint(offsets.delta1, 0.0)
     center2 = HypPoint(offsets.delta2, math.pi)
 
-    def margin_at(pd: CmcParams, t: float, hint: float | None,
-                  r1: float, r2: float) -> tuple[float, float]:
-        bd = b_inverse(pd, t, rho_hint=hint, quad_tol=quad_tol)
-        m = max(
+    def margin_at(hd: HeightTable, t: float, r1: float, r2: float) -> float:
+        bd = hd.radius(t)
+        return max(
             two_point_margin(HypCircle(ORIGIN, bd), HypCircle(center1, r1)),
             two_point_margin(HypCircle(ORIGIN, bd), HypCircle(center2, r2)),
         )
-        return m, bd
 
     records: list[StripCheck] = []
     for d in d_grid:
-        pd = CmcParams(cert.H, d)
+        hd = HeightTable(CmcParams(cert.H, d), pair.quad_tol)
         best_margin, best_t = -math.inf, None
-        hint = None
         for t in ts_abs:
-            m, hint = margin_at(pd, t, hint, pair.b1[t], pair.b2[t])
+            m = margin_at(hd, t, pair.b1[t], pair.b2[t])
             if m > best_margin:
                 best_margin, best_t = m, t
             if m > 0.0:
@@ -219,11 +221,8 @@ def remark_sweep(
             step = (ts_abs[-1] - ts_abs[0]) / max(len(ts_abs) - 1, 1)
             lo = max(best_t - step, ts_abs[0])
             fine = [lo + k * step / 10.0 for k in range(21)]
-            hint = None
             for t in fine:
-                m, hint = margin_at(pd, t, hint,
-                                    b_inverse(pair.p1, t, quad_tol=quad_tol),
-                                    b_inverse(pair.p2, t, quad_tol=quad_tol))
+                m = margin_at(hd, t, pair.h1.radius(t), pair.h2.radius(t))
                 if m > best_margin:
                     best_margin, best_t = m, t
                 if m > 0.0:

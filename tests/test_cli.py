@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hcat.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, run
+from hcat.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _emit, run
 
 from conftest import validate_against
 
@@ -196,6 +196,15 @@ class TestDisjoint:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_pair_next_to_the_headline_pair_certifies(self, tmp_path):
+        # the threshold member's radius at t = 25.65 once missed its height
+        # by 7e-10, and the scanned gap rose above the monotone tolerance
+        out = tmp_path / "cert.json"
+        args = ["disjoint", "--H", "0.24820734518035178", "--d1", "2.9255529619311083",
+                "--solve-d0", "--out", str(out)]
+        assert run(args) == EXIT_OK
+        assert json.loads(out.read_text())["result"]["certified"] is True
+
 
 class TestStrips:
     def test_full_report(self, cert_file, tmp_path, schema_registry):
@@ -227,6 +236,19 @@ class TestStrips:
                 "--t-max", "1", "--step", "0.5", "--d-points", "2",
                 "--out", str(tmp_path / "r.json")]
         assert run(args) == EXIT_OK
+
+
+class TestEmit:
+    DOC = {"b": [1.5, {"z": None, "a": True}], "a": "\u00e9", "c": 1e-300}
+
+    def test_file_bytes_equal_dumps(self, tmp_path):
+        out = tmp_path / "doc.json"
+        _emit(self.DOC, str(out))
+        assert out.read_text() == json.dumps(self.DOC, indent=2, sort_keys=True) + "\n"
+
+    def test_stdout_equals_dumps(self, capsys):
+        _emit(self.DOC, None)
+        assert capsys.readouterr().out == json.dumps(self.DOC, indent=2, sort_keys=True) + "\n"
 
 
 class TestMeshCommands:

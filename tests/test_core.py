@@ -7,6 +7,7 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import roots_jacobi
 
 from hcat.core import (
@@ -344,12 +345,6 @@ class TestInversion:
         rho = b_inverse(p, t)
         assert lambda_height(p, rho) == pytest.approx(t, abs=1e-9)
 
-    def test_hint_does_not_change_the_root(self):
-        p = CmcParams(0.25, 3.0)
-        plain = b_inverse(p, 5.0)
-        hinted = b_inverse(p, 5.0, rho_hint=plain - 0.3)
-        assert hinted == pytest.approx(plain, abs=1e-10)
-
     def test_rejects_entire_graph(self):
         with pytest.raises(PreconditionError):
             b_inverse(CmcParams(0.25, -0.5), 1.0)
@@ -366,11 +361,68 @@ class TestInversion:
             assert rho == pytest.approx(b_inverse(p, t), abs=1e-10)
 
 
+# family members reached by the table tests: H across (0, 1/2) away from
+# its ends, and d from a tiny neck through the paper's d1 = 3 and the
+# threshold member d0(H, 3) to 1e6
+TABLE_H = (0.01, 0.1, 0.25, 0.45)
+TABLE_D = {
+    "small_neck": lambda H: -2.0 * H + 1e-6,
+    "zero": lambda H: 0.0,
+    "three": lambda H: 3.0,
+    "d0": lambda H: solve_d0(H, 3.0),
+    "1e6": lambda H: 1e6,
+}
+
+
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+class TestHeightTable:
+    @pytest.mark.parametrize("kind", list(TABLE_D))
+    @pytest.mark.parametrize("H", TABLE_H)
+    def test_radii_invert_the_height_within_quad_tol(self, H, kind):
+        d = TABLE_D[kind](H)
+        ts = [0.01, 0.3, 7.0, 25.65, 50.0]
+        grid = b_grid(CmcParams(H, d), ts, QUAD_TOL)
+        worst = max(abs(_mp_lambda_split(H, d, grid[t]) - t) for t in ts)
+        assert worst <= QUAD_TOL
+
+    @given(
+        H=st.floats(0.02, 0.45),
+        offset=st.floats(1e-6, 1e6),
+        ts=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=6),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_one_point_inversion_equals_the_grid_bit_for_bit(self, H, offset, ts):
+        p = CmcParams(H, -2.0 * H + offset)
+        grid = b_grid(p, ts, QUAD_TOL)
+        for t in ts:
+            assert b_inverse(p, t) == grid[abs(t)]
+
+    def test_radius_beyond_rho_max_raises(self):
+        # rho_max = 3 falls inside the panel [0.75, 1] of u (u_cap = 0.94), so
+        # the cap binds on the root found there, not on the table's growth
+        p = CmcParams(0.25, 2.0)
+        t = lambda_height(p, 3.0)
+        with pytest.raises(ConvergenceError):
+            b_inverse(p, t + 1e-3, rho_max=3.0)
+        assert b_inverse(p, t - 1e-3, rho_max=3.0) < 3.0
+
+    def test_non_finite_height_rejected(self):
+        with pytest.raises(DomainError):
+            b_inverse(CmcParams(0.25, 3.0), math.nan)
+
+
 class TestHeightAccuracyAtThresholdMember:
     def test_split_oracle_agrees_with_single_interval_route(self):
         d = solve_d0(DEFECT_H, DEFECT_D1)
         split = _mp_lambda_split(DEFECT_H, d, DEFECT_RHO)
         assert split == pytest.approx(_mp_lambda(DEFECT_H, d, DEFECT_RHO), abs=1e-12)
+
+    def test_inversion_within_quad_tol(self):
+        # the inversion integrates fixed panels, never the one wide panel
+        # that QUADPACK accepts below
+        d = solve_d0(DEFECT_H, DEFECT_D1)
+        rho = b_inverse(CmcParams(DEFECT_H, d), 25.65)
+        assert _mp_lambda_split(DEFECT_H, d, rho) == pytest.approx(25.65, abs=QUAD_TOL)
 
     @pytest.mark.xfail(strict=True, reason="QUADPACK accepts a panel that is off by 7e-10")
     def test_height_within_quad_tol(self):

@@ -120,6 +120,30 @@ class TestRemarkSweep:
             assert record.witness is not None
             assert abs(record.witness) <= max(abs(t) for t in T_GRID)
 
+    def test_refinement_reads_the_pair_tables(self, small_cert, small_pair, monkeypatch):
+        # barriers shifted by 1e-3 reach no intermediate member, so the
+        # sweep refines; only the swept member gets a table of its own
+        from hcat import core
+
+        builds, solves = [], Counter()
+        init, radius = core.HeightTable.__init__, core.HeightTable.radius
+
+        def counting_init(self, params, *args, **kwargs):
+            builds.append(params.d)
+            init(self, params, *args, **kwargs)
+
+        def counting_radius(self, t):
+            solves[self.params.d] += 1
+            return radius(self, t)
+
+        monkeypatch.setattr(core.HeightTable, "__init__", counting_init)
+        monkeypatch.setattr(core.HeightTable, "radius", counting_radius)
+        report = remark_sweep(small_pair, StripOffsets(2e-3, 1e-3, 1e-3), [30.0])
+        assert builds == [30.0]
+        assert not report.passed
+        # 5 coarse heights, then the 21 refined ones on all three members
+        assert solves == {30.0: 5 + 21, small_cert.d1: 21, small_cert.d2: 21}
+
     def test_rejects_d_outside_open_interval(self, small_cert, small_pair):
         offsets = compute_offsets(small_cert)
         with pytest.raises(PreconditionError):
@@ -130,25 +154,40 @@ class TestRemarkSweep:
 
 class TestSharedRadii:
     def test_strips_inverts_each_pair_height_once(self, small_cert, tmp_path, monkeypatch):
-        import hcat.core
-        import hcat.strips
-        from hcat import cli
+        # one height table per pair member, each of its panels integrated
+        # once, and each pair height solved once
+        from hcat import cli, core
 
-        calls = Counter()
-        original = hcat.core.b_inverse
+        builds, panels, solves = Counter(), Counter(), Counter()
+        init, integrate, radius = (core.HeightTable.__init__, core._integrate_substituted,
+                                   core.HeightTable.radius)
 
-        def counting(params, t, *args, **kwargs):
-            calls[params.d, abs(t)] += 1
-            return original(params, t, *args, **kwargs)
+        def counting_init(self, params, *args, **kwargs):
+            builds[params.d] += 1
+            init(self, params, *args, **kwargs)
 
-        monkeypatch.setattr(hcat.core, "b_inverse", counting)
-        monkeypatch.setattr(hcat.strips, "b_inverse", counting)
+        def counting_integrate(params, u_lo, u_hi, *args):
+            if u_lo % core._PANEL_U == 0.0 and u_hi == u_lo + core._PANEL_U:
+                panels[params.d, u_lo] += 1
+            return integrate(params, u_lo, u_hi, *args)
+
+        def counting_radius(self, t):
+            solves[self.params.d, abs(t)] += 1
+            return radius(self, t)
+
+        monkeypatch.setattr(core.HeightTable, "__init__", counting_init)
+        monkeypatch.setattr(core, "_integrate_substituted", counting_integrate)
+        monkeypatch.setattr(core.HeightTable, "radius", counting_radius)
         cert = tmp_path / "cert.json"
         cert.write_text(small_cert.to_json())
         assert cli.run(["strips", "--cert", str(cert), "--t-min", "-2", "--t-max", "2",
                         "--step", "0.5", "--d-points", "3",
                         "--out", str(tmp_path / "strips.json")]) == 0
-        pair = {k: n for k, n in calls.items() if k[0] in (small_cert.d1, small_cert.d2)}
+        members = (small_cert.d1, small_cert.d2)
+        assert {d: builds[d] for d in members} == {small_cert.d1: 1, small_cert.d2: 1}
+        assert {d for d, _ in panels} >= set(members)
+        assert {k: n for k, n in panels.items() if n > 1} == {}
+        pair = {k: n for k, n in solves.items() if k[0] in members}
         assert len(pair) == 2 * 5  # |t| in {0, .5, 1, 1.5, 2} for d1 and d2
         assert {k: n for k, n in pair.items() if n > 1} == {}
 
