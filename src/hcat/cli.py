@@ -30,6 +30,7 @@ from .disjoint import (
     DisjointnessCertificate,
     GRID_STEP_DEFAULT,
     certify,
+    height_grid,
     solve_d0,
 )
 from .errors import (
@@ -88,16 +89,6 @@ def _emit(doc: dict, out: str | None) -> None:
         with open(out, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-def _frange(lo: float, hi: float, step: float) -> list[float]:
-    if not (lo <= hi and math.isfinite(hi - lo)):
-        raise _UsageError(f"need a finite range with t_min <= t_max, got [{lo}, {hi}]")
-    n = int(math.floor((hi - lo) / step + 0.5))
-    vals = [lo + i * step for i in range(n + 1)]
-    if vals[-1] < hi - 1e-12:
-        vals.append(hi)
-    return vals
 
 
 def _build_parser() -> _Parser:
@@ -280,7 +271,7 @@ def _cmd_strips(args) -> int:
         _emit(_envelope("strips", config,
                         {"passed": False, "failure": str(exc)}), args.out)
         return EXIT_CHECK_FAILED
-    t_grid = _frange(args.t_min, args.t_max, args.step)
+    t_grid = height_grid(args.t_min, args.t_max, args.step)
     d_grid = _log_spaced(cert.d1, cert.d2, args.d_points)
     pair = pair_radii(cert, t_grid, args.quad_tol)
     strip = verify_strip_claim(pair, offsets)

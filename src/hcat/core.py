@@ -20,7 +20,6 @@ accuracy.
 from __future__ import annotations
 
 import io
-import json
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
@@ -32,9 +31,9 @@ from .errors import ConvergenceError, DomainError, PreconditionError
 
 #: default absolute quadrature tolerance
 QUAD_TOL = 1e-10
-#: default root-finding tolerance (in the substituted variable u = sqrt(rho - neck))
+#: root-finding tolerance (in the substituted variable u = sqrt(rho - neck))
 ROOT_TOL = 1e-12
-#: default cap on the radius reached by profile inversion
+#: cap on the radius reached by profile inversion
 RHO_MAX_DEFAULT = 1e4
 # panel width of the inversion's height table, in u = sqrt(rho - neck)
 _PANEL_U = 0.25
@@ -355,25 +354,20 @@ class HeightTable:
     sum of one `quad` per panel.  The table grows lazily to the largest
     height asked for.  A height t is inverted by locating the panel whose
     heights bracket t and running Brent inside that panel only, on
-    heights[k] + integral from u_k to u.  The table lives as long as the
-    caller keeps it; nothing is cached across calls.
+    heights[k] + integral from u_k to u.  Every solved radius is kept in
+    `radii`, keyed by |t|, so asking again returns the stored bits.  The
+    table and its radii live as long as the caller keeps the table;
+    nothing outlives one call of a command.
     """
 
-    def __init__(
-        self,
-        params: CmcParams,
-        quad_tol: float = QUAD_TOL,
-        tol: float = ROOT_TOL,
-        rho_max: float = RHO_MAX_DEFAULT,
-    ):
+    def __init__(self, params: CmcParams, quad_tol: float):
         if params.is_entire_graph:
             raise PreconditionError("profile inversion needs d > -2H")
         self.params = params
         self.quad_tol = quad_tol
-        self.tol = tol
-        self.rho_max = rho_max
-        self.u_cap = math.sqrt(max(rho_max - params.eta, 0.0))
+        self.u_cap = math.sqrt(max(RHO_MAX_DEFAULT - params.eta, 0.0))
         self.heights = [0.0]
+        self.radii: dict[float, float] = {}
 
     def _height_from(self, k: int, u: float) -> float:
         # height at u, for u in panel k
@@ -386,12 +380,17 @@ class HeightTable:
         while heights[-1] < t:
             k = len(heights) - 1
             if k * _PANEL_U >= self.u_cap:
-                raise ConvergenceError(f"no bracket below rho_max = {self.rho_max}")
+                raise ConvergenceError(f"no bracket below rho_max = {RHO_MAX_DEFAULT}")
             heights.append(self._height_from(k, (k + 1) * _PANEL_U))
 
     def radius(self, t: float) -> float:
         """Radius of the profile at height t (even in t)."""
         t = abs(t)
+        if t not in self.radii:
+            self.radii[t] = self._solve(t)
+        return self.radii[t]
+
+    def _solve(self, t: float) -> float:
         if not math.isfinite(t):
             raise DomainError(f"height must be finite, got {t}")
         if t == 0.0:
@@ -406,31 +405,15 @@ class HeightTable:
                 # the panel's end is tabulated: integrating it again gives the same bits
                 return (self.heights[k + 1] if u == hi else self._height_from(k, u)) - t
 
-            u = brentq(excess, lo, hi, xtol=self.tol, rtol=4.0 * math.ulp(1.0))
+            u = brentq(excess, lo, hi, xtol=ROOT_TOL, rtol=4.0 * math.ulp(1.0))
         if u > self.u_cap:
-            raise ConvergenceError(f"no bracket below rho_max = {self.rho_max}")
+            raise ConvergenceError(f"no bracket below rho_max = {RHO_MAX_DEFAULT}")
         return self.params.eta + u * u
 
-    def grid(self, ts: list[float]) -> dict[float, float]:
-        """Radii {|t|: b_d(t)} for every distinct |t| in `ts`, keys increasing."""
-        return {t: self.radius(t) for t in sorted({abs(t) for t in ts})}
 
-
-def b_inverse(
-    params: CmcParams,
-    t: float,
-    tol: float = ROOT_TOL,
-    rho_max: float = RHO_MAX_DEFAULT,
-    quad_tol: float = QUAD_TOL,
-) -> float:
+def b_inverse(params: CmcParams, t: float) -> float:
     """Radius of the profile at height t (even in t), from a one-off HeightTable."""
-    return HeightTable(params, quad_tol=quad_tol, tol=tol, rho_max=rho_max).radius(t)
-
-
-def b_grid(params: CmcParams, ts: list[float], quad_tol: float) -> dict[float, float]:
-    """Profile radii {|t|: b_d(t)} for every distinct |t| in `ts`, from one
-    HeightTable; each radius equals b_inverse(params, t) bit for bit."""
-    return HeightTable(params, quad_tol).grid(ts)
+    return HeightTable(params, QUAD_TOL).radius(t)
 
 
 @dataclass(frozen=True)
@@ -470,9 +453,6 @@ class ProfileCurve:
             "quad_tol": self.quad_tol,
             "samples": [{"rho": s.rho, "t": s.t} for s in self.samples],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def _graded_rhos(eta: float, rho_max: float, n: int) -> list[float]:

@@ -9,14 +9,13 @@ large t.  Disjointness of the two surfaces of revolution follows.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 
 from scipy.optimize import brentq
 
 from . import __version__
-from .core import CmcParams, QUAD_TOL, ROOT_TOL, b_grid, b_inverse
+from .core import CmcParams, HeightTable, QUAD_TOL, ROOT_TOL, b_inverse
 from .errors import CertificationFailure, PreconditionError
 
 #: tolerance for the monotone-decrease finite-difference check
@@ -105,9 +104,6 @@ class DisjointnessCertificate:
     def to_json_dict(self) -> dict:
         return asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
     @staticmethod
     def from_json_dict(data: dict) -> "DisjointnessCertificate":
         fields = {k: data[k] for k in (
@@ -121,13 +117,22 @@ class DisjointnessCertificate:
         return DisjointnessCertificate(**fields)
 
 
-def _scan_gaps(
-    H: float, d1: float, d2: float, ts: list[float], quad_tol: float
-) -> list[float]:
-    # ts is non-negative, so each t is its own grid key
-    b1 = b_grid(CmcParams(H, d1), ts, quad_tol)
-    b2 = b_grid(CmcParams(H, d2), ts, quad_tol)
-    return [b2[t] - b1[t] for t in ts]
+def height_grid(lo: float, hi: float, step: float) -> list[float]:
+    """Heights lo, lo + step, ... on [lo, hi], the last one exactly hi.
+
+    The number of steps is rounded to the nearest whole number: a last
+    stepped height past hi is clamped to hi, one short of it is followed
+    by hi.
+    """
+    if not (lo <= hi and math.isfinite(hi - lo)):
+        raise PreconditionError(f"need a finite height range with lo <= hi, got [{lo}, {hi}]")
+    if not step > 0.0:
+        raise PreconditionError(f"step must be positive, got {step}")
+    n = int(math.floor((hi - lo) / step + 0.5))
+    ts = [min(lo + i * step, hi) for i in range(n + 1)]
+    if ts[-1] < hi:
+        ts.append(hi)
+    return ts
 
 
 def certify(
@@ -153,14 +158,12 @@ def certify(
         raise PreconditionError(f"need d1 < d2, got {d1} >= {d2}")
     if not 0.0 < t_max < math.inf:
         raise PreconditionError(f"t_max must be positive and finite, got {t_max}")
-    if not grid_step > 0.0:
-        raise PreconditionError(f"grid_step must be positive, got {grid_step}")
 
-    n = int(math.floor(t_max / grid_step + 0.5)) + 1
-    ts = [min(i * grid_step, t_max) for i in range(n)]
-    if ts[-1] < t_max:
-        ts.append(t_max)
-    gaps = _scan_gaps(H, d1, d2, ts, quad_tol)
+    ts = height_grid(0.0, t_max, grid_step)
+    # one table per member, read by the coarse scan and the refinement
+    h1 = HeightTable(CmcParams(H, d1), quad_tol)
+    h2 = HeightTable(CmcParams(H, d2), quad_tol)
+    gaps = [h2.radius(t) - h1.radius(t) for t in ts]
 
     for t, g in zip(ts, gaps):
         if not g > 0.0:
@@ -179,10 +182,8 @@ def certify(
     # refine 10x around the observed minimum
     lo = max(ts[i_min] - grid_step, 0.0)
     hi = min(ts[i_min] + grid_step, t_max)
-    fine_step = grid_step / 10.0
-    m = int(round((hi - lo) / fine_step))
-    fine_ts = [lo + k * fine_step for k in range(m + 1)]
-    fine_gaps = _scan_gaps(H, d1, d2, fine_ts, quad_tol)
+    fine_ts = height_grid(lo, hi, grid_step / 10.0)
+    fine_gaps = [h2.radius(t) - h1.radius(t) for t in fine_ts]
     j_min = min(range(len(fine_gaps)), key=fine_gaps.__getitem__)
     if fine_gaps[j_min] < gaps[i_min]:
         min_gap, min_t = fine_gaps[j_min], fine_ts[j_min]

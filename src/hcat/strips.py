@@ -11,9 +11,8 @@ every intermediate family member meets one of the shifted barriers.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 
 from . import __version__
 from .core import CmcParams, HeightTable, necksize
@@ -59,10 +58,11 @@ class StripReport:
     version: str = __version__
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        # shallow, unlike asdict: each record dict is the frozen record's own,
+        # for serialising, not for editing
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["records"] = [vars(r) for r in self.records]
+        return doc
 
     def to_margin_csv(self) -> str:
         lines = ["t,check_id,margin"]
@@ -101,30 +101,24 @@ def compute_offsets(cert: DisjointnessCertificate) -> StripOffsets:
 
 @dataclass(frozen=True)
 class PairRadii:
-    """The certified pair's profile radii on one height grid.
+    """The certified pair's height tables and the height grid they are checked on.
 
-    h1 and h2 are the height tables of the members d1 and d2; b1 and b2
-    map every distinct |t| of t_grid to b_{d1}(t) and b_{d2}(t).  The
-    strip checks read the radii instead of inverting again, and the
-    sweep's refinement reads the tables.
+    h1 and h2 are the tables of the members d1 and d2.  The three checks
+    read b_{d1}(t) and b_{d2}(t) from them, so each distinct |t| is
+    solved once however many checks ask for it.
     """
 
-    cert: DisjointnessCertificate
     t_grid: list[float]
-    quad_tol: float
     h1: HeightTable
     h2: HeightTable
-    b1: dict[float, float]
-    b2: dict[float, float]
 
 
 def pair_radii(
     cert: DisjointnessCertificate, t_grid: list[float], quad_tol: float
 ) -> PairRadii:
-    """Tabulate both members of the certified pair and invert them once on t_grid."""
-    h1 = HeightTable(CmcParams(cert.H, cert.d1), quad_tol)
-    h2 = HeightTable(CmcParams(cert.H, cert.d2), quad_tol)
-    return PairRadii(cert, t_grid, quad_tol, h1, h2, h1.grid(t_grid), h2.grid(t_grid))
+    """One height table for each member of the certified pair."""
+    return PairRadii(t_grid, HeightTable(CmcParams(cert.H, cert.d1), quad_tol),
+                     HeightTable(CmcParams(cert.H, cert.d2), quad_tol))
 
 
 def verify_strip_claim(pair: PairRadii, offsets: StripOffsets) -> StripReport:
@@ -137,7 +131,7 @@ def verify_strip_claim(pair: PairRadii, offsets: StripOffsets) -> StripReport:
 
     records: list[StripCheck] = []
     for t in pair.t_grid:
-        r1, r2 = pair.b1[abs(t)], pair.b2[abs(t)]
+        r1, r2 = pair.h1.radius(t), pair.h2.radius(t)
         checks = [
             ("center1_inside", r1 - offsets.delta1),
             (
@@ -165,7 +159,7 @@ def verify_c3_lemma(pair: PairRadii) -> StripReport:
 
     records: list[StripCheck] = []
     for t in pair.t_grid:
-        r1, r2 = pair.b1[abs(t)], pair.b2[abs(t)]
+        r1, r2 = pair.h1.radius(t), pair.h2.radius(t)
         checks = [
             (
                 "shifted3_meets_outer",
@@ -191,16 +185,16 @@ def remark_sweep(
     that d before being recorded as a failure (grid coarseness, not a
     disproof).
     """
-    cert = pair.cert
+    p1, p2 = pair.h1.params, pair.h2.params
     for d in d_grid:
-        if not (cert.d1 < d < cert.d2):
-            raise PreconditionError(f"d = {d} outside ({cert.d1}, {cert.d2})")
-    ts_abs = list(pair.b1)  # increasing
+        if not (p1.d < d < p2.d):
+            raise PreconditionError(f"d = {d} outside ({p1.d}, {p2.d})")
+    ts_abs = sorted({abs(t) for t in pair.t_grid})
     center1 = HypPoint(offsets.delta1, 0.0)
     center2 = HypPoint(offsets.delta2, math.pi)
 
-    def margin_at(hd: HeightTable, t: float, r1: float, r2: float) -> float:
-        bd = hd.radius(t)
+    def margin_at(hd: HeightTable, t: float) -> float:
+        bd, r1, r2 = hd.radius(t), pair.h1.radius(t), pair.h2.radius(t)
         return max(
             two_point_margin(HypCircle(ORIGIN, bd), HypCircle(center1, r1)),
             two_point_margin(HypCircle(ORIGIN, bd), HypCircle(center2, r2)),
@@ -208,10 +202,10 @@ def remark_sweep(
 
     records: list[StripCheck] = []
     for d in d_grid:
-        hd = HeightTable(CmcParams(cert.H, d), pair.quad_tol)
+        hd = HeightTable(CmcParams(p1.H, d), pair.h1.quad_tol)
         best_margin, best_t = -math.inf, None
         for t in ts_abs:
-            m = margin_at(hd, t, pair.b1[t], pair.b2[t])
+            m = margin_at(hd, t)
             if m > best_margin:
                 best_margin, best_t = m, t
             if m > 0.0:
@@ -222,7 +216,7 @@ def remark_sweep(
             lo = max(best_t - step, ts_abs[0])
             fine = [lo + k * step / 10.0 for k in range(21)]
             for t in fine:
-                m = margin_at(hd, t, pair.h1.radius(t), pair.h2.radius(t))
+                m = margin_at(hd, t)
                 if m > best_margin:
                     best_margin, best_t = m, t
                 if m > 0.0:

@@ -229,6 +229,20 @@ class TestStrips:
         n_remark = len(result["remark_sweep"]["records"])
         assert len(lines) == 1 + n_strip + n_c3 + n_remark
 
+    @pytest.mark.parametrize("t_min,t_max,step", [("0", "1", "0.4"), ("-1", "1", "0.7")])
+    def test_height_grid_stays_in_range(self, cert_file, tmp_path, t_min, t_max, step):
+        # the last stepped height (1.2 and 1.1 here) is clamped to t_max
+        out = tmp_path / "strips.json"
+        args = ["strips", "--cert", str(cert_file), "--t-min", t_min, "--t-max", t_max,
+                "--step", step, "--d-points", "2", "--out", str(out)]
+        assert run(args) == EXIT_OK
+        result = json.loads(out.read_text())["result"]
+        lo, hi = float(t_min), float(t_max)
+        for key in ("strip_claim", "c3_lemma", "remark_sweep"):
+            assert all(lo <= r["t"] <= hi for r in result[key]["records"])
+        ts = {r["t"] for r in result["strip_claim"]["records"]}
+        assert min(ts) == lo and max(ts) == hi
+
     def test_accepts_bare_certificate_json(self, cert_file, tmp_path):
         bare = tmp_path / "bare.json"
         bare.write_text(json.dumps(json.loads(cert_file.read_text())["result"]))

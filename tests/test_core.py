@@ -13,10 +13,11 @@ from scipy.special import roots_jacobi
 from hcat.core import (
     _LARGE_R,
     QUAD_TOL,
+    RHO_MAX_DEFAULT,
     CmcParams,
+    HeightTable,
     ProfileCurve,
     ProfileSample,
-    b_grid,
     b_inverse,
     entire_graph_profile,
     f_asymptote,
@@ -350,14 +351,17 @@ class TestInversion:
             b_inverse(CmcParams(0.25, -0.5), 1.0)
 
     def test_unreachable_height_raises(self):
+        # the height at RHO_MAX_DEFAULT is about 5 774 here
         with pytest.raises(ConvergenceError):
-            b_inverse(CmcParams(0.25, 2.0), 5.0, rho_max=3.0)
+            b_inverse(CmcParams(0.25, 2.0), 1e4)
 
     def test_grid_holds_each_distinct_height_once(self):
         p = CmcParams(0.25, 3.0)
-        grid = b_grid(p, [2.0, -1.0, 0.0, 1.0, -2.0], QUAD_TOL)
-        assert list(grid) == [0.0, 1.0, 2.0]
-        for t, rho in grid.items():
+        table = HeightTable(p, QUAD_TOL)
+        radii = [table.radius(t) for t in (2.0, -1.0, 0.0, 1.0, -2.0)]
+        assert sorted(table.radii) == [0.0, 1.0, 2.0]
+        assert radii[0] == radii[4] and radii[1] == radii[3]
+        for t, rho in table.radii.items():
             assert rho == pytest.approx(b_inverse(p, t), abs=1e-10)
 
 
@@ -381,8 +385,8 @@ class TestHeightTable:
     def test_radii_invert_the_height_within_quad_tol(self, H, kind):
         d = TABLE_D[kind](H)
         ts = [0.01, 0.3, 7.0, 25.65, 50.0]
-        grid = b_grid(CmcParams(H, d), ts, QUAD_TOL)
-        worst = max(abs(_mp_lambda_split(H, d, grid[t]) - t) for t in ts)
+        table = HeightTable(CmcParams(H, d), QUAD_TOL)
+        worst = max(abs(_mp_lambda_split(H, d, table.radius(t)) - t) for t in ts)
         assert worst <= QUAD_TOL
 
     @given(
@@ -392,19 +396,22 @@ class TestHeightTable:
     )
     @settings(max_examples=25, deadline=None)
     def test_one_point_inversion_equals_the_grid_bit_for_bit(self, H, offset, ts):
+        # one shared table, asked for every height in turn
         p = CmcParams(H, -2.0 * H + offset)
-        grid = b_grid(p, ts, QUAD_TOL)
-        for t in ts:
-            assert b_inverse(p, t) == grid[abs(t)]
+        table = HeightTable(p, QUAD_TOL)
+        radii = [table.radius(t) for t in ts]
+        for t, rho in zip(ts, radii):
+            assert b_inverse(p, t) == rho
 
     def test_radius_beyond_rho_max_raises(self):
-        # rho_max = 3 falls inside the panel [0.75, 1] of u (u_cap = 0.94), so
-        # the cap binds on the root found there, not on the table's growth
+        # RHO_MAX_DEFAULT falls inside the panel [99.75, 100] of u (u_cap =
+        # 99.989), so the cap binds on the root found there, not on the
+        # table's growth
         p = CmcParams(0.25, 2.0)
-        t = lambda_height(p, 3.0)
+        t = lambda_height(p, RHO_MAX_DEFAULT)
         with pytest.raises(ConvergenceError):
-            b_inverse(p, t + 1e-3, rho_max=3.0)
-        assert b_inverse(p, t - 1e-3, rho_max=3.0) < 3.0
+            b_inverse(p, t + 1e-3)
+        assert b_inverse(p, t - 1e-3) < RHO_MAX_DEFAULT
 
     def test_non_finite_height_rejected(self):
         with pytest.raises(DomainError):

@@ -1,7 +1,6 @@
 """Shifted-barrier strip checks and the intermediate-parameter sweep."""
 
-import math
-from collections import Counter
+import json
 
 import pytest
 
@@ -120,29 +119,21 @@ class TestRemarkSweep:
             assert record.witness is not None
             assert abs(record.witness) <= max(abs(t) for t in T_GRID)
 
-    def test_refinement_reads_the_pair_tables(self, small_cert, small_pair, monkeypatch):
+    def test_refinement_reads_the_pair_tables(self, small_cert, inversion_counts):
         # barriers shifted by 1e-3 reach no intermediate member, so the
-        # sweep refines; only the swept member gets a table of its own
-        from hcat import core
-
-        builds, solves = [], Counter()
-        init, radius = core.HeightTable.__init__, core.HeightTable.radius
-
-        def counting_init(self, params, *args, **kwargs):
-            builds.append(params.d)
-            init(self, params, *args, **kwargs)
-
-        def counting_radius(self, t):
-            solves[self.params.d] += 1
-            return radius(self, t)
-
-        monkeypatch.setattr(core.HeightTable, "__init__", counting_init)
-        monkeypatch.setattr(core.HeightTable, "radius", counting_radius)
-        report = remark_sweep(small_pair, StripOffsets(2e-3, 1e-3, 1e-3), [30.0])
-        assert builds == [30.0]
+        # sweep refines; only the swept member gets a table of its own, and
+        # all three members are solved once at every height asked
+        counts = inversion_counts
+        pair = pair_radii(small_cert, T_GRID, QUAD_TOL)
+        report = remark_sweep(pair, StripOffsets(2e-3, 1e-3, 1e-3), [30.0])
         assert not report.passed
-        # 5 coarse heights, then the 21 refined ones on all three members
-        assert solves == {30.0: 5 + 21, small_cert.d1: 21, small_cert.d2: 21}
+        members = (small_cert.d1, small_cert.d2, 30.0)
+        assert counts.builds == {d: 1 for d in members}
+        heights = {d: {t for e, t in counts.solves if e == d} for d in members}
+        assert heights[30.0] == heights[small_cert.d1] == heights[small_cert.d2]
+        # beyond the 4 non-zero coarse heights (|t| = 0 is the neck, unsolved)
+        assert len(heights[30.0]) > 4
+        assert max(counts.solves.values()) == 1
 
     def test_rejects_d_outside_open_interval(self, small_cert, small_pair):
         offsets = compute_offsets(small_cert)
@@ -153,42 +144,25 @@ class TestRemarkSweep:
 
 
 class TestSharedRadii:
-    def test_strips_inverts_each_pair_height_once(self, small_cert, tmp_path, monkeypatch):
+    def test_strips_inverts_each_pair_height_once(self, small_cert, tmp_path,
+                                                  inversion_counts):
         # one height table per pair member, each of its panels integrated
-        # once, and each pair height solved once
-        from hcat import cli, core
+        # once, and each pair height solved once across the three checks
+        from hcat import cli
 
-        builds, panels, solves = Counter(), Counter(), Counter()
-        init, integrate, radius = (core.HeightTable.__init__, core._integrate_substituted,
-                                   core.HeightTable.radius)
-
-        def counting_init(self, params, *args, **kwargs):
-            builds[params.d] += 1
-            init(self, params, *args, **kwargs)
-
-        def counting_integrate(params, u_lo, u_hi, *args):
-            if u_lo % core._PANEL_U == 0.0 and u_hi == u_lo + core._PANEL_U:
-                panels[params.d, u_lo] += 1
-            return integrate(params, u_lo, u_hi, *args)
-
-        def counting_radius(self, t):
-            solves[self.params.d, abs(t)] += 1
-            return radius(self, t)
-
-        monkeypatch.setattr(core.HeightTable, "__init__", counting_init)
-        monkeypatch.setattr(core, "_integrate_substituted", counting_integrate)
-        monkeypatch.setattr(core.HeightTable, "radius", counting_radius)
+        counts = inversion_counts
         cert = tmp_path / "cert.json"
-        cert.write_text(small_cert.to_json())
+        cert.write_text(json.dumps(small_cert.to_json_dict(), indent=2, sort_keys=True))
         assert cli.run(["strips", "--cert", str(cert), "--t-min", "-2", "--t-max", "2",
                         "--step", "0.5", "--d-points", "3",
                         "--out", str(tmp_path / "strips.json")]) == 0
         members = (small_cert.d1, small_cert.d2)
-        assert {d: builds[d] for d in members} == {small_cert.d1: 1, small_cert.d2: 1}
-        assert {d for d, _ in panels} >= set(members)
-        assert {k: n for k, n in panels.items() if n > 1} == {}
-        pair = {k: n for k, n in solves.items() if k[0] in members}
-        assert len(pair) == 2 * 5  # |t| in {0, .5, 1, 1.5, 2} for d1 and d2
+        assert {d: counts.builds[d] for d in members} == {small_cert.d1: 1, small_cert.d2: 1}
+        assert {d for d, _ in counts.panels} >= set(members)
+        assert {k: n for k, n in counts.panels.items() if n > 1} == {}
+        pair = {k: n for k, n in counts.solves.items() if k[0] in members}
+        # |t| in {.5, 1, 1.5, 2} for d1 and d2; |t| = 0 is the neck, unsolved
+        assert len(pair) == 2 * 4
         assert {k: n for k, n in pair.items() if n > 1} == {}
 
 
@@ -205,10 +179,8 @@ class TestReportOutput:
         assert float(margin) == report.records[0].margin
 
     def test_json_dict_round_trips_through_json(self, small_cert):
-        import json
-
         report = verify_c3_lemma(pair_radii(small_cert, [0.0], QUAD_TOL))
-        data = json.loads(report.to_json())
+        data = json.loads(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
         assert data["passed"] is True
         assert data["min_margin"] == report.min_margin
         assert len(data["records"]) == len(report.records)
