@@ -12,9 +12,12 @@ beta < 0, which is what every evaluator here uses: it removes the
 catastrophic cancellation of the naive form near the neck.
 
 The inverse-square-root endpoint singularity at the neck is removed by
-the substitution r = neck + u^2 before quadrature; in the u variable the
-integrand is smooth, so plain adaptive Gauss-Kronrod recovers full
-accuracy.
+the substitution r = neck + u^2; in the u variable the integrand is
+smooth.  Every height (and every remainder integral of the height
+decomposition) is read from a `HeightTable`: fixed panels in u, each
+with one adaptive Gauss-Kronrod total and a Chebyshev series of the
+cumulative integral across it.  Forward reads evaluate that series;
+profile inversion runs Brent on it.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import io
 import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
+from operator import mul
 
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -33,10 +37,28 @@ from .errors import ConvergenceError, DomainError, PreconditionError
 QUAD_TOL = 1e-10
 #: root-finding tolerance (in the substituted variable u = sqrt(rho - neck))
 ROOT_TOL = 1e-12
-#: cap on the radius reached by profile inversion
+#: cap on the radius a height table reaches, forward or inverted
 RHO_MAX_DEFAULT = 1e4
-# panel width of the inversion's height table, in u = sqrt(rho - neck)
+# panel width of the height table, in u = sqrt(rho - neck)
 _PANEL_U = 0.25
+# relative tolerance of every quad call
+_QUAD_REL = 1e-12
+# Chebyshev points sampled on each piece of a panel
+_CHEB_N = 24
+# a piece is kept when its last two Chebyshev coefficients times its
+# half-width are at most this, times max(1, |piece total|): round-off alone
+# leaves ~1e-15 of the total there once the integrand grows like u
+_TAIL_TOL = 1e-13
+# halvings of a panel before its series is given up
+_MAX_DEPTH = 40
+
+# the first-kind points cos(pi (j + 1/2) / N) and the DCT-II rows that take
+# samples there to Chebyshev coefficients (the first one doubled)
+_CHEB_X = tuple(math.cos(math.pi * (j + 0.5) / _CHEB_N) for j in range(_CHEB_N))
+_CHEB_DCT = tuple(
+    tuple(2.0 / _CHEB_N * math.cos(math.pi * k * (j + 0.5) / _CHEB_N) for j in range(_CHEB_N))
+    for k in range(_CHEB_N)
+)
 
 # above this r the direct cosh/sinh evaluation is traded for an
 # exp(-r)-based form; well below double overflow (~710)
@@ -66,20 +88,29 @@ class CmcParams:
             raise PreconditionError(f"H must lie in (0, 1/2), got {H}")
         if d + 2.0 * H < 0.0:
             raise PreconditionError(f"d must be >= -2H = {-2.0 * H}, got {d}")
-        q = 1.0 - 4.0 * H * H
+        # 1 - 4H^2 as a product: the difference cancels as H -> 1/2
+        q = (1.0 - 2.0 * H) * (1.0 + 2.0 * H)
         s = math.sqrt(q + d * d)
-        # cosh(eta) = alpha, through acosh(1 + y) with the cancellation-free
-        # rearrangement y = (d + 2H)^2 / (s + 1 - 4H^2 - 2dH)
+        # cosh(eta) = alpha = 1 + y with y = (d + 2H)^2 / (s + q - 2dH), and
+        # beta = (2dH - s) / q.  For d >= 0, s - 2dH = q (1 + d^2) / (s + 2dH)
+        # is formed without the difference, which cancels as H -> 1/2
         w = d + 2.0 * H
-        eta = _stable_acosh1p(w * w / (s + q - 2.0 * d * H))
+        if d >= 0.0:
+            g = (1.0 + d * d) / (s + 2.0 * d * H)
+            y = w * w / (q * (1.0 + g))
+            beta = -g
+        else:
+            y = w * w / (s + q - 2.0 * d * H)
+            beta = (2.0 * d * H - s) / q
+        eta = _stable_acosh1p(y)
         if not math.isfinite(eta):
             # d is NaN, infinite, or so large (~1e154) that d^2 overflows
             raise PreconditionError(f"d must be finite with a finite neck radius, got {d}")
         for name, value in (
             ("q", q),
             ("s", s),
-            ("alpha", (2.0 * d * H + s) / q),
-            ("beta", (2.0 * d * H - s) / q),
+            ("alpha", 1.0 + y),
+            ("beta", beta),
             ("eta", eta),
         ):
             object.__setattr__(self, name, value)
@@ -184,25 +215,52 @@ def _substituted(params: CmcParams, u: float, remainder: bool) -> float:
 def _integrate_substituted(
     params: CmcParams, u_lo: float, u_hi: float, remainder: bool, tol: float
 ) -> float:
-    if u_hi == u_lo:
-        return 0.0
     val, _ = quad(
         lambda u: _substituted(params, u, remainder),
         u_lo,
         u_hi,
         epsabs=tol,
-        epsrel=1e-12,
+        epsrel=_QUAD_REL,
         limit=200,
     )
     return val
 
 
+def _chebyshev_piece(
+    params: CmcParams, u_lo: float, u_hi: float, remainder: bool
+) -> tuple[float, float, tuple]:
+    """(series total, tail, series) of the integral across [u_lo, u_hi].
+
+    The substituted integrand is sampled at _CHEB_N Chebyshev points and
+    its series integrated term by term from u_lo; the series is
+    (mid, half-width, C_0, (C_N, ..., C_1)) for `_series_at`.  The tail
+    is the last two coefficients of the integrand times the half-width.
+    """
+    mid, half = 0.5 * (u_lo + u_hi), 0.5 * (u_hi - u_lo)
+    f = [_substituted(params, mid + half * x, remainder) for x in _CHEB_X]
+    a = [sum(map(mul, row, f)) for row in _CHEB_DCT] + [0.0, 0.0]
+    # integral of sum' a_k T_k: C_k = (a_{k-1} - a_{k+1}) / 2k, C_0 from C(-1) = 0
+    c = [half * (a[k - 1] - a[k + 1]) / (2 * k) for k in range(1, _CHEB_N + 1)]
+    c0 = sum(ck if k % 2 else -ck for k, ck in enumerate(c, 1))
+    tail = (abs(a[_CHEB_N - 1]) + abs(a[_CHEB_N - 2])) * half
+    return c0 + sum(c), tail, (mid, half, c0, tuple(reversed(c)))
+
+
+def _series_at(series: tuple, u: float) -> float:
+    # Clenshaw's recurrence for sum C_k T_k(x) at x = (u - mid) / half
+    mid, half, c0, rev = series
+    x = (u - mid) / half
+    x2 = x + x
+    b1 = b2 = 0.0
+    for ck in rev:
+        b1, b2 = ck + x2 * b1 - b2, b1
+    return c0 + x * b1 - b2
+
+
 def lambda_height(params: CmcParams, rho: float, tol: float = QUAD_TOL) -> float:
-    """Height of the generating curve at radius rho (0 at the neck)."""
-    eta = params.eta
-    if rho < eta:
-        raise DomainError(f"rho must be >= neck = {eta}, got {rho}")
-    return _integrate_substituted(params, 0.0, math.sqrt(rho - eta), False, tol)
+    """Height of the generating curve at radius rho (0 at the neck), from a
+    one-off HeightTable."""
+    return HeightTable(params, tol).integral(rho)
 
 
 def f_closed(params: CmcParams, rho: float) -> float:
@@ -240,13 +298,9 @@ def g_residual(params: CmcParams, rho: float) -> float:
 
 
 def j_remainder(params: CmcParams, rho: float, tol: float = QUAD_TOL) -> float:
-    """Remainder integral of the height decomposition (numerator d + 2H e^{-r})."""
-    if params.is_entire_graph:
-        raise PreconditionError("remainder decomposition needs d > -2H")
-    eta = params.eta
-    if rho < eta:
-        raise DomainError(f"rho must be >= neck = {eta}, got {rho}")
-    return _integrate_substituted(params, 0.0, math.sqrt(rho - eta), True, tol)
+    """Remainder integral of the height decomposition (numerator d + 2H e^{-r}),
+    from a one-off HeightTable."""
+    return HeightTable(params, tol, remainder=True).integral(rho)
 
 
 @dataclass(frozen=True)
@@ -298,6 +352,8 @@ def verify_appendix(
         for d in d_values:
             params = CmcParams(H, d)
             eta = params.eta
+            heights = HeightTable(params, quad_tol)
+            remainders = HeightTable(params, quad_tol, remainder=True)
             max_decomp = 0.0
             max_deriv = 0.0
             sup_j = 0.0
@@ -305,9 +361,9 @@ def verify_appendix(
             g_decays = True
             for i in range(grid_points):
                 rho = eta + 1e-6 + (10.0 - 1e-6) * i / (grid_points - 1)
-                lam = lambda_height(params, rho, quad_tol)
+                lam = heights.integral(rho)
                 fc = f_closed(params, rho)
-                jr = j_remainder(params, rho, quad_tol)
+                jr = remainders.integral(rho)
                 max_decomp = max(max_decomp, abs(lam - (fc + jr)) / max(1.0, lam))
                 sup_j = max(sup_j, jr)
                 if rho - eta >= 0.05:
@@ -347,44 +403,83 @@ def verify_appendix(
 
 
 class HeightTable:
-    """Cumulative profile height of one member on fixed panels in u.
+    """Cumulative integral of one member's height (or remainder) integrand.
 
-    The breakpoints are u_k = k * _PANEL_U in u = sqrt(rho - neck), where
-    the height integrand is smooth; heights[k] is the height at u_k, the
-    sum of one `quad` per panel.  The table grows lazily to the largest
-    height asked for.  A height t is inverted by locating the panel whose
-    heights bracket t and running Brent inside that panel only, on
-    heights[k] + integral from u_k to u.  Every solved radius is kept in
-    `radii`, keyed by |t|, so asking again returns the stored bits.  The
-    table and its radii live as long as the caller keeps the table;
-    nothing outlives one call of a command.
+    Panels in u = sqrt(rho - neck) have the fixed breakpoints
+    k * _PANEL_U, where the integrand is smooth.  Each panel gets one
+    `quad` total and a Chebyshev series of the cumulative integral
+    across it (`_chebyshev_piece`).  A panel is kept whole when the
+    series' tail is small and its total agrees with `quad`'s; otherwise
+    it is halved, and each half tested the same way, down to _MAX_DEPTH
+    halvings.  Near the family floor d = -2H this splits panel 0 toward
+    u = 0, where the integrand turns on a scale of (d + 2H)^(1/4).
+
+    `breaks` are the pieces' ends in u and `heights` the integral there,
+    the running sum of the pieces' `quad` totals.  The table grows
+    lazily to the largest radius (`integral`) or height (`radius`) asked
+    for, never beyond RHO_MAX_DEFAULT.  Inside a piece both read its
+    series: `integral(rho)` evaluates it, and `radius(t)` runs Brent on
+    it within the piece whose heights bracket t.  Every solved radius is
+    kept in `radii`, keyed by |t|, so asking again returns the stored
+    bits.  The table lives as long as its caller keeps it; nothing
+    outlives one call of a command.
     """
 
-    def __init__(self, params: CmcParams, quad_tol: float):
-        if params.is_entire_graph:
-            raise PreconditionError("profile inversion needs d > -2H")
+    def __init__(self, params: CmcParams, quad_tol: float, remainder: bool = False):
+        if remainder and params.is_entire_graph:
+            raise PreconditionError("remainder decomposition needs d > -2H")
         self.params = params
         self.quad_tol = quad_tol
+        self.remainder = remainder
         self.u_cap = math.sqrt(max(RHO_MAX_DEFAULT - params.eta, 0.0))
+        self.breaks = [0.0]
         self.heights = [0.0]
+        self.pieces: list[tuple] = []
         self.radii: dict[float, float] = {}
 
-    def _height_from(self, k: int, u: float) -> float:
-        # height at u, for u in panel k
-        return self.heights[k] + _integrate_substituted(
-            self.params, k * _PANEL_U, u, False, self.quad_tol
-        )
+    def _add_panel(self) -> None:
+        if self.breaks[-1] >= self.u_cap:
+            raise ConvergenceError(f"no bracket below rho_max = {RHO_MAX_DEFAULT}")
+        u_lo = self.breaks[-1]
+        self._add_piece(u_lo, u_lo + _PANEL_U, 0)
 
-    def _grow_to(self, t: float) -> None:
-        heights = self.heights
-        while heights[-1] < t:
-            k = len(heights) - 1
-            if k * _PANEL_U >= self.u_cap:
-                raise ConvergenceError(f"no bracket below rho_max = {RHO_MAX_DEFAULT}")
-            heights.append(self._height_from(k, (k + 1) * _PANEL_U))
+    def _add_piece(self, u_lo: float, u_hi: float, depth: int) -> None:
+        params, remainder, tol = self.params, self.remainder, self.quad_tol
+        total = _integrate_substituted(params, u_lo, u_hi, remainder, tol)
+        series_total, tail, series = _chebyshev_piece(params, u_lo, u_hi, remainder)
+        if (tail <= _TAIL_TOL * max(1.0, abs(total))
+                and abs(series_total - total) <= max(tol, _QUAD_REL * abs(total))):
+            self.breaks.append(u_hi)
+            self.heights.append(self.heights[-1] + total)
+            self.pieces.append(series)
+            return
+        if depth == _MAX_DEPTH:
+            raise ConvergenceError(
+                f"no Chebyshev series resolves u in [{u_lo}, {u_hi}] at H = "
+                f"{params.H}, d = {params.d}"
+            )
+        u_mid = 0.5 * (u_lo + u_hi)
+        self._add_piece(u_lo, u_mid, depth + 1)
+        self._add_piece(u_mid, u_hi, depth + 1)
+
+    def integral(self, rho: float) -> float:
+        """The table's integral from the neck to radius rho."""
+        eta = self.params.eta
+        if not eta <= rho <= RHO_MAX_DEFAULT:
+            raise DomainError(f"rho must lie in [neck, rho_max] = [{eta}, {RHO_MAX_DEFAULT}], "
+                              f"got {rho}")
+        u = math.sqrt(rho - eta)
+        while self.breaks[-1] < u:
+            self._add_panel()
+        i = bisect_right(self.breaks, u) - 1
+        if self.breaks[i] == u:
+            return self.heights[i]
+        return self.heights[i] + _series_at(self.pieces[i], u)
 
     def radius(self, t: float) -> float:
         """Radius of the profile at height t (even in t)."""
+        if self.remainder or self.params.is_entire_graph:
+            raise PreconditionError("profile inversion needs a height table with d > -2H")
         t = abs(t)
         if t not in self.radii:
             self.radii[t] = self._solve(t)
@@ -395,15 +490,23 @@ class HeightTable:
             raise DomainError(f"height must be finite, got {t}")
         if t == 0.0:
             return self.params.eta
-        self._grow_to(t)
-        k = bisect_right(self.heights, t) - 1
-        lo, hi = k * _PANEL_U, (k + 1) * _PANEL_U
-        if self.heights[k] == t:
+        heights = self.heights
+        while heights[-1] < t:
+            self._add_panel()
+        i = bisect_right(heights, t) - 1
+        lo = self.breaks[i]
+        if heights[i] == t:
             u = lo
         else:
+            hi, start, end, series = self.breaks[i + 1], heights[i], heights[i + 1], self.pieces[i]
+
             def excess(u: float) -> float:
-                # the panel's end is tabulated: integrating it again gives the same bits
-                return (self.heights[k + 1] if u == hi else self._height_from(k, u)) - t
+                # the piece's ends are tabulated, so Brent's bracket holds exactly
+                if u == lo:
+                    return start - t
+                if u == hi:
+                    return end - t
+                return start + _series_at(series, u) - t
 
             u = brentq(excess, lo, hi, xtol=ROOT_TOL, rtol=4.0 * math.ulp(1.0))
         if u > self.u_cap:
@@ -470,9 +573,10 @@ def profile(
         raise PreconditionError(f"rho_max must be finite and exceed the neck radius {eta}")
     if n < 2:
         raise PreconditionError("n must be >= 2")
+    table = HeightTable(params, tol)
     samples = [ProfileSample(eta, 0.0)]
     for rho in _graded_rhos(eta, rho_max, n)[1:]:
-        samples.append(ProfileSample(rho, lambda_height(params, rho, tol)))
+        samples.append(ProfileSample(rho, table.integral(rho)))
     return ProfileCurve(params=params, samples=tuple(samples), quad_tol=tol)
 
 

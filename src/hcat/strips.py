@@ -19,7 +19,7 @@ from .core import CmcParams, HeightTable, necksize
 # re-exported so that hcat.strips.b_inverse stays importable; the benchmark's
 # tests read it after tracing to check that it was restored
 from .core import b_inverse as b_inverse
-from .disjoint import DisjointnessCertificate
+from .disjoint import DisjointnessCertificate, height_grid
 from .errors import PreconditionError
 from .geom import ORIGIN, HypCircle, HypPoint, two_point_margin
 
@@ -214,7 +214,7 @@ def remark_sweep(
             # one 10x refinement pass around the best coarse height
             step = (ts_abs[-1] - ts_abs[0]) / max(len(ts_abs) - 1, 1)
             lo = max(best_t - step, ts_abs[0])
-            fine = [lo + k * step / 10.0 for k in range(21)]
+            fine = height_grid(lo, min(best_t + step, ts_abs[-1]), step / 10.0)
             for t in fine:
                 m = margin_at(hd, t)
                 if m > best_margin:

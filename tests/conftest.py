@@ -21,23 +21,30 @@ def small_cert():
 
 @pytest.fixture
 def inversion_counts(monkeypatch):
-    """Count, for every HeightTable, its builds per member d, its full-panel
-    integrations per (d, u_lo) and its Brent solves per (d, |t|)."""
+    """Count, for every HeightTable, its builds per (H, d, remainder), its
+    `quad` integrations per (d, remainder, u_lo, u_hi), split pieces
+    included, and its Brent solves per (d, |t|); and every evaluation of
+    the substituted integrand, Chebyshev samples and `quad` nodes alike."""
     from hcat import core
 
-    counts = SimpleNamespace(builds=Counter(), panels=Counter(), solves=Counter())
-    init, integrate, radius, brentq = (core.HeightTable.__init__, core._integrate_substituted,
-                                       core.HeightTable.radius, core.brentq)
+    counts = SimpleNamespace(builds=Counter(), pieces=Counter(), solves=Counter(),
+                             evaluations=0)
+    init, integrate, substituted, radius, brentq = (
+        core.HeightTable.__init__, core._integrate_substituted, core._substituted,
+        core.HeightTable.radius, core.brentq)
     asking = []  # (d, |t|) of the radius call in progress
 
-    def counting_init(self, params, quad_tol):
-        counts.builds[params.d] += 1
-        init(self, params, quad_tol)
+    def counting_init(self, params, quad_tol, remainder=False):
+        counts.builds[params.H, params.d, remainder] += 1
+        init(self, params, quad_tol, remainder)
 
-    def counting_integrate(params, u_lo, u_hi, *args):
-        if u_lo % core._PANEL_U == 0.0 and u_hi == u_lo + core._PANEL_U:
-            counts.panels[params.d, u_lo] += 1
-        return integrate(params, u_lo, u_hi, *args)
+    def counting_integrate(params, u_lo, u_hi, remainder, tol):
+        counts.pieces[params.d, remainder, u_lo, u_hi] += 1
+        return integrate(params, u_lo, u_hi, remainder, tol)
+
+    def counting_substituted(*args):
+        counts.evaluations += 1
+        return substituted(*args)
 
     def counting_radius(self, t):
         asking.append((self.params.d, abs(t)))
@@ -52,6 +59,7 @@ def inversion_counts(monkeypatch):
 
     monkeypatch.setattr(core.HeightTable, "__init__", counting_init)
     monkeypatch.setattr(core, "_integrate_substituted", counting_integrate)
+    monkeypatch.setattr(core, "_substituted", counting_substituted)
     monkeypatch.setattr(core.HeightTable, "radius", counting_radius)
     monkeypatch.setattr(core, "brentq", counting_brentq)
     return counts

@@ -29,6 +29,7 @@ from hcat.core import (
     lambda_height,
     necksize,
     profile,
+    verify_appendix,
     _substituted,
 )
 from hcat.disjoint import solve_d0
@@ -64,8 +65,9 @@ def _mp_lambda(H, d, rho):
     return float(mp.re(mp.quad(sub, [0, mp.sqrt(mp.mpf(rho) - eta)])))
 
 
-def _mp_lambda_split(H, d, rho):
-    """High-precision height in the factored form, u-interval split in four.
+def _mp_lambda_split(H, d, rho, remainder=False):
+    """High-precision height (or remainder integral, numerator d + 2H e^{-r})
+    in the factored form, u-interval split in four.
 
     cosh r - cosh(neck) = 2 sinh((r + neck)/2) sinh(u^2/2) cancels the
     endpoint singularity exactly, so no radicand is formed by subtraction.
@@ -81,7 +83,8 @@ def _mp_lambda_split(H, d, rho):
         half = u * u / 2
         sinhc = mp.sinh(half) / half if half else mp.mpf(1)
         rad = q * mp.sinh((r + eta) / 2) * sinhc * (mp.cosh(r) - beta)
-        return 2 * (d + 2 * H * mp.cosh(r)) / mp.sqrt(rad)
+        num = d + 2 * H * (mp.exp(-r) if remainder else mp.cosh(r))
+        return 2 * num / mp.sqrt(rad)
 
     return float(mp.quad(sub, mp.linspace(0, mp.sqrt(mp.mpf(rho) - eta), 5)))
 
@@ -142,6 +145,20 @@ class TestNecksize:
     def test_strictly_increasing_in_d(self):
         vals = [necksize(CmcParams(0.25, -0.5 + 0.5 * k)) for k in range(30)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("H", [0.499, 0.4999, 0.49999])
+    @pytest.mark.parametrize("d", [-0.5, 0.0, 3.0, 1e6])
+    def test_constants_near_h_one_half(self, H, d):
+        # 1 - 4H^2 and s - 2dH both cancel as H -> 1/2; formed as differences
+        # they were off by up to 8e-13 relative, and the neck by 4e-13
+        mp.mp.dps = 40
+        p = CmcParams(H, d)
+        q = 1 - 4 * mp.mpf(H) ** 2
+        s = mp.sqrt(q + mp.mpf(d) ** 2)
+        want = {"q": q, "alpha": (2 * d * mp.mpf(H) + s) / q,
+                "beta": (2 * d * mp.mpf(H) - s) / q, "eta": _mp_eta(H, d)}
+        for name, value in want.items():
+            assert getattr(p, name) == pytest.approx(float(value), rel=4 * 2.0**-52)
 
     def test_against_naive_formula_where_safe(self):
         for H, d in [(0.1, 1.0), (0.25, 5.0), (0.4, 50.0)]:
@@ -365,11 +382,12 @@ class TestInversion:
             assert rho == pytest.approx(b_inverse(p, t), abs=1e-10)
 
 
-# family members reached by the table tests: H across (0, 1/2) away from
-# its ends, and d from a tiny neck through the paper's d1 = 3 and the
-# threshold member d0(H, 3) to 1e6
-TABLE_H = (0.01, 0.1, 0.25, 0.45)
+# family members reached by the table tests: H across (0, 1/2) up to
+# .4999, and d from the family floor (where panel 0 is split) through the
+# paper's d1 = 3 and the threshold member d0(H, 3) to 1e6
+TABLE_H = (0.01, 0.1, 0.25, 0.45, 0.4999)
 TABLE_D = {
+    "floor": lambda H: -2.0 * H + 1e-12,
     "small_neck": lambda H: -2.0 * H + 1e-6,
     "zero": lambda H: 0.0,
     "three": lambda H: 3.0,
@@ -383,15 +401,22 @@ class TestHeightTable:
     @pytest.mark.parametrize("kind", list(TABLE_D))
     @pytest.mark.parametrize("H", TABLE_H)
     def test_radii_invert_the_height_within_quad_tol(self, H, kind):
+        # a float radius b can be no closer than one spacing ulp(b) to the
+        # exact root, which moves the height by integrand(b) * ulp(b); that
+        # stays below QUAD_TOL (at most 3.6e-12) for H <= .45 and reaches
+        # 7e-9 at H = .4999 and t = .01, where the height is steep at the neck
         d = TABLE_D[kind](H)
         ts = [0.01, 0.3, 7.0, 25.65, 50.0]
-        table = HeightTable(CmcParams(H, d), QUAD_TOL)
-        worst = max(abs(_mp_lambda_split(H, d, table.radius(t)) - t) for t in ts)
-        assert worst <= QUAD_TOL
+        p = CmcParams(H, d)
+        table = HeightTable(p, QUAD_TOL)
+        for t in ts:
+            b = table.radius(t)
+            resolution = integrand(p, b) * math.ulp(b)
+            assert abs(_mp_lambda_split(H, d, b) - t) <= max(QUAD_TOL, resolution)
 
     @given(
-        H=st.floats(0.02, 0.45),
-        offset=st.floats(1e-6, 1e6),
+        H=st.floats(0.02, 0.4999),
+        offset=st.floats(1e-12, 1e6),
         ts=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=6),
     )
     @settings(max_examples=25, deadline=None)
@@ -402,6 +427,31 @@ class TestHeightTable:
         radii = [table.radius(t) for t in ts]
         for t, rho in zip(ts, radii):
             assert b_inverse(p, t) == rho
+
+    def test_floor_member_splits_panel_zero(self):
+        # the integrand turns on a scale of (d + 2H)^(1/4) in u near the floor
+        table = HeightTable(CmcParams(0.25, -0.5 + 1e-12), QUAD_TOL)
+        table.radius(1.0)
+        panel0 = [u for u in table.breaks if 0.0 < u <= 0.25]
+        assert panel0[-1] == 0.25
+        assert 1 < len(panel0) <= 14
+        assert min(table.breaks[1:]) >= 0.25 * 2.0**-13
+
+    def test_depth_cap_raises(self, monkeypatch):
+        from hcat import core
+
+        monkeypatch.setattr(core, "_MAX_DEPTH", 2)
+        with pytest.raises(ConvergenceError):
+            b_inverse(CmcParams(0.25, -0.5 + 1e-12), 1.0)
+
+    def test_remainder_table_does_not_invert(self):
+        with pytest.raises(PreconditionError):
+            HeightTable(CmcParams(0.25, 3.0), QUAD_TOL, remainder=True).radius(1.0)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, RHO_MAX_DEFAULT * 1.01])
+    def test_read_outside_the_table_raises(self, rho):
+        with pytest.raises(DomainError):
+            lambda_height(CmcParams(0.25, 3.0), rho)
 
     def test_radius_beyond_rho_max_raises(self):
         # RHO_MAX_DEFAULT falls inside the panel [99.75, 100] of u (u_cap =
@@ -431,13 +481,74 @@ class TestHeightAccuracyAtThresholdMember:
         rho = b_inverse(CmcParams(DEFECT_H, d), 25.65)
         assert _mp_lambda_split(DEFECT_H, d, rho) == pytest.approx(25.65, abs=QUAD_TOL)
 
-    @pytest.mark.xfail(strict=True, reason="QUADPACK accepts a panel that is off by 7e-10")
     def test_height_within_quad_tol(self):
+        # one adaptive quad from the neck accepted a panel off by 7.06e-10
+        # here; the table's panel sum reads the oracle value
         d = solve_d0(DEFECT_H, DEFECT_D1)
         want = _mp_lambda_split(DEFECT_H, d, DEFECT_RHO)
         assert lambda_height(CmcParams(DEFECT_H, d), DEFECT_RHO) == pytest.approx(
             want, abs=QUAD_TOL
         )
+
+
+# both sides of the large-r branch switch _LARGE_R = 350, and far past it
+FORWARD_RHO = (349.9, 350.1, 700.0)
+FORWARD_MEMBERS = [(H, d) for H in (0.01, 0.25, 0.45) for d in (-2.0 * H + 1e-12, 3.0, 1e6)]
+
+
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+class TestForwardReads:
+    @pytest.mark.parametrize("H,d", FORWARD_MEMBERS)
+    def test_height_and_remainder_within_quad_tol(self, H, d):
+        p = CmcParams(H, d)
+        for rho in FORWARD_RHO:
+            assert lambda_height(p, rho) == pytest.approx(
+                _mp_lambda_split(H, d, rho), abs=QUAD_TOL)
+            assert j_remainder(p, rho) == pytest.approx(
+                _mp_lambda_split(H, d, rho, remainder=True), abs=QUAD_TOL)
+
+    @pytest.mark.parametrize("H,d", [(0.25, -0.5 + 1e-12), (0.45, 3.0)])
+    def test_profile_within_quad_tol(self, H, d):
+        p = CmcParams(H, d)
+        for rho_max in FORWARD_RHO:
+            # samples[0] is the neck at height 0
+            for sample in profile(p, rho_max, 3).samples[1:]:
+                assert sample.t == pytest.approx(
+                    _mp_lambda_split(H, d, sample.rho), abs=QUAD_TOL)
+
+    def test_entire_graph_reads_the_table(self):
+        # d = -2H: a height table without the remainder
+        p = CmcParams(0.25, -0.5)
+        assert lambda_height(p, 350.1) == pytest.approx(
+            _mp_lambda_split(0.25, -0.5, 350.1), abs=QUAD_TOL)
+        with pytest.raises(PreconditionError):
+            j_remainder(p, 1.0)
+
+
+class TestEvaluationCounts:
+    # every evaluation of the substituted integrand, Chebyshev samples and
+    # quad nodes alike
+    def test_appendix_defaults(self, inversion_counts, tmp_path):
+        # one adaptive quad from the neck per radius and integrand took
+        # 40 614 here; two tables of 13 panels per member take 14 040, a
+        # floor of 13 * (21 quad nodes + 24 samples) per table
+        from hcat import cli
+
+        assert cli.run(["verify-appendix", "--out", str(tmp_path / "a.json")]) == 0
+        assert 2.5 * inversion_counts.evaluations <= 40_614
+
+    def test_appendix_at_800_radii(self, inversion_counts):
+        # the benchmark's forward sweep: 643 692 with one quad per radius
+        verify_appendix([0.1, 0.25, 0.4], [2.5, 3.0, 10.0, 100.0], grid_points=800)
+        assert 10 * inversion_counts.evaluations <= 643_692
+
+    def test_appendix_builds_two_tables_per_member(self, inversion_counts):
+        H_values, d_values = [0.1, 0.4], [2.5, 100.0]
+        verify_appendix(H_values, d_values)
+        assert inversion_counts.builds == {
+            (H, d, remainder): 1
+            for H in H_values for d in d_values for remainder in (False, True)
+        }
 
 
 class TestProfile:

@@ -128,12 +128,23 @@ class TestRemarkSweep:
         report = remark_sweep(pair, StripOffsets(2e-3, 1e-3, 1e-3), [30.0])
         assert not report.passed
         members = (small_cert.d1, small_cert.d2, 30.0)
-        assert counts.builds == {d: 1 for d in members}
+        assert counts.builds == {(small_cert.H, d, False): 1 for d in members}
         heights = {d: {t for e, t in counts.solves if e == d} for d in members}
         assert heights[30.0] == heights[small_cert.d1] == heights[small_cert.d2]
         # beyond the 4 non-zero coarse heights (|t| = 0 is the neck, unsolved)
         assert len(heights[30.0]) > 4
         assert max(counts.solves.values()) == 1
+
+    def test_refinement_stays_inside_the_grid(self, small_cert):
+        # no shifted barrier reaches d = 30, so the sweep refines around its
+        # best coarse height, the grid's largest |t| = 2; stepping 21 fine
+        # heights from there used to reach |t| = 2.5
+        pair = pair_radii(small_cert, T_GRID, QUAD_TOL)
+        report = remark_sweep(pair, StripOffsets(2e-3, 1e-3, 1e-3), [30.0])
+        (record,) = report.records
+        assert not record.passed
+        assert record.t <= 2.0
+        assert max(pair.h1.radii) == max(pair.h2.radii) == 2.0
 
     def test_rejects_d_outside_open_interval(self, small_cert, small_pair):
         offsets = compute_offsets(small_cert)
@@ -146,7 +157,7 @@ class TestRemarkSweep:
 class TestSharedRadii:
     def test_strips_inverts_each_pair_height_once(self, small_cert, tmp_path,
                                                   inversion_counts):
-        # one height table per pair member, each of its panels integrated
+        # one height table per pair member, each of its pieces integrated
         # once, and each pair height solved once across the three checks
         from hcat import cli
 
@@ -157,9 +168,10 @@ class TestSharedRadii:
                         "--step", "0.5", "--d-points", "3",
                         "--out", str(tmp_path / "strips.json")]) == 0
         members = (small_cert.d1, small_cert.d2)
-        assert {d: counts.builds[d] for d in members} == {small_cert.d1: 1, small_cert.d2: 1}
-        assert {d for d, _ in counts.panels} >= set(members)
-        assert {k: n for k, n in counts.panels.items() if n > 1} == {}
+        assert {d: counts.builds[small_cert.H, d, False] for d in members} == {
+            small_cert.d1: 1, small_cert.d2: 1}
+        assert {d for d, *_ in counts.pieces} >= set(members)
+        assert {k: n for k, n in counts.pieces.items() if n > 1} == {}
         pair = {k: n for k, n in counts.solves.items() if k[0] in members}
         # |t| in {.5, 1, 1.5, 2} for d1 and d2; |t| = 0 is the neck, unsolved
         assert len(pair) == 2 * 4
