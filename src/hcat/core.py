@@ -37,7 +37,7 @@ from .errors import ConvergenceError, DomainError, PreconditionError
 QUAD_TOL = 1e-10
 #: root-finding tolerance (in the substituted variable u = sqrt(rho - neck))
 ROOT_TOL = 1e-12
-#: cap on the radius a height table reaches, forward or inverted
+#: cap on the radius reached by profile inversion
 RHO_MAX_DEFAULT = 1e4
 # panel width of the height table, in u = sqrt(rho - neck)
 _PANEL_U = 0.25
@@ -257,10 +257,25 @@ def _series_at(series: tuple, u: float) -> float:
     return c0 + x * b1 - b2
 
 
-def lambda_height(params: CmcParams, rho: float, tol: float = QUAD_TOL) -> float:
-    """Height of the generating curve at radius rho (0 at the neck), from a
-    one-off HeightTable."""
-    return HeightTable(params, tol).integral(rho)
+def _table_read(params: CmcParams, rho: float, tol: float, table, remainder: bool) -> float:
+    if table is None:
+        table = HeightTable(params, tol, remainder)
+    elif (table.params, table.quad_tol, table.remainder) != (params, tol, remainder):
+        raise PreconditionError("the table belongs to another member, tolerance or integrand")
+    return table.integral(rho)
+
+
+def lambda_height(
+    params: CmcParams, rho: float, tol: float = QUAD_TOL, table: HeightTable | None = None
+) -> float:
+    """Height of the generating curve at radius rho (0 at the neck).
+
+    Read from `table`, a HeightTable(params, tol) that the caller keeps
+    across reads.  Without one, a table is built for this read alone: one
+    `quad` and _CHEB_N samples for every panel below rho (about 20 ms at
+    rho = 1e4), so a caller reading many radii should keep a table.
+    """
+    return _table_read(params, rho, tol, table, remainder=False)
 
 
 def f_closed(params: CmcParams, rho: float) -> float:
@@ -297,10 +312,15 @@ def g_residual(params: CmcParams, rho: float) -> float:
     return f_closed(params, rho) - f_asymptote(params, rho)
 
 
-def j_remainder(params: CmcParams, rho: float, tol: float = QUAD_TOL) -> float:
-    """Remainder integral of the height decomposition (numerator d + 2H e^{-r}),
-    from a one-off HeightTable."""
-    return HeightTable(params, tol, remainder=True).integral(rho)
+def j_remainder(
+    params: CmcParams, rho: float, tol: float = QUAD_TOL, table: HeightTable | None = None
+) -> float:
+    """Remainder integral of the height decomposition (numerator d + 2H e^{-r}).
+
+    Read from `table`, a HeightTable(params, tol, remainder=True), or from
+    one built for this read alone, at the cost given in `lambda_height`.
+    """
+    return _table_read(params, rho, tol, table, remainder=True)
 
 
 @dataclass(frozen=True)
@@ -361,9 +381,9 @@ def verify_appendix(
             g_decays = True
             for i in range(grid_points):
                 rho = eta + 1e-6 + (10.0 - 1e-6) * i / (grid_points - 1)
-                lam = heights.integral(rho)
+                lam = lambda_height(params, rho, quad_tol, heights)
                 fc = f_closed(params, rho)
-                jr = remainders.integral(rho)
+                jr = j_remainder(params, rho, quad_tol, remainders)
                 max_decomp = max(max_decomp, abs(lam - (fc + jr)) / max(1.0, lam))
                 sup_j = max(sup_j, jr)
                 if rho - eta >= 0.05:
@@ -417,7 +437,10 @@ class HeightTable:
     `breaks` are the pieces' ends in u and `heights` the integral there,
     the running sum of the pieces' `quad` totals.  The table grows
     lazily to the largest radius (`integral`) or height (`radius`) asked
-    for, never beyond RHO_MAX_DEFAULT.  Inside a piece both read its
+    for; inversion stops at RHO_MAX_DEFAULT (u_cap in u), and past u_cap
+    each panel is as wide as the u it starts at, where the integrand is
+    2u times a constant to round-off, so far reads cost a few panels per
+    doubling of u.  Inside a piece both read its
     series: `integral(rho)` evaluates it, and `radius(t)` runs Brent on
     it within the piece whose heights bracket t.  Every solved radius is
     kept in `radii`, keyed by |t|, so asking again returns the stored
@@ -438,10 +461,8 @@ class HeightTable:
         self.radii: dict[float, float] = {}
 
     def _add_panel(self) -> None:
-        if self.breaks[-1] >= self.u_cap:
-            raise ConvergenceError(f"no bracket below rho_max = {RHO_MAX_DEFAULT}")
         u_lo = self.breaks[-1]
-        self._add_piece(u_lo, u_lo + _PANEL_U, 0)
+        self._add_piece(u_lo, u_lo + (_PANEL_U if u_lo < self.u_cap else u_lo), 0)
 
     def _add_piece(self, u_lo: float, u_hi: float, depth: int) -> None:
         params, remainder, tol = self.params, self.remainder, self.quad_tol
@@ -465,9 +486,8 @@ class HeightTable:
     def integral(self, rho: float) -> float:
         """The table's integral from the neck to radius rho."""
         eta = self.params.eta
-        if not eta <= rho <= RHO_MAX_DEFAULT:
-            raise DomainError(f"rho must lie in [neck, rho_max] = [{eta}, {RHO_MAX_DEFAULT}], "
-                              f"got {rho}")
+        if not eta <= rho < math.inf:
+            raise DomainError(f"rho must be finite and at least the neck radius {eta}, got {rho}")
         u = math.sqrt(rho - eta)
         while self.breaks[-1] < u:
             self._add_panel()
@@ -492,6 +512,8 @@ class HeightTable:
             return self.params.eta
         heights = self.heights
         while heights[-1] < t:
+            if self.breaks[-1] >= self.u_cap:
+                raise ConvergenceError(f"no bracket below rho_max = {RHO_MAX_DEFAULT}")
             self._add_panel()
         i = bisect_right(heights, t) - 1
         lo = self.breaks[i]
@@ -576,7 +598,7 @@ def profile(
     table = HeightTable(params, tol)
     samples = [ProfileSample(eta, 0.0)]
     for rho in _graded_rhos(eta, rho_max, n)[1:]:
-        samples.append(ProfileSample(rho, table.integral(rho)))
+        samples.append(ProfileSample(rho, lambda_height(params, rho, tol, table)))
     return ProfileCurve(params=params, samples=tuple(samples), quad_tol=tol)
 
 

@@ -1,6 +1,9 @@
-"""Shared fixtures: a small certified pair and the schema registry."""
+"""Shared fixtures: a small certified pair, the schema registry, counters
+of the height tables' work and a loader of the benchmark's modules."""
 
+import importlib.util
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,8 +12,10 @@ import pytest
 
 from hcat.disjoint import certify
 
-SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "hcat" / "schemas"
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA_DIR = ROOT / "src" / "hcat" / "schemas"
 DATA_DIR = Path(__file__).resolve().parent / "data"
+BENCH_DIR = ROOT / "perfbench"
 
 
 @pytest.fixture(scope="session")
@@ -63,6 +68,22 @@ def inversion_counts(monkeypatch):
     monkeypatch.setattr(core.HeightTable, "radius", counting_radius)
     monkeypatch.setattr(core, "brentq", counting_brentq)
     return counts
+
+
+@pytest.fixture
+def load_bench_module(monkeypatch):
+    """load(name, filename): a module of perfbench/, imported from its file
+    under `name` for this test without writing bytecode next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+
+    def load(name: str, filename: str):
+        spec = importlib.util.spec_from_file_location(name, BENCH_DIR / filename)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+        return module
+
+    return load
 
 
 @pytest.fixture(scope="session")

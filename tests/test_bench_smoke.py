@@ -2,32 +2,16 @@
 workload, so that a numerics change that would fail a benchmark op fails
 here first."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
 from hcat.cli import run
 
-BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _load(monkeypatch, name: str, path: Path):
-    # loaded from its file without writing bytecode next to it
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, name, module)
-    spec.loader.exec_module(module)
-    return module
-
 
 @pytest.fixture
-def workloads(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+def workloads(load_bench_module):
     # the checks import the oracles by this name
-    _load(monkeypatch, "oracles", BENCH_DIR / "oracles.py")
-    return _load(monkeypatch, "hcat_bench_workloads", BENCH_DIR / "workloads.py")
+    load_bench_module("oracles", "oracles.py")
+    return load_bench_module("hcat_bench_workloads", "workloads.py")
 
 
 @pytest.mark.parametrize("name", ["paper", "pair_scan", "forward"])

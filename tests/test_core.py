@@ -448,8 +448,9 @@ class TestHeightTable:
         with pytest.raises(PreconditionError):
             HeightTable(CmcParams(0.25, 3.0), QUAD_TOL, remainder=True).radius(1.0)
 
-    @pytest.mark.parametrize("rho", [math.nan, math.inf, RHO_MAX_DEFAULT * 1.01])
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, 1.0])
     def test_read_outside_the_table_raises(self, rho):
+        # the neck of (.25, 3) is at 2.44
         with pytest.raises(DomainError):
             lambda_height(CmcParams(0.25, 3.0), rho)
 
@@ -515,6 +516,47 @@ class TestForwardReads:
             for sample in profile(p, rho_max, 3).samples[1:]:
                 assert sample.t == pytest.approx(
                     _mp_lambda_split(H, d, sample.rho), abs=QUAD_TOL)
+
+    @pytest.mark.parametrize("H,d", [(0.01, 1e6), (0.25, 3.0), (0.45, -0.9 + 1e-12)])
+    def test_reads_past_the_inversion_cap(self, H, d):
+        # only inversion stops at RHO_MAX_DEFAULT; past it the panels double
+        # in u, so ~14 panels reach 1e12 on top of the 400 below the cap (and
+        # up to 14 pieces split from panel 0 on the floor member)
+        p = CmcParams(H, d)
+        table = HeightTable(p, QUAD_TOL)
+        for rho in (2.0 * RHO_MAX_DEFAULT, 1e6, 1e12):
+            # each panel's quad meets QUAD_TOL or a relative 1e-12
+            assert lambda_height(p, rho, table=table) == pytest.approx(
+                _mp_lambda_split(H, d, rho), abs=QUAD_TOL, rel=1e-12)
+        assert len(table.pieces) <= 4 * math.sqrt(RHO_MAX_DEFAULT) + 30
+        with pytest.raises(ConvergenceError):
+            table.radius(lambda_height(p, 2.0 * RHO_MAX_DEFAULT, table=table))
+        if d > 0:
+            assert j_remainder(p, 1e12) == pytest.approx(
+                _mp_lambda_split(H, d, 1e12, remainder=True), abs=QUAD_TOL)
+
+    def test_profile_past_the_inversion_cap(self):
+        curve = profile(CmcParams(0.25, 3.0), 1e6, 5)
+        assert curve.samples[-1].t == pytest.approx(
+            _mp_lambda_split(0.25, 3.0, 1e6), abs=QUAD_TOL, rel=1e-12)
+
+    def test_reads_share_the_table_they_are_given(self, inversion_counts):
+        p = CmcParams(0.25, 3.0)
+        heights = HeightTable(p, QUAD_TOL)
+        remainders = HeightTable(p, QUAD_TOL, remainder=True)
+        for rho in (3.0, 5.0, 4.0):
+            assert lambda_height(p, rho, table=heights) == heights.integral(rho)
+            assert j_remainder(p, rho, table=remainders) == remainders.integral(rho)
+        assert inversion_counts.builds == {(0.25, 3.0, False): 1, (0.25, 3.0, True): 1}
+
+    @pytest.mark.parametrize("other", [
+        HeightTable(CmcParams(0.25, 2.0), QUAD_TOL),
+        HeightTable(CmcParams(0.25, 3.0), 1e-8),
+        HeightTable(CmcParams(0.25, 3.0), QUAD_TOL, remainder=True),
+    ])
+    def test_a_table_of_another_member_is_refused(self, other):
+        with pytest.raises(PreconditionError):
+            lambda_height(CmcParams(0.25, 3.0), 3.0, table=other)
 
     def test_entire_graph_reads_the_table(self):
         # d = -2H: a height table without the remainder
