@@ -1,10 +1,11 @@
 """Revolved meshes: counting rules, symmetry, and byte-deterministic export."""
 
+import hashlib
 import math
-from pathlib import Path
 
 import pytest
 
+from hcat.cli import EXIT_OK, run
 from hcat.core import CmcParams, ProfileCurve, ProfileSample, necksize, profile
 from hcat.errors import PreconditionError
 from hcat.mesh import (
@@ -135,3 +136,66 @@ class TestExport:
         export_meta(mesh, out)
         data = json.loads(out.read_text())
         assert data == mesh.metadata
+
+
+# sha256 of every file a command writes, fixed before `revolve` and
+# `export_obj` moved onto arrays; any change to these bytes needs a reason
+PINNED_MESHES = {
+    "poincare_doubled": (
+        ["--H", "0.25", "--d", "2", "--rho-max", "6", "--n", "256", "--m", "256"],
+        "bed59367a537d58151af14230cb178efe0805aff827bb9696d1f3f4417a8efac",
+        "b66fbf29909bbcbbf66d60b65137d70b302cdc9d4cbbc0c236609c5865c17284",
+    ),
+    "cylinder_doubled": (
+        ["--H", "0.3", "--d", "1.5", "--rho-max", "4", "--n", "33", "--m", "24",
+         "--mode", "cylinder_polar"],
+        "318edfb45039d2b7a615c1736fad440870329c4dac79e782bd9b8ef5e30906e3",
+        "14f178b456384d46de45bfa047ad5498410e8b4ddda4922ca720feb491879e93",
+    ),
+    "not_doubled": (
+        ["--H", "0.2", "--d", "5", "--rho-max", "8", "--n", "40", "--m", "17",
+         "--no-doubled"],
+        "fb28d0f32ad499bd95f6c3af103bb5cdb23e9f6d2aec0db6a9b7c81bf88af36c",
+        "65967da7c9b54d8a19bbaae57993a8ff9c4dfc628ecd7e6e69470b645368a767",
+    ),
+    # d = -2H: the neck ring has radius 0, so 63 of its coordinates are -0.0
+    "entire_graph": (
+        ["--H", "0.25", "--d", "-0.5", "--rho-max", "3", "--n", "20", "--m", "64"],
+        "c7b365f308984e02c63b4f713731ee2d334f81d6f7150bcff01c0c0753674aad",
+        "4366a51773dc3c8a4c86756bfe7225a2eedca5fb38ef8d3c7b1cdb9db49f403c",
+    ),
+}
+
+PINNED_FAMILY = {
+    "family.json": "ee66922a0e619f3c24bd44bd5f5cf08934c033b50661e5a8729c051f87341a02",
+    "frame_d_-0.5.obj": "cc407e822d99d32168b3a41e38170ec4d26643c166a8ea3071701176e1ee2f05",
+    "frame_d_0.obj": "944d3fe34193674e3698d460b08a93f746c3781ff579262a78769ca6aa909f36",
+    "frame_d_2.obj": "d8075c6a4628b99298110f73da1d769be99e0bda3c9d7f1ce5bfacef1d158627",
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("name", PINNED_MESHES)
+    def test_mesh_files(self, name, tmp_path):
+        argv, obj_hash, meta_hash = PINNED_MESHES[name]
+        out = tmp_path / f"{name}.obj"
+        assert run(["mesh", *argv, "--out", str(out)]) == EXIT_OK
+        assert _sha256(out) == obj_hash
+        assert _sha256(out.with_suffix(".json")) == meta_hash
+
+    def test_entire_graph_keeps_negative_zeros(self, tmp_path):
+        out = tmp_path / "entire.obj"
+        assert run(["mesh", *PINNED_MESHES["entire_graph"][0], "--out", str(out)]) == EXIT_OK
+        tokens = [tok for line in out.read_text().splitlines() if line.startswith("v ")
+                  for tok in line.split()[1:]]
+        assert tokens.count("-0") == 63
+
+    def test_family_files(self, tmp_path):
+        argv = ["family", "--H", "0.25", "--d-list", "-0.5", "0", "2",
+                "--rho-max", "3", "--n", "16", "--m", "12", "--out-dir", str(tmp_path)]
+        assert run(argv) == EXIT_OK
+        assert {p.name: _sha256(p) for p in tmp_path.iterdir()} == PINNED_FAMILY
