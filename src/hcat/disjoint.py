@@ -38,7 +38,8 @@ def separation_lower_bound(H: float, d1: float, d2: float) -> float:
     threshold d0 for a given d1 > 2 is the unique d2 where it equals 1.
     """
     _require_d1(d1)
-    q = 1.0 - 4.0 * H * H
+    # 1 - 4H^2 as a product, as in CmcParams: the difference cancels as H -> 1/2
+    q = (1.0 - 2.0 * H) * (1.0 + 2.0 * H)
     ratio_log = 0.5 * (math.log(d2 * d2 + q) - math.log(d1 * d1 + q))
     return math.sqrt(q) / (2.0 * H) * (
         0.5 * ratio_log - 2.0 * math.pi * math.sqrt(1.0 - 2.0 * H)

@@ -242,7 +242,8 @@ def test_c9_mesh_determinism(capsys, tmp_path):
         len(mesh.vertices) == (2 * n - 1) * m
         and len(mesh.faces) == (2 * n - 2) * m
     )
-    symmetric = sorted((x, y, -z) for x, y, z in mesh.vertices) == sorted(mesh.vertices)
+    rows = [tuple(v) for v in mesh.vertices.tolist()]
+    symmetric = sorted((x, y, -z) for x, y, z in rows) == sorted(rows)
     ok = golden_equal and counts_ok and symmetric
     _report(capsys, 9, "mesh determinism", ok,
             f"golden bytes equal: {golden_equal}, counting formula holds: "

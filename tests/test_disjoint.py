@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath as mp
 import pytest
 
 from hcat.core import CmcParams, necksize
@@ -56,6 +57,28 @@ class TestThreshold:
 
     def test_separation_bound_negative_for_close_pairs(self):
         assert separation_lower_bound(0.25, 3.0, 3.5) < 0.0
+
+    @pytest.mark.parametrize("H", [0.499, 0.4999])
+    @pytest.mark.parametrize("d1, d2", [(3.0, 3.0), (3.0, 10.0), (2.5, 100.0), (3.0, 1e6)])
+    def test_separation_bound_near_h_one_half(self, H, d1, d2):
+        # q = 1 - 4H^2 formed as a difference is off by 2.6e-14 relative at
+        # H = .4999, and the bound with it
+        mp.mp.dps = 40
+        Hm = mp.mpf(H)
+        q = 1 - 4 * Hm**2
+        ratio_log = (mp.log(mp.mpf(d2) ** 2 + q) - mp.log(mp.mpf(d1) ** 2 + q)) / 2
+        want = mp.sqrt(q) / (2 * Hm) * (ratio_log / 2 - 2 * mp.pi * mp.sqrt(1 - 2 * Hm))
+        assert separation_lower_bound(H, d1, d2) == pytest.approx(float(want), rel=1e-15, abs=0.0)
+
+    def test_solver_near_h_one_half(self):
+        # the 40-digit closed form; d0 = 2.7e14 here, and a difference-formed
+        # q moved it by 1.8e-14 relative
+        mp.mp.dps = 40
+        H, d1 = mp.mpf(0.499), mp.mpf(3.0)
+        q = 1 - 4 * H**2
+        rhs = 4 * mp.pi * mp.sqrt(1 - 2 * H) + 4 * H / mp.sqrt(q)
+        want = mp.sqrt((d1**2 + q) * mp.exp(2 * rhs) - q)
+        assert solve_d0(0.499, 3.0) == pytest.approx(float(want), rel=2e-15, abs=0.0)
 
 
 class TestGap:

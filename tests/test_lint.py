@@ -1,12 +1,16 @@
-"""Source hygiene: no module of the package imports a name it never uses
-or defines a private function or class that nothing in it references."""
+"""Source hygiene: no module of the package imports a name it never uses,
+defines a private function or class that nothing in it references, or
+imports a third-party package that pyproject.toml does not declare."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC_DIR = Path(__file__).resolve().parents[1] / "src" / "hcat"
+ROOT = Path(__file__).resolve().parents[1]
+SRC_DIR = ROOT / "src" / "hcat"
 SOURCES = sorted(SRC_DIR.glob("*.py"))
 
 
@@ -73,3 +77,37 @@ def test_no_unused_module_imports(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_private_defs(path):
     assert _unused_private_defs(ast.parse(path.read_text())) == []
+
+
+def _third_party_imports(tree: ast.Module) -> set[str]:
+    """Top-level names of every absolute import anywhere in the module,
+    less the standard library and the package itself."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"hcat"}
+
+
+def _declared(requirements: list[str]) -> set[str]:
+    """Import names of PEP 508 requirement strings (`numpy>=1.21` -> numpy)."""
+    return {re.match(r"[A-Za-z0-9._-]+", req).group().lower().replace("-", "_")
+            for req in requirements}
+
+
+def test_detects_undeclared_imports():
+    source = ("import math\nimport numpy as np\nfrom scipy.integrate import quad\n"
+              "from . import core\nfrom hcat.errors import DomainError\n"
+              "def f():\n    import mpmath\n")
+    assert _third_party_imports(ast.parse(source)) == {"numpy", "scipy", "mpmath"}
+    assert _declared(["scipy>=1.10", "Py-Yaml ; python_version > '3'"]) == {"scipy", "py_yaml"}
+
+
+def test_third_party_imports_are_declared():
+    tomllib = pytest.importorskip("tomllib")
+    declared = _declared(
+        tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"])
+    imported = set().union(*(_third_party_imports(ast.parse(p.read_text())) for p in SOURCES))
+    assert imported - declared == set()

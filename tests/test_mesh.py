@@ -3,6 +3,7 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from hcat.cli import EXIT_OK, run
@@ -44,8 +45,9 @@ class TestRevolve:
     def test_doubled_mesh_is_z_symmetric(self):
         curve = profile(CmcParams(0.25, 2.0), 5.0, 9)
         mesh = revolve(curve, 8, EmbeddingMode.POINCARE_DISK, doubled=True)
-        flipped = sorted((x, y, -z) for x, y, z in mesh.vertices)
-        assert flipped == sorted(mesh.vertices)
+        rows = [tuple(v) for v in mesh.vertices.tolist()]
+        flipped = sorted((x, y, -z) for x, y, z in rows)
+        assert flipped == sorted(rows)
 
     def test_neck_ring_radius_in_poincare_disk(self):
         params = CmcParams(0.25, 2.0)
@@ -64,7 +66,7 @@ class TestRevolve:
         mesh = revolve(_tiny_curve(), 3, EmbeddingMode.CYLINDER_POLAR, doubled=False)
         # each vertex of the non-final rows appears in exactly 2 quads per
         # neighbouring ring; the wrap quad reuses column 0
-        assert mesh.faces[2] == (2, 0, 3, 5)
+        assert mesh.faces[2].tolist() == [2, 0, 3, 5]
 
     def test_metadata(self):
         mesh = revolve(_tiny_curve(), 3, EmbeddingMode.CYLINDER_POLAR, doubled=True)
@@ -82,6 +84,30 @@ class TestRevolve:
     def test_face_index_validation(self):
         with pytest.raises(PreconditionError):
             SurfaceMesh(((0.0, 0.0, 0.0),), ((0, 1, 2, 3),), {})
+
+    @pytest.mark.parametrize("bad", [4, -1], ids=["equals_vertex_count", "negative"])
+    def test_face_index_just_out_of_range(self, bad):
+        square = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0))
+        SurfaceMesh(square, ((0, 1, 2, 3), (3, 2, 1, 0)), {})
+        with pytest.raises(PreconditionError):
+            SurfaceMesh(square, ((0, 1, 2, 3), (3, bad, 1, 0)), {})
+
+    @pytest.mark.parametrize("vertices, faces", [
+        (((0.0, 0.0),), ()),
+        (((0.0, 0.0, 0.0),), ((0, 0, 0),)),
+        (((0.0, 0.0, 0.0),), ((0, 0, 0, 0.5),)),
+        (((0.0, 0.0, "x"),), ()),
+    ], ids=["vertex_of_two", "triangle", "float_index", "text_coordinate"])
+    def test_row_validation(self, vertices, faces):
+        with pytest.raises(PreconditionError):
+            SurfaceMesh(vertices, faces, {})
+
+    def test_arrays_are_read_only(self):
+        mesh = revolve(_tiny_curve(), 3, EmbeddingMode.CYLINDER_POLAR)
+        assert mesh.vertices.shape == (15, 3) and mesh.vertices.dtype == np.float64
+        assert mesh.faces.shape == (12, 4) and mesh.faces.dtype == np.int64
+        with pytest.raises(ValueError):
+            mesh.vertices[0, 0] = 1.0
 
 
 class TestFamilyFrames:
