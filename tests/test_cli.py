@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report schemas, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -250,6 +251,61 @@ class TestStrips:
                 "--t-max", "1", "--step", "0.5", "--d-points", "2",
                 "--out", str(tmp_path / "r.json")]
         assert run(args) == EXIT_OK
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPinnedReports:
+    # sha256 of report bytes as json.dump wrote them; every writer must
+    # reproduce them.  Reports are written in the working directory, since
+    # `strips` echoes its --cert argument into its config.
+
+    def test_headline_certificate_and_strips(self, tmp_path, monkeypatch):
+        # 9 029 strip records, the --csv margins of all three checks
+        monkeypatch.chdir(tmp_path)
+        assert run(["disjoint", "--H", ".25", "--d1", "3", "--solve-d0",
+                    "--out", "cert.json"]) == EXIT_OK
+        assert run(["strips", "--cert", "cert.json", "--out", "strips.json",
+                    "--csv", "margins.csv"]) == EXIT_OK
+        assert {p.name: _sha256(p) for p in tmp_path.iterdir()} == {
+            "cert.json": "eaf1dffa8330c9100095a8ce258d62be2530ec016daf85c65cd46249981e5851",
+            "strips.json": "2a015a2e5e6b1a2283c078510f7fca1a029a5d8c79be1498ede077e5cf2a92ee",
+            "margins.csv": "6edf80c5856e5d2157d543345486ee0ef95c0a7e37e5d45f07f28eac541983ce",
+        }
+
+    def test_refined_remark_sweep(self, tmp_path, monkeypatch):
+        # barriers shifted by 1e-3 reach no intermediate member, so every
+        # swept member takes the 10x refinement and fails
+        monkeypatch.chdir(tmp_path)
+        assert run(_disjoint_args("small.json")) == EXIT_OK
+        doc = json.loads((tmp_path / "small.json").read_text())
+        doc["result"]["min_gap_observed"] = 2e-3
+        (tmp_path / "tampered.json").write_text(json.dumps(doc))
+        args = ["strips", "--cert", "tampered.json", "--t-min", "-2", "--t-max", "2",
+                "--step", "0.5", "--d-points", "3", "--out", "r.json", "--csv", "r.csv"]
+        assert run(args) == EXIT_CHECK_FAILED
+        assert _sha256(tmp_path / "r.json") == (
+            "3d7cd4f1c2ed142b6c260f1fa68f1de4f23353988f9cbf6887e28c54b834f935")
+        assert _sha256(tmp_path / "r.csv") == (
+            "bce8d4a6f833537bed6c5cf2af9211684ecebdca9090ce8de762ce5e1f952804")
+
+    def test_verify_appendix(self, tmp_path):
+        # each check entry nests a `witness` dict: not a flat record
+        out = tmp_path / "appendix.json"
+        assert run(["verify-appendix", "--out", str(out)]) == EXIT_OK
+        assert _sha256(out) == (
+            "4bb4d965bf369f7ef80f2807e4008a843ebdfe87ae2c62c60114edc38629495c")
+
+    def test_curve_json(self, tmp_path):
+        # `samples` is a list of flat records
+        out = tmp_path / "curve.json"
+        args = ["curve", "--H", ".27", "--d", "2.6", "--rho-max", "6", "--n", "64",
+                "--out", str(tmp_path / "curve.csv"), "--json", str(out)]
+        assert run(args) == EXIT_OK
+        assert _sha256(out) == (
+            "ff00d99742cd04572d6167483a3e9743aceddc60369c0678b0e0e1ee057ba8bd")
 
 
 class TestEmit:
