@@ -40,8 +40,9 @@ from .errors import (
     PreconditionError,
 )
 from .mesh import EmbeddingMode, export_csv, export_meta, export_obj, family_frames, revolve
+from .report import write_json
 from .strips import (compute_offsets, pair_radii, remark_sweep, verify_c3_lemma,
-                     verify_strip_claim)
+                     verify_strip_claim, write_margin_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,26 +82,19 @@ def _envelope(command: str, config: dict, result: dict) -> dict:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    # streamed: with indent set, json.dumps would join the whole report in memory
     if out is None:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        write_json(doc, sys.stdout)
     else:
         with open(out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            write_json(doc, fh)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="hcat", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"hcat {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("necksize", help="print the neck radius for (H, d)")
+def _args_necksize(p: _Parser) -> None:
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--d", type=float, required=True)
 
-    p = sub.add_parser("curve", help="sample a profile curve to CSV (and JSON)")
+
+def _args_curve(p: _Parser) -> None:
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--d", type=float, required=True)
     p.add_argument("--rho-max", type=float, required=True)
@@ -109,7 +103,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--json", dest="json_out", default=None, help="JSON output path")
 
-    p = sub.add_parser("entire-graph", help="sample the d = -2H entire-graph profile")
+
+def _args_entire_graph(p: _Parser) -> None:
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--rho-max", type=float, required=True)
     p.add_argument("--n", type=int, default=128)
@@ -117,17 +112,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--json", dest="json_out", default=None)
 
-    p = sub.add_parser(
-        "verify-appendix",
-        help="decomposition, derivative, remainder-bound and residual-decay sweeps",
-    )
+
+def _args_verify_appendix(p: _Parser) -> None:
     p.add_argument("--H", type=float, nargs="+", default=[0.1, 0.25, 0.4])
     p.add_argument("--d", type=float, nargs="+", default=[2.5, 3.0, 10.0, 100.0])
     p.add_argument("--grid-points", type=int, default=50)
     p.add_argument("--quad-tol", type=_positive_float, default=QUAD_TOL)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("disjoint", help="solve the threshold and/or certify a pair")
+
+def _args_disjoint(p: _Parser) -> None:
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--d1", type=float, required=True)
     group = p.add_mutually_exclusive_group(required=True)
@@ -140,7 +134,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--quad-tol", type=_positive_float, default=QUAD_TOL)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("strips", help="strip and sweep checks for a certified pair")
+
+def _args_strips(p: _Parser) -> None:
     p.add_argument("--cert", required=True, help="certificate JSON path")
     p.add_argument("--t-min", type=float, default=-50.0)
     p.add_argument("--t-max", type=float, default=50.0)
@@ -150,7 +145,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None, help="margin table CSV path")
 
-    p = sub.add_parser("mesh", help="export one revolved surface as OBJ")
+
+def _args_mesh(p: _Parser) -> None:
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--d", type=float, required=True)
     p.add_argument("--rho-max", type=float, required=True)
@@ -164,7 +160,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--no-doubled", action="store_true")
     p.add_argument("--out", required=True, help="OBJ output path")
 
-    p = sub.add_parser("family", help="export nested family frames as OBJ files")
+
+def _args_family(p: _Parser) -> None:
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--d-list", type=float, nargs="+", required=True)
     p.add_argument("--rho-max", type=float, required=True)
@@ -177,8 +174,6 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--out-dir", required=True)
 
-    return parser
-
 
 def _cmd_necksize(args) -> int:
     value = necksize(CmcParams(args.H, args.d))
@@ -186,8 +181,8 @@ def _cmd_necksize(args) -> int:
     return EXIT_OK
 
 
-def _cmd_curve(args, entire_graph: bool) -> int:
-    if entire_graph:
+def _cmd_curve(args) -> int:
+    if args.command == "entire-graph":
         curve = entire_graph_profile(args.H, args.rho_max, args.n, args.quad_tol)
         config = {"H": args.H, "rho_max": args.rho_max, "n": args.n,
                   "quad_tol": args.quad_tol}
@@ -288,11 +283,8 @@ def _cmd_strips(args) -> int:
     }
     _emit(_envelope("strips", config, result), args.out)
     if args.csv is not None:
-        Path(args.csv).write_text(
-            strip.to_margin_csv()
-            + "".join(c3.to_margin_csv().splitlines(keepends=True)[1:])
-            + "".join(remark.to_margin_csv().splitlines(keepends=True)[1:])
-        )
+        with open(args.csv, "w") as fh:
+            write_margin_csv((strip, c3, remark), fh)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
@@ -326,27 +318,41 @@ def _cmd_family(args) -> int:
     return EXIT_OK
 
 
+# name: (help, add_arguments, handler)
+_COMMANDS = {
+    "necksize": ("print the neck radius for (H, d)", _args_necksize, _cmd_necksize),
+    "curve": ("sample a profile curve to CSV (and JSON)", _args_curve, _cmd_curve),
+    "entire-graph": ("sample the d = -2H entire-graph profile", _args_entire_graph,
+                     _cmd_curve),
+    "verify-appendix": (
+        "decomposition, derivative, remainder-bound and residual-decay sweeps",
+        _args_verify_appendix, _cmd_verify_appendix,
+    ),
+    "disjoint": ("solve the threshold and/or certify a pair", _args_disjoint,
+                 _cmd_disjoint),
+    "strips": ("strip and sweep checks for a certified pair", _args_strips, _cmd_strips),
+    "mesh": ("export one revolved surface as OBJ", _args_mesh, _cmd_mesh),
+    "family": ("export nested family frames as OBJ files", _args_family, _cmd_family),
+}
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The root parser with the subparser of `command` alone, or with every
+    subparser when `command` names none (--help, --version, a bad command)."""
+    parser = _Parser(prog="hcat", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"hcat {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        help_text, add_arguments, _ = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
+    return parser
+
+
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
-        if args.command == "necksize":
-            return _cmd_necksize(args)
-        if args.command == "curve":
-            return _cmd_curve(args, entire_graph=False)
-        if args.command == "entire-graph":
-            return _cmd_curve(args, entire_graph=True)
-        if args.command == "verify-appendix":
-            return _cmd_verify_appendix(args)
-        if args.command == "disjoint":
-            return _cmd_disjoint(args)
-        if args.command == "strips":
-            return _cmd_strips(args)
-        if args.command == "mesh":
-            return _cmd_mesh(args)
-        if args.command == "family":
-            return _cmd_family(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command][2](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

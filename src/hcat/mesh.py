@@ -9,7 +9,6 @@ cylindrical polar coordinates.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -20,6 +19,7 @@ import numpy as np
 from . import __version__
 from .core import CmcParams, ProfileCurve, profile
 from .errors import PreconditionError
+from .report import write_json
 
 
 class EmbeddingMode(Enum):
@@ -172,9 +172,8 @@ def export_obj(mesh: SurfaceMesh, path: str | Path) -> None:
 
 def export_meta(mesh: SurfaceMesh, path: str | Path) -> None:
     """Write the mesh metadata sidecar as deterministic JSON."""
-    Path(path).write_text(
-        json.dumps(mesh.metadata, indent=2, sort_keys=True) + "\n"
-    )
+    with open(path, "w") as fh:
+        write_json(mesh.metadata, fh)
 
 
 def export_csv(curve: ProfileCurve, path: str | Path) -> None:

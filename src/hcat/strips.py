@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import chain
+from operator import attrgetter
+from typing import Iterable, TextIO
 
 from . import __version__
 from .core import CmcParams, HeightTable, necksize
@@ -64,11 +67,22 @@ class StripReport:
         doc["records"] = [vars(r) for r in self.records]
         return doc
 
-    def to_margin_csv(self) -> str:
-        lines = ["t,check_id,margin"]
-        for r in self.records:
-            lines.append(f"{r.t:.17g},{r.check_id},{r.margin:.17g}")
-        return "\n".join(lines) + "\n"
+
+# rows formatted per write: bounds the strings alive at once
+_ROWS_PER_WRITE = 2048
+
+
+def write_margin_csv(reports: Iterable[StripReport], fh: TextIO) -> None:
+    """Write one margin table for `reports`: a `t,check_id,margin` header,
+    then a row per record, floats with 17 significant digits."""
+    fh.write("t,check_id,margin\n")
+    row = attrgetter("t", "check_id", "margin")
+    for report in reports:
+        records = report.records
+        for lo in range(0, len(records), _ROWS_PER_WRITE):
+            block = records[lo:lo + _ROWS_PER_WRITE]
+            fh.write("%.17g,%s,%.17g\n" * len(block)
+                     % tuple(chain.from_iterable(map(row, block))))
 
 
 def _finish(kind: str, records: list[StripCheck]) -> StripReport:

@@ -1,11 +1,21 @@
 """Command-line interface: exit codes, report schemas, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hcat.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _emit, run
+from hcat import report
+from hcat.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _build_parser, _emit,
+                      _envelope, _UsageError, run)
+from hcat.strips import StripCheck, StripReport, write_margin_csv
 
 from conftest import validate_against
 
@@ -308,6 +318,45 @@ class TestPinnedReports:
             "ff00d99742cd04572d6167483a3e9743aceddc60369c0678b0e0e1ee057ba8bd")
 
 
+# strings json escapes, and strings a %-template would misread
+_TEXT = st.one_of(
+    st.sampled_from(["", "%", "%s", "%%", "%(a)s", '"', "\\", "\n", "\u00e9", "\u2603"]),
+    st.text(max_size=6),
+)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.sampled_from([True, 1, False, 0]), st.integers(),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-300]),
+    _TEXT,
+    # a float subclass: json's own encoder writes it
+    st.floats().map(np.float64),
+)
+
+
+@st.composite
+def _record_lists(draw):
+    """Flat records sharing one key set, now and then with one odd record."""
+    keys = draw(st.lists(_TEXT, max_size=4, unique=True))
+    records = draw(st.lists(st.fixed_dictionaries({k: _SCALARS for k in keys}),
+                            max_size=8))
+    if draw(st.booleans()):
+        odd = draw(st.dictionaries(_TEXT, _SCALARS, max_size=3))
+        records.insert(draw(st.integers(0, len(records))), odd)
+    return records
+
+
+_DOCUMENTS = st.recursive(
+    st.one_of(_SCALARS, _record_lists()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+        # keys json turns into strings, after sorting them as numbers
+        st.dictionaries(st.integers(), inner, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
 class TestEmit:
     DOC = {"b": [1.5, {"z": None, "a": True}], "a": "\u00e9", "c": 1e-300}
 
@@ -319,6 +368,73 @@ class TestEmit:
     def test_stdout_equals_dumps(self, capsys):
         _emit(self.DOC, None)
         assert capsys.readouterr().out == json.dumps(self.DOC, indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_DOCUMENTS, block=st.sampled_from([1, 2, 3, report._RECORDS_PER_WRITE]))
+    def test_any_document_equals_dumps(self, tmp_path_factory, doc, block):
+        # small blocks split record lists, odd records included, across writes
+        want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        out = tmp_path_factory.getbasetemp() / "emit.json"
+        stdout = io.StringIO()
+        with mock.patch.object(report, "_RECORDS_PER_WRITE", block):
+            _emit(doc, str(out))
+            with contextlib.redirect_stdout(stdout):
+                _emit(doc, None)
+        assert out.read_text() == want
+        assert stdout.getvalue() == want
+
+    def test_large_report_streams(self, tmp_path):
+        # joining the 9 000 records' text in memory, as the margins CSV
+        # once did, peaks at more than 1 MB
+        records = tuple(
+            StripCheck(0.05 * i - 225.0, f"check_{i % 6}", math.sin(i), True, None)
+            for i in range(9000))
+        strips = StripReport("strip_claim", True, -0.9999, 11.0, "check_1", records)
+        doc = _envelope("strips", {"step": 0.05}, {"strip_claim": strips.to_json_dict()})
+        peaks = {}
+        tracemalloc.start()
+        try:
+            _emit(doc, str(tmp_path / "strips.json"))
+            peaks["json"] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with open(tmp_path / "margins.csv", "w") as fh:
+                write_margin_csv([strips], fh)
+            peaks["csv"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peaks["json"] < 1e6 and peaks["csv"] < 1e6, peaks
+        assert (tmp_path / "strips.json").read_text() == (
+            json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+class TestParser:
+    COMMANDS = "{necksize,curve,entire-graph,verify-appendix,disjoint,strips,mesh,family}"
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            run(["--help"])
+        assert exc_info.value.code == 0
+        assert self.COMMANDS in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["necksize", "--bogus"],
+        ["necksize", "--H", "x", "--d", "1"],
+        ["necksize", "--H", "0.25", "--d", "2", "extra"],
+        ["disjoint", "--H", "0.25", "--d1", "3"],
+        ["disjoint", "--H", "0.25", "--d1", "3", "--d2", "4", "--solve-d0"],
+        ["mesh", "--H", "0.25", "--d", "2", "--rho-max", "3", "--mode", "bad",
+         "--out", "x.obj"],
+        ["strips", "--cert"],
+        ["frobnicate"],
+        [],
+    ])
+    def test_errors_match_the_full_parser(self, capsys, argv):
+        # run builds only the named command's subparser; its messages must
+        # be the ones the parser with all eight subparsers gives
+        with pytest.raises(_UsageError) as full:
+            _build_parser().parse_args(argv)
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {full.value}\n"
 
 
 class TestMeshCommands:

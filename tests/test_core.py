@@ -158,7 +158,7 @@ class TestNecksize:
         want = {"q": q, "alpha": (2 * d * mp.mpf(H) + s) / q,
                 "beta": (2 * d * mp.mpf(H) - s) / q, "eta": _mp_eta(H, d)}
         for name, value in want.items():
-            assert getattr(p, name) == pytest.approx(float(value), rel=4 * 2.0**-52)
+            assert getattr(p, name) == pytest.approx(float(value), rel=4 * 2.0**-52, abs=0.0)
 
     def test_against_naive_formula_where_safe(self):
         for H, d in [(0.1, 1.0), (0.25, 5.0), (0.4, 50.0)]:

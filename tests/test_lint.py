@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-defines a private function or class that nothing in it references, or
-imports a third-party package that pyproject.toml does not declare."""
+defines a private function or class that nothing in it references,
+imports a third-party package that pyproject.toml does not declare, or
+writes indented JSON other than through the report writer."""
 
 import ast
 import re
@@ -12,6 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC_DIR = ROOT / "src" / "hcat"
 SOURCES = sorted(SRC_DIR.glob("*.py"))
+REPORT_WRITER = SRC_DIR / "report.py"
 
 
 def _names_read(tree: ast.Module) -> set[str]:
@@ -111,3 +113,35 @@ def test_third_party_imports_are_declared():
         tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"])
     imported = set().union(*(_third_party_imports(ast.parse(p.read_text())) for p in SOURCES))
     assert imported - declared == set()
+
+
+def _indented_json_calls(tree: ast.Module) -> list[str]:
+    """`json.dump`/`json.dumps` calls, or bare `dump`/`dumps` calls, given
+    an `indent=` keyword."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords)):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            name = f"{func.value.id}.{func.attr}"
+        else:
+            name = getattr(func, "id", None)
+        if name in ("json.dump", "json.dumps", "dump", "dumps"):
+            found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_detects_indented_json_calls():
+    source = ("import json\nfrom json import dumps\n"
+              "json.dump(d, fh, indent=2, sort_keys=True)\njson.dumps(d)\n"
+              "dumps(d, indent=None)\nprint(d, indent=1)\nyaml.dump(d, indent=2)\n")
+    assert _indented_json_calls(ast.parse(source)) == [
+        "json.dump (line 3)", "dumps (line 5)"]
+
+
+def test_indented_json_only_in_the_report_writer():
+    # one writer keeps every report byte-identical to json's indented layout
+    found = {p.name: _indented_json_calls(ast.parse(p.read_text()))
+             for p in SOURCES if p != REPORT_WRITER}
+    assert {name: calls for name, calls in found.items() if calls} == {}

@@ -1,5 +1,6 @@
 """Shifted-barrier strip checks and the intermediate-parameter sweep."""
 
+import io
 import json
 
 import pytest
@@ -13,6 +14,7 @@ from hcat.strips import (
     remark_sweep,
     verify_c3_lemma,
     verify_strip_claim,
+    write_margin_csv,
 )
 
 T_GRID = [k * 0.5 - 2.0 for k in range(9)]  # [-2, 2] step 0.5
@@ -182,7 +184,9 @@ class TestReportOutput:
     def test_margin_csv_layout(self, small_cert):
         offsets = compute_offsets(small_cert)
         report = verify_strip_claim(pair_radii(small_cert, [0.0, 1.0], QUAD_TOL), offsets)
-        lines = report.to_margin_csv().splitlines()
+        out = io.StringIO()
+        write_margin_csv([report], out)
+        lines = out.getvalue().splitlines()
         assert lines[0] == "t,check_id,margin"
         assert len(lines) == 1 + len(report.records)
         t, check_id, margin = lines[1].split(",")
