@@ -17,7 +17,8 @@ smooth.  Every height (and every remainder integral of the height
 decomposition) is read from a `HeightTable`: fixed panels in u, each
 with one adaptive Gauss-Kronrod total and a Chebyshev series of the
 cumulative integral across it.  Forward reads evaluate that series;
-profile inversion runs Brent on it.
+profile inversion runs Brent on it.  The quadrature (QUADPACK's QAGS)
+and Brent's root finder are the package's own, in `hcat.numerics`.
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from operator import mul
 
-from scipy.integrate import quad
-from scipy.optimize import brentq
-
 from .errors import ConvergenceError, DomainError, PreconditionError
+from .numerics import brentq, quad
 
 #: default absolute quadrature tolerance
 QUAD_TOL = 1e-10

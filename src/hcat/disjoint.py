@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 
-from scipy.optimize import brentq
-
 from . import __version__
 from .core import CmcParams, HeightTable, QUAD_TOL, ROOT_TOL, b_inverse
 from .errors import CertificationFailure, PreconditionError
+from .numerics import brentq
 
 #: tolerance for the monotone-decrease finite-difference check
 MONOTONE_TOL = 1e-9

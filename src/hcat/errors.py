@@ -24,3 +24,7 @@ class CertificationFailure(RuntimeError):
         super().__init__(message)
         self.t = t
         self.values = values
+
+
+class IntegrationWarning(UserWarning):
+    """An adaptive quadrature stopped short of its requested tolerance."""

@@ -5,7 +5,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -316,6 +320,37 @@ class TestPinnedReports:
         assert run(args) == EXIT_OK
         assert _sha256(out) == (
             "ff00d99742cd04572d6167483a3e9743aceddc60369c0678b0e0e1ee057ba8bd")
+
+
+
+# run in a fresh interpreter: import the CLI, list the scipy modules it
+# loaded, then block scipy and run the headline pipeline
+_WITHOUT_SCIPY = """
+import json, sys
+import hcat.cli
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+sys.modules["scipy"] = None
+codes = [hcat.cli.run(["disjoint", "--H", ".25", "--d1", "3", "--solve-d0",
+                       "--out", "cert.json"]),
+         hcat.cli.run(["strips", "--cert", "cert.json", "--out", "strips.json",
+                       "--csv", "margins.csv"])]
+print(json.dumps({"loaded": loaded, "codes": codes}))
+"""
+
+
+def test_headline_pipeline_runs_without_scipy(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == {"loaded": [], "codes": [EXIT_OK, EXIT_OK]}
+    # the bytes pinned by TestPinnedReports.test_headline_certificate_and_strips
+    assert {p.name: _sha256(p) for p in tmp_path.iterdir()} == {
+        "cert.json": "eaf1dffa8330c9100095a8ce258d62be2530ec016daf85c65cd46249981e5851",
+        "strips.json": "2a015a2e5e6b1a2283c078510f7fca1a029a5d8c79be1498ede077e5cf2a92ee",
+        "margins.csv": "6edf80c5856e5d2157d543345486ee0ef95c0a7e37e5d45f07f28eac541983ce",
+    }
 
 
 # strings json escapes, and strings a %-template would misread

@@ -396,7 +396,7 @@ TABLE_D = {
 }
 
 
-@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+@pytest.mark.filterwarnings("error::hcat.errors.IntegrationWarning")
 class TestHeightTable:
     @pytest.mark.parametrize("kind", list(TABLE_D))
     @pytest.mark.parametrize("H", TABLE_H)
@@ -497,7 +497,7 @@ FORWARD_RHO = (349.9, 350.1, 700.0)
 FORWARD_MEMBERS = [(H, d) for H in (0.01, 0.25, 0.45) for d in (-2.0 * H + 1e-12, 3.0, 1e6)]
 
 
-@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+@pytest.mark.filterwarnings("error::hcat.errors.IntegrationWarning")
 class TestForwardReads:
     @pytest.mark.parametrize("H,d", FORWARD_MEMBERS)
     def test_height_and_remainder_within_quad_tol(self, H, d):
