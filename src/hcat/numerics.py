@@ -31,8 +31,9 @@ _OFLOW = sys.float_info.max
 # a piece whose absolute Kronrod sum exceeds this gets the round-off floor
 # 50 eps |integral| on its error estimate
 _RESABS_FLOOR = _UFLOW / (50.0 * _EPMACH)
-# brentq's smallest relative tolerance
+# brentq's smallest relative tolerance, and its iterations before it gives up
 _RTOL_MIN = 4.0 * _EPMACH
+_MAXITER = 100
 
 # 21-point Kronrod abscissae (odd positions are the 10-point Gauss nodes)
 # and weights, then the Gauss weights; the centre is the last entry
@@ -481,19 +482,18 @@ def quad(f, a: float, b: float, epsabs: float, epsrel: float, limit: int,
 class RootResult:
     """How `brentq` found its root."""
 
-    iterations: int
     function_calls: int
 
 
-def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100,
-           full_output: bool = False):
+def brentq(f, a: float, b: float, xtol: float, rtol: float, full_output: bool = False):
     """Root of f in the bracket [a, b], where f(a) and f(b) differ in sign.
 
     Brent's method, stopping once the bracket is narrower than
     xtol + rtol |root|.  Returns the root, or (root, RootResult) with
     `full_output`.  Raises DomainError when f returns NaN or does not
-    change sign over the bracket, ConvergenceError after `maxiter`
-    iterations, and PreconditionError for xtol <= 0 or rtol < 4 eps.
+    change sign over the bracket, ConvergenceError after 100 iterations
+    (SciPy's default maxiter), and PreconditionError for xtol <= 0 or
+    rtol < 4 eps.
     """
     if not xtol > 0.0:
         raise PreconditionError(f"brentq needs xtol > 0, got {xtol}")
@@ -509,20 +509,20 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100,
             raise DomainError(f"the function is NaN at x = {x!r}")
         return fx
 
-    def done(x: float, iterations: int):
-        return (x, RootResult(iterations, calls)) if full_output else x
+    def done(x: float):
+        return (x, RootResult(calls)) if full_output else x
 
     xpre, xcur = a, b
     xblk = fblk = spre = scur = 0.0
     fpre = value(xpre)
     fcur = value(xcur)
     if fpre == 0.0:
-        return done(xpre, 0)
+        return done(xpre)
     if fcur == 0.0:
-        return done(xcur, 0)
+        return done(xcur)
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise DomainError(f"f(a) = {fpre!r} and f(b) = {fcur!r} have the same sign")
-    for i in range(1, maxiter + 1):
+    for _ in range(_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (
                 math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
             xblk = xpre
@@ -534,7 +534,7 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100,
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
-            return done(xcur, i)
+            return done(xcur)
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             try:
                 if xpre == xblk:
@@ -564,4 +564,4 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100,
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
-    raise ConvergenceError(f"brentq did not converge in {maxiter} iterations; last x = {xcur!r}")
+    raise ConvergenceError(f"brentq did not converge in {_MAXITER} iterations; last x = {xcur!r}")

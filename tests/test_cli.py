@@ -271,23 +271,28 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# sha256 of the headline pipeline's reports, `disjoint --H .25 --d1 3
+# --solve-d0` then `strips --csv`: 9 029 strip records and the margins of
+# all three checks
+_HEADLINE_SHA256 = {
+    "cert.json": "eaf1dffa8330c9100095a8ce258d62be2530ec016daf85c65cd46249981e5851",
+    "strips.json": "2a015a2e5e6b1a2283c078510f7fca1a029a5d8c79be1498ede077e5cf2a92ee",
+    "margins.csv": "6edf80c5856e5d2157d543345486ee0ef95c0a7e37e5d45f07f28eac541983ce",
+}
+
+
 class TestPinnedReports:
     # sha256 of report bytes as json.dump wrote them; every writer must
     # reproduce them.  Reports are written in the working directory, since
     # `strips` echoes its --cert argument into its config.
 
     def test_headline_certificate_and_strips(self, tmp_path, monkeypatch):
-        # 9 029 strip records, the --csv margins of all three checks
         monkeypatch.chdir(tmp_path)
         assert run(["disjoint", "--H", ".25", "--d1", "3", "--solve-d0",
                     "--out", "cert.json"]) == EXIT_OK
         assert run(["strips", "--cert", "cert.json", "--out", "strips.json",
                     "--csv", "margins.csv"]) == EXIT_OK
-        assert {p.name: _sha256(p) for p in tmp_path.iterdir()} == {
-            "cert.json": "eaf1dffa8330c9100095a8ce258d62be2530ec016daf85c65cd46249981e5851",
-            "strips.json": "2a015a2e5e6b1a2283c078510f7fca1a029a5d8c79be1498ede077e5cf2a92ee",
-            "margins.csv": "6edf80c5856e5d2157d543345486ee0ef95c0a7e37e5d45f07f28eac541983ce",
-        }
+        assert {p.name: _sha256(p) for p in tmp_path.iterdir()} == _HEADLINE_SHA256
 
     def test_refined_remark_sweep(self, tmp_path, monkeypatch):
         # barriers shifted by 1e-3 reach no intermediate member, so every
@@ -345,12 +350,7 @@ def test_headline_pipeline_runs_without_scipy(tmp_path):
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
     assert json.loads(proc.stdout) == {"loaded": [], "codes": [EXIT_OK, EXIT_OK]}
-    # the bytes pinned by TestPinnedReports.test_headline_certificate_and_strips
-    assert {p.name: _sha256(p) for p in tmp_path.iterdir()} == {
-        "cert.json": "eaf1dffa8330c9100095a8ce258d62be2530ec016daf85c65cd46249981e5851",
-        "strips.json": "2a015a2e5e6b1a2283c078510f7fca1a029a5d8c79be1498ede077e5cf2a92ee",
-        "margins.csv": "6edf80c5856e5d2157d543345486ee0ef95c0a7e37e5d45f07f28eac541983ce",
-    }
+    assert {p.name: _sha256(p) for p in tmp_path.iterdir()} == _HEADLINE_SHA256
 
 
 # strings json escapes, and strings a %-template would misread

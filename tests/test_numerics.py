@@ -11,6 +11,7 @@ from scipy.optimize import brentq as scipy_brentq
 
 from hcat.core import ROOT_TOL
 from hcat.errors import ConvergenceError, DomainError, IntegrationWarning, PreconditionError
+from hcat import numerics
 from hcat.numerics import _qagse, brentq, quad
 
 EPS = 2.0**-52
@@ -102,12 +103,12 @@ def test_brentq_matches_scipy_bit_for_bit(root, lo, hi, kind, xtol):
     rtol = 4.0 * EPS
     try:
         x, r = scipy_brentq(f, a, b, xtol=xtol, rtol=rtol, full_output=True)
-        expected = (x.hex(), r.function_calls, r.iterations)
+        expected = (x.hex(), r.function_calls)
     except RuntimeError:
         expected = "no convergence"
     try:
         x, r = brentq(f, a, b, xtol, rtol, full_output=True)
-        got = (x.hex(), r.function_calls, r.iterations)
+        got = (x.hex(), r.function_calls)
     except ConvergenceError:
         got = "no convergence"
     assert got == expected
@@ -169,12 +170,11 @@ class TestBrentq:
         root, result = brentq(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12, 4 * EPS,
                               full_output=True)
         assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
-        assert result.function_calls == result.iterations + 1
         assert brentq(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12, 4 * EPS) == root
 
     def test_root_at_an_end_costs_two_calls(self):
         root, result = brentq(lambda x: x - 1.0, 1.0, 3.0, 1e-12, 4 * EPS, full_output=True)
-        assert (root, result.function_calls, result.iterations) == (1.0, 2, 0)
+        assert (root, result.function_calls) == (1.0, 2)
 
     def test_nan_is_a_domain_error(self):
         with pytest.raises(DomainError, match="NaN"):
@@ -189,9 +189,10 @@ class TestBrentq:
         with pytest.raises(DomainError, match="same sign"):
             brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 4 * EPS)
 
-    def test_maxiter_is_a_convergence_error(self):
-        with pytest.raises(ConvergenceError):
-            brentq(lambda x: (x - 1 / 3) ** 3, 0.0, 1.0, 1e-12, 4 * EPS, maxiter=3)
+    def test_maxiter_is_a_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_MAXITER", 3)
+        with pytest.raises(ConvergenceError, match="3 iterations"):
+            brentq(lambda x: (x - 1 / 3) ** 3, 0.0, 1.0, 1e-12, 4 * EPS)
 
     @pytest.mark.parametrize("xtol,rtol", [(0.0, 4 * EPS), (1e-12, EPS)])
     def test_tolerances_below_the_floor_are_precondition_errors(self, xtol, rtol):
