@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -39,7 +40,6 @@ from .errors import (
     DomainError,
     PreconditionError,
 )
-from .mesh import EmbeddingMode, export_csv, export_meta, export_obj, family_frames, revolve
 from .report import write_json
 from .strips import (compute_offsets, pair_radii, remark_sweep, verify_c3_lemma,
                      verify_strip_claim, write_margin_csv)
@@ -87,6 +87,30 @@ def _emit(doc: dict, out: str | None) -> None:
     else:
         with open(out, "w") as fh:
             write_json(doc, fh)
+
+
+def _require_distinct(*outputs: tuple[str, str | Path | None]) -> None:
+    """Refuse two (name, path) outputs that name one file, before anything
+    is computed or written: the later write would replace the earlier."""
+    seen = {}
+    for name, path in outputs:
+        if path is None:
+            continue
+        key = os.path.realpath(path)
+        if key in seen:
+            raise _UsageError(f"{seen[key]} and {name} name the same file {str(path)!r}")
+        seen[key] = name
+
+
+def _add_mode(p: _Parser) -> None:
+    # the mesh commands alone load hcat.mesh, and with it numpy
+    from .mesh import EmbeddingMode
+
+    p.add_argument(
+        "--mode",
+        choices=[m.value for m in EmbeddingMode],
+        default=EmbeddingMode.POINCARE_DISK.value,
+    )
 
 
 def _args_necksize(p: _Parser) -> None:
@@ -152,11 +176,7 @@ def _args_mesh(p: _Parser) -> None:
     p.add_argument("--rho-max", type=float, required=True)
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--m", type=int, default=64)
-    p.add_argument(
-        "--mode",
-        choices=[m.value for m in EmbeddingMode],
-        default=EmbeddingMode.POINCARE_DISK.value,
-    )
+    _add_mode(p)
     p.add_argument("--no-doubled", action="store_true")
     p.add_argument("--out", required=True, help="OBJ output path")
 
@@ -167,11 +187,7 @@ def _args_family(p: _Parser) -> None:
     p.add_argument("--rho-max", type=float, required=True)
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--m", type=int, default=64)
-    p.add_argument(
-        "--mode",
-        choices=[m.value for m in EmbeddingMode],
-        default=EmbeddingMode.POINCARE_DISK.value,
-    )
+    _add_mode(p)
     p.add_argument("--out-dir", required=True)
 
 
@@ -182,6 +198,7 @@ def _cmd_necksize(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    _require_distinct(("--out", args.out), ("--json", args.json_out))
     if args.command == "entire-graph":
         curve = entire_graph_profile(args.H, args.rho_max, args.n, args.quad_tol)
         config = {"H": args.H, "rho_max": args.rho_max, "n": args.n,
@@ -192,7 +209,7 @@ def _cmd_curve(args) -> int:
         config = {"H": args.H, "d": args.d, "rho_max": args.rho_max, "n": args.n,
                   "quad_tol": args.quad_tol}
         command = "curve"
-    export_csv(curve, args.out)
+    Path(args.out).write_text(curve.to_csv())
     if args.json_out is not None:
         _emit(_envelope(command, config, curve.to_json_dict()), args.json_out)
     return EXIT_OK
@@ -255,6 +272,7 @@ def _log_spaced(lo: float, hi: float, n: int) -> list[float]:
 
 
 def _cmd_strips(args) -> int:
+    _require_distinct(("--out", args.out), ("--csv", args.csv))
     config = {
         "cert": args.cert, "t_min": args.t_min, "t_max": args.t_max,
         "step": args.step, "d_points": args.d_points, "quad_tol": args.quad_tol,
@@ -289,26 +307,41 @@ def _cmd_strips(args) -> int:
 
 
 def _cmd_mesh(args) -> int:
+    sidecar = Path(args.out).with_suffix(".json")
+    _require_distinct(("--out", args.out), ("the metadata sidecar", sidecar))
+    # imported here, and its functions read from the module at each call, so
+    # that no other command loads numpy and a tracer that rebinds them sees
+    # these calls
+    from . import mesh
+
     params = CmcParams(args.H, args.d)
     curve = profile(params, args.rho_max, args.n)
     doubled = not args.no_doubled and not params.is_entire_graph
-    mesh = revolve(curve, args.m, EmbeddingMode(args.mode), doubled=doubled)
-    export_obj(mesh, args.out)
-    export_meta(mesh, Path(args.out).with_suffix(".json"))
+    surface = mesh.revolve(curve, args.m, mesh.EmbeddingMode(args.mode), doubled=doubled)
+    mesh.export_obj(surface, args.out)
+    mesh.export_meta(surface, sidecar)
     return EXIT_OK
 
 
 def _cmd_family(args) -> int:
+    frames = {}  # file name: d
+    for d in args.d_list:
+        name = f"frame_d_{d:.6g}.obj"
+        if name in frames:
+            raise _UsageError(f"--d-list values {frames[name]!r} and {d!r} "
+                              f"both name the frame {name}")
+        frames[name] = d
+    from . import mesh
+
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    meshes = family_frames(
-        args.H, args.d_list, args.rho_max, args.n, args.m, EmbeddingMode(args.mode)
+    surfaces = mesh.family_frames(
+        args.H, args.d_list, args.rho_max, args.n, args.m, mesh.EmbeddingMode(args.mode)
     )
     entries = []
-    for d, mesh in zip(args.d_list, meshes):
-        name = f"frame_d_{d:.6g}.obj"
-        export_obj(mesh, out_dir / name)
-        entries.append({"d": d, "file": name, "metadata": mesh.metadata})
+    for (name, d), surface in zip(frames.items(), surfaces):
+        mesh.export_obj(surface, out_dir / name)
+        entries.append({"d": d, "file": name, "metadata": surface.metadata})
     config = {
         "H": args.H, "d_list": args.d_list, "rho_max": args.rho_max,
         "n": args.n, "m": args.m, "mode": args.mode,

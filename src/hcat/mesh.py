@@ -1,10 +1,13 @@
-"""Surfaces of revolution from profile curves, and OBJ/CSV export.
+"""Surfaces of revolution from profile curves, and OBJ export.
 
 A profile row at (rho, t) becomes a ring of m vertices at height t; the
 doubled variant mirrors the rows below the neck plane.  Two embeddings
 of the hyperbolic radius are offered: the Poincare disk (Euclidean
 radius tanh(rho/2), so everything lands inside the unit disk) and plain
 cylindrical polar coordinates.
+
+This is the one module of hcat that imports numpy; only the `mesh` and
+`family` commands load it.
 """
 
 from __future__ import annotations
@@ -174,8 +177,3 @@ def export_meta(mesh: SurfaceMesh, path: str | Path) -> None:
     """Write the mesh metadata sidecar as deterministic JSON."""
     with open(path, "w") as fh:
         write_json(mesh.metadata, fh)
-
-
-def export_csv(curve: ProfileCurve, path: str | Path) -> None:
-    """Write the profile as CSV with columns rho,t."""
-    Path(path).write_text(curve.to_csv())

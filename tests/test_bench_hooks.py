@@ -22,11 +22,16 @@ def test_forward_commands_read_heights_through_the_hooks(load_bench_module, tmp_
                     "--out", str(tmp_path / "a.json")]) == 0
         assert run(["curve", "--H", ".25", "--d", "2", "--rho-max", "6", "--n", "16",
                     "--out", str(tmp_path / "c.csv")]) == 0
+        assert run(["mesh", "--H", ".25", "--d", "2", "--rho-max", "4", "--n", "5",
+                    "--m", "6", "--out", str(tmp_path / "m.obj")]) == 0
     finally:
         tracer.uninstall()
     metrics = tracer.rep_metrics()
+    # the CLI reaches the mesh writer through the names the tracer rebinds
+    assert metrics["mesh.revolve.s"] > 0
+    assert metrics["mesh.export_obj.bytes"] == (tmp_path / "m.obj").stat().st_size
     assert metrics["core.b_inverse.calls"] == 0
-    # 12 members x 10 radii, then 15 samples past the neck
-    assert metrics["core.lambda_height.calls"] == 12 * 10 + 15
+    # 12 members x 10 radii, then 15 curve and 4 mesh samples past the neck
+    assert metrics["core.lambda_height.calls"] == 12 * 10 + 15 + 4
     assert metrics["core.j_remainder.calls"] == 12 * 10
-    assert metrics["core.profile.calls"] == 1
+    assert metrics["core.profile.calls"] == 2

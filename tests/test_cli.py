@@ -96,11 +96,23 @@ class TestExitCodes:
          "--out", "{tmp}/c.csv"],
         ["curve", "--H", "0.25", "--d", "2", "--rho-max", "inf", "--out", "{tmp}/c.csv"],
         ["verify-appendix", "--quad-tol", "-1", "--out", "{tmp}/a.json"],
+        # two outputs, or an output and the mesh's sidecar, naming one file
+        ["mesh", "--H", "0.25", "--d", "2", "--rho-max", "3", "--out", "{tmp}/m.json"],
+        ["curve", "--H", "0.25", "--d", "2", "--rho-max", "4", "--out", "{tmp}/p",
+         "--json", "{tmp}/p"],
+        ["strips", "--cert", "{cert}", "--out", "{tmp}/p", "--csv", "{tmp}/./p"],
+        # family frames named frame_d_{d:.6g}.obj
+        ["family", "--H", "0.25", "--d-list", "2.0000001", "2.0000002", "--rho-max", "3",
+         "--out-dir", "{tmp}/frames"],
+        ["family", "--H", "0.25", "--d-list", "2", "0", "2", "--rho-max", "3",
+         "--out-dir", "{tmp}/frames"],
     ])
     def test_bad_input_is_named_usage_error(self, capsys, tmp_path, cert_file, args):
         argv = [a.format(cert=cert_file, tmp=tmp_path) for a in args]
         assert run(argv) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+        # refused before anything was written
+        assert list(tmp_path.iterdir()) == []
 
     def test_inflated_gap_fails_margins(self, capsys, tmp_path, cert_file):
         doc = json.loads(cert_file.read_text())
@@ -271,14 +283,34 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-# sha256 of the headline pipeline's reports, `disjoint --H .25 --d1 3
-# --solve-d0` then `strips --csv`: 9 029 strip records and the margins of
-# all three checks
+# the headline pipeline, `disjoint --H .25 --d1 3 --solve-d0` then
+# `strips --csv`, and the sha256 of its reports: 9 029 strip records and
+# the margins of all three checks
+_HEADLINE_COMMANDS = [
+    ["disjoint", "--H", ".25", "--d1", "3", "--solve-d0", "--out", "cert.json"],
+    ["strips", "--cert", "cert.json", "--out", "strips.json", "--csv", "margins.csv"],
+]
 _HEADLINE_SHA256 = {
     "cert.json": "eaf1dffa8330c9100095a8ce258d62be2530ec016daf85c65cd46249981e5851",
     "strips.json": "2a015a2e5e6b1a2283c078510f7fca1a029a5d8c79be1498ede077e5cf2a92ee",
     "margins.csv": "6edf80c5856e5d2157d543345486ee0ef95c0a7e37e5d45f07f28eac541983ce",
 }
+# each check entry nests a `witness` dict: not a flat record
+_APPENDIX_COMMAND = ["verify-appendix", "--out", "appendix.json"]
+_APPENDIX_SHA256 = {
+    "appendix.json": "4bb4d965bf369f7ef80f2807e4008a843ebdfe87ae2c62c60114edc38629495c",
+}
+# `samples` is a list of flat records
+_CURVE_COMMAND = ["curve", "--H", ".27", "--d", "2.6", "--rho-max", "6", "--n", "64",
+                  "--out", "curve.csv", "--json", "curve.json"]
+_CURVE_SHA256 = {
+    "curve.csv": "4fd7b756cac602bc3050d4d8fa2fa99e0e449bf351c99a959e2746d643e48cc8",
+    "curve.json": "ff00d99742cd04572d6167483a3e9743aceddc60369c0678b0e0e1ee057ba8bd",
+}
+
+
+def _written_sha256(directory):
+    return {p.name: _sha256(p) for p in directory.iterdir()}
 
 
 class TestPinnedReports:
@@ -288,11 +320,9 @@ class TestPinnedReports:
 
     def test_headline_certificate_and_strips(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert run(["disjoint", "--H", ".25", "--d1", "3", "--solve-d0",
-                    "--out", "cert.json"]) == EXIT_OK
-        assert run(["strips", "--cert", "cert.json", "--out", "strips.json",
-                    "--csv", "margins.csv"]) == EXIT_OK
-        assert {p.name: _sha256(p) for p in tmp_path.iterdir()} == _HEADLINE_SHA256
+        for argv in _HEADLINE_COMMANDS:
+            assert run(argv) == EXIT_OK
+        assert _written_sha256(tmp_path) == _HEADLINE_SHA256
 
     def test_refined_remark_sweep(self, tmp_path, monkeypatch):
         # barriers shifted by 1e-3 reach no intermediate member, so every
@@ -310,47 +340,47 @@ class TestPinnedReports:
         assert _sha256(tmp_path / "r.csv") == (
             "bce8d4a6f833537bed6c5cf2af9211684ecebdca9090ce8de762ce5e1f952804")
 
-    def test_verify_appendix(self, tmp_path):
-        # each check entry nests a `witness` dict: not a flat record
-        out = tmp_path / "appendix.json"
-        assert run(["verify-appendix", "--out", str(out)]) == EXIT_OK
-        assert _sha256(out) == (
-            "4bb4d965bf369f7ef80f2807e4008a843ebdfe87ae2c62c60114edc38629495c")
+    def test_verify_appendix(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(_APPENDIX_COMMAND) == EXIT_OK
+        assert _written_sha256(tmp_path) == _APPENDIX_SHA256
 
-    def test_curve_json(self, tmp_path):
-        # `samples` is a list of flat records
-        out = tmp_path / "curve.json"
-        args = ["curve", "--H", ".27", "--d", "2.6", "--rho-max", "6", "--n", "64",
-                "--out", str(tmp_path / "curve.csv"), "--json", str(out)]
-        assert run(args) == EXIT_OK
-        assert _sha256(out) == (
-            "ff00d99742cd04572d6167483a3e9743aceddc60369c0678b0e0e1ee057ba8bd")
+    def test_curve_json(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(_CURVE_COMMAND) == EXIT_OK
+        assert _written_sha256(tmp_path) == _CURVE_SHA256
 
 
-
-# run in a fresh interpreter: import the CLI, list the scipy modules it
-# loaded, then block scipy and run the headline pipeline
-_WITHOUT_SCIPY = """
-import json, sys
+# run in a fresh interpreter: import the CLI, list the numpy and scipy
+# modules it loaded, then block both and run the commands given as a JSON
+# list of argument lists, capturing what they print
+_WITHOUT_NUMPY_OR_SCIPY = """
+import contextlib, io, json, sys
 import hcat.cli
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-sys.modules["scipy"] = None
-codes = [hcat.cli.run(["disjoint", "--H", ".25", "--d1", "3", "--solve-d0",
-                       "--out", "cert.json"]),
-         hcat.cli.run(["strips", "--cert", "cert.json", "--out", "strips.json",
-                       "--csv", "margins.csv"])]
-print(json.dumps({"loaded": loaded, "codes": codes}))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+sys.modules["numpy"] = sys.modules["scipy"] = None
+stdout = io.StringIO()
+with contextlib.redirect_stdout(stdout):
+    codes = [hcat.cli.run(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"loaded": loaded, "codes": codes, "stdout": stdout.getvalue()}))
 """
 
 
-def test_headline_pipeline_runs_without_scipy(tmp_path):
+def test_headline_pipeline_runs_without_scipy(tmp_path, capsys):
+    # nor does any command but `mesh` and `family` need numpy
+    necksize = ["necksize", "--H", "0.25", "--d", "2"]
+    commands = [*_HEADLINE_COMMANDS, _APPENDIX_COMMAND, _CURVE_COMMAND, necksize]
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], cwd=tmp_path,
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY_OR_SCIPY,
+                           json.dumps(commands)], cwd=tmp_path,
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
-    assert json.loads(proc.stdout) == {"loaded": [], "codes": [EXIT_OK, EXIT_OK]}
-    assert {p.name: _sha256(p) for p in tmp_path.iterdir()} == _HEADLINE_SHA256
+    assert run(necksize) == EXIT_OK
+    assert json.loads(proc.stdout) == {"loaded": [], "codes": [EXIT_OK] * len(commands),
+                                       "stdout": capsys.readouterr().out}
+    assert _written_sha256(tmp_path) == {**_HEADLINE_SHA256, **_APPENDIX_SHA256,
+                                         **_CURVE_SHA256}
 
 
 # strings json escapes, and strings a %-template would misread

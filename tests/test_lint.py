@@ -115,6 +115,12 @@ def test_third_party_imports_are_declared():
     assert imported - declared == set()
 
 
+def test_numpy_is_imported_by_the_mesh_module_alone():
+    # every command but `mesh` and `family` starts without loading numpy
+    assert [p.name for p in SOURCES
+            if "numpy" in _third_party_imports(ast.parse(p.read_text()))] == ["mesh.py"]
+
+
 def _indented_json_calls(tree: ast.Module) -> list[str]:
     """`json.dump`/`json.dumps` calls, or bare `dump`/`dumps` calls, given
     an `indent=` keyword."""
