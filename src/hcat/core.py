@@ -14,10 +14,11 @@ catastrophic cancellation of the naive form near the neck.
 The inverse-square-root endpoint singularity at the neck is removed by
 the substitution r = neck + u^2; in the u variable the integrand is
 smooth.  Every height (and every remainder integral of the height
-decomposition) is read from a `HeightTable`: fixed panels in u, each
-with one adaptive Gauss-Kronrod total and a Chebyshev series of the
-cumulative integral across it.  Forward reads evaluate that series;
-profile inversion runs Brent on it.  The quadrature (QUADPACK's QAGS)
+decomposition) is read from a `HeightTable`: pieces in u that double in
+width, each with one adaptive Gauss-Kronrod total and a Chebyshev series
+of the cumulative integral across it, tabulated at breaks every 1/4 in
+u.  Forward reads evaluate that series; profile inversion runs Brent on
+it between two breaks.  The quadrature (QUADPACK's QAGS)
 and Brent's root finder are the package's own, in `hcat.numerics`.
 """
 
@@ -38,17 +39,18 @@ QUAD_TOL = 1e-10
 ROOT_TOL = 1e-12
 #: cap on the radius reached by profile inversion
 RHO_MAX_DEFAULT = 1e4
-# panel width of the height table, in u = sqrt(rho - neck)
+# break spacing of the height table and width of its first pieces, in
+# u = sqrt(rho - neck)
 _PANEL_U = 0.25
 # relative tolerance of every quad call
 _QUAD_REL = 1e-12
-# Chebyshev points sampled on each piece of a panel
+# Chebyshev points sampled on each piece
 _CHEB_N = 24
 # a piece is kept when its last two Chebyshev coefficients times its
 # half-width are at most this, times max(1, |piece total|): round-off alone
 # leaves ~1e-15 of the total there once the integrand grows like u
 _TAIL_TOL = 1e-13
-# halvings of a panel before its series is given up
+# halvings of a piece before its series is given up
 _MAX_DEPTH = 40
 
 # the first-kind points cos(pi (j + 1/2) / N) and the DCT-II rows that take
@@ -271,8 +273,9 @@ def lambda_height(
 
     Read from `table`, a HeightTable(params, tol) that the caller keeps
     across reads.  Without one, a table is built for this read alone: one
-    `quad` and _CHEB_N samples for every panel below rho (about 20 ms at
-    rho = 1e4), so a caller reading many radii should keep a table.
+    `quad` and _CHEB_N samples for each piece below rho, whose widths
+    double in u (10 pieces and about 2 ms at rho = 1e4, against about
+    3 us for a read from a kept table).
     """
     return _table_read(params, rho, tol, table, remainder=False)
 
@@ -424,24 +427,29 @@ def verify_appendix(
 class HeightTable:
     """Cumulative integral of one member's height (or remainder) integrand.
 
-    Panels in u = sqrt(rho - neck) have the fixed breakpoints
-    k * _PANEL_U, where the integrand is smooth.  Each panel gets one
+    The piece starting at u_lo in u = sqrt(rho - neck) spans
+    [u_lo, u_lo + max(_PANEL_U, u_lo)]: [0, 1/4], [1/4, 1/2], [1/2, 1],
+    [1, 2], [2, 4] and so on.  The integrand's complex singularities lie
+    about u away from the real axis, so one series resolves a piece as
+    wide as its start (Trefethen, ATAP, Thm 8.1).  Each piece gets one
     `quad` total and a Chebyshev series of the cumulative integral
-    across it (`_chebyshev_piece`).  A panel is kept whole when the
+    across it (`_chebyshev_piece`).  A piece is kept whole when the
     series' tail is small and its total agrees with `quad`'s; otherwise
     it is halved, and each half tested the same way, down to _MAX_DEPTH
-    halvings.  Near the family floor d = -2H this splits panel 0 toward
+    halvings.  Near the family floor d = -2H this splits piece 0 toward
     u = 0, where the integrand turns on a scale of (d + 2H)^(1/4).
 
-    `breaks` are the pieces' ends in u and `heights` the integral there,
-    the running sum of the pieces' `quad` totals.  The table grows
-    lazily to the largest radius (`integral`) or height (`radius`) asked
-    for; inversion stops at RHO_MAX_DEFAULT (u_cap in u), and past u_cap
-    each panel is as wide as the u it starts at, where the integrand is
-    2u times a constant to round-off, so far reads cost a few panels per
-    doubling of u.  Inside a piece both read its
-    series: `integral(rho)` evaluates it, and `radius(t)` runs Brent on
-    it within the piece whose heights bracket t.  Every solved radius is
+    `breaks` are the pieces' ends in u and, below u_cap, every multiple
+    of _PANEL_U inside a piece, so Brent's brackets stay 1/4 wide.
+    `heights` is the integral there: at a piece's end the running sum of
+    the pieces' `quad` totals, inside a piece its start height plus its
+    series.  `pieces[i]` is (start height, series) of the piece holding
+    [breaks[i], breaks[i + 1]].  The table grows lazily to the largest
+    radius (`integral`) or height (`radius`) asked for; inversion stops
+    at RHO_MAX_DEFAULT (u_cap in u), and forward reads cost one piece
+    per doubling of u.  Between two breaks both read "start + series":
+    `integral(rho)` evaluates it, and `radius(t)` runs Brent on it
+    between the breaks whose heights bracket t.  Every solved radius is
     kept in `radii`, keyed by |t|, so asking again returns the stored
     bits.  The table lives as long as its caller keeps it; nothing
     outlives one call of a command.
@@ -461,7 +469,7 @@ class HeightTable:
 
     def _add_panel(self) -> None:
         u_lo = self.breaks[-1]
-        self._add_piece(u_lo, u_lo + (_PANEL_U if u_lo < self.u_cap else u_lo), 0)
+        self._add_piece(u_lo, u_lo + max(_PANEL_U, u_lo), 0)
 
     def _add_piece(self, u_lo: float, u_hi: float, depth: int) -> None:
         params, remainder, tol = self.params, self.remainder, self.quad_tol
@@ -469,9 +477,17 @@ class HeightTable:
         series_total, tail, series = _chebyshev_piece(params, u_lo, u_hi, remainder)
         if (tail <= _TAIL_TOL * max(1.0, abs(total))
                 and abs(series_total - total) <= max(tol, _QUAD_REL * abs(total))):
+            start = self.heights[-1]
+            entry = (start, series)
+            k = math.floor(u_lo / _PANEL_U) + 1
+            while k * _PANEL_U < min(u_hi, self.u_cap):
+                self.breaks.append(k * _PANEL_U)
+                self.heights.append(start + _series_at(series, k * _PANEL_U))
+                self.pieces.append(entry)
+                k += 1
             self.breaks.append(u_hi)
-            self.heights.append(self.heights[-1] + total)
-            self.pieces.append(series)
+            self.heights.append(start + total)
+            self.pieces.append(entry)
             return
         if depth == _MAX_DEPTH:
             raise ConvergenceError(
@@ -493,7 +509,8 @@ class HeightTable:
         i = bisect_right(self.breaks, u) - 1
         if self.breaks[i] == u:
             return self.heights[i]
-        return self.heights[i] + _series_at(self.pieces[i], u)
+        start, series = self.pieces[i]
+        return start + _series_at(series, u)
 
     def radius(self, t: float) -> float:
         """Radius of the profile at height t (even in t)."""
@@ -519,14 +536,15 @@ class HeightTable:
         if heights[i] == t:
             u = lo
         else:
-            hi, start, end, series = self.breaks[i + 1], heights[i], heights[i + 1], self.pieces[i]
+            hi, below, above = self.breaks[i + 1], heights[i], heights[i + 1]
+            start, series = self.pieces[i]
 
             def excess(u: float) -> float:
-                # the piece's ends are tabulated, so Brent's bracket holds exactly
+                # the bracket's ends are tabulated heights, so its signs hold exactly
                 if u == lo:
-                    return start - t
+                    return below - t
                 if u == hi:
-                    return end - t
+                    return above - t
                 return start + _series_at(series, u) - t
 
             u = brentq(excess, lo, hi, xtol=ROOT_TOL, rtol=4.0 * math.ulp(1.0))

@@ -291,21 +291,21 @@ _HEADLINE_COMMANDS = [
     ["strips", "--cert", "cert.json", "--out", "strips.json", "--csv", "margins.csv"],
 ]
 _HEADLINE_SHA256 = {
-    "cert.json": "eaf1dffa8330c9100095a8ce258d62be2530ec016daf85c65cd46249981e5851",
-    "strips.json": "2a015a2e5e6b1a2283c078510f7fca1a029a5d8c79be1498ede077e5cf2a92ee",
-    "margins.csv": "6edf80c5856e5d2157d543345486ee0ef95c0a7e37e5d45f07f28eac541983ce",
+    "cert.json": "8e049a9e3a3082e72ca9296a3ade998b1daa64b3a6cfa573c99d37d0b8c44155",
+    "strips.json": "a343379c7615cca64e02a885874d2289c07bca8324a78be866c24bfdc04be0a6",
+    "margins.csv": "5479034448f9cf95d6823d7bfa4f5f16f8446894b9bd8c2a65df162d1f553efa",
 }
 # each check entry nests a `witness` dict: not a flat record
 _APPENDIX_COMMAND = ["verify-appendix", "--out", "appendix.json"]
 _APPENDIX_SHA256 = {
-    "appendix.json": "4bb4d965bf369f7ef80f2807e4008a843ebdfe87ae2c62c60114edc38629495c",
+    "appendix.json": "e119c8c520b145b1131aad45811ade6ab22e2ca323843d1f573fdfdeb1a64147",
 }
 # `samples` is a list of flat records
 _CURVE_COMMAND = ["curve", "--H", ".27", "--d", "2.6", "--rho-max", "6", "--n", "64",
                   "--out", "curve.csv", "--json", "curve.json"]
 _CURVE_SHA256 = {
-    "curve.csv": "4fd7b756cac602bc3050d4d8fa2fa99e0e449bf351c99a959e2746d643e48cc8",
-    "curve.json": "ff00d99742cd04572d6167483a3e9743aceddc60369c0678b0e0e1ee057ba8bd",
+    "curve.csv": "0aecf648283ee2e2331639c6a13c70e5596ee59a424d19f16910bf57cc666a67",
+    "curve.json": "1861e84f1744e64a8469e1d069c76545c97a5b3855fd5293af1452a73add42cc",
 }
 
 
@@ -336,9 +336,9 @@ class TestPinnedReports:
                 "--step", "0.5", "--d-points", "3", "--out", "r.json", "--csv", "r.csv"]
         assert run(args) == EXIT_CHECK_FAILED
         assert _sha256(tmp_path / "r.json") == (
-            "3d7cd4f1c2ed142b6c260f1fa68f1de4f23353988f9cbf6887e28c54b834f935")
+            "6e5294bf50bfe002c7bae9b4c9263671b082f046710e7d3f37c5ccc158b18d63")
         assert _sha256(tmp_path / "r.csv") == (
-            "bce8d4a6f833537bed6c5cf2af9211684ecebdca9090ce8de762ce5e1f952804")
+            "1452fabc8408ec1fa1d319574b756f794f00d62ea434e25ff1b0a07876d700bc")
 
     def test_verify_appendix(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -169,34 +169,34 @@ class TestExport:
 PINNED_MESHES = {
     "poincare_doubled": (
         ["--H", "0.25", "--d", "2", "--rho-max", "6", "--n", "256", "--m", "256"],
-        "bed59367a537d58151af14230cb178efe0805aff827bb9696d1f3f4417a8efac",
+        "6599cbe96dcbc7631fdfb93e1bdc9a47022db27b579796afa4f25b07541da36e",
         "b66fbf29909bbcbbf66d60b65137d70b302cdc9d4cbbc0c236609c5865c17284",
     ),
     "cylinder_doubled": (
         ["--H", "0.3", "--d", "1.5", "--rho-max", "4", "--n", "33", "--m", "24",
          "--mode", "cylinder_polar"],
-        "318edfb45039d2b7a615c1736fad440870329c4dac79e782bd9b8ef5e30906e3",
+        "4f71413941a637838e4c9bf6c5b83682fa1fee5c1d5af004d355f6f56b0b8f43",
         "14f178b456384d46de45bfa047ad5498410e8b4ddda4922ca720feb491879e93",
     ),
     "not_doubled": (
         ["--H", "0.2", "--d", "5", "--rho-max", "8", "--n", "40", "--m", "17",
          "--no-doubled"],
-        "fb28d0f32ad499bd95f6c3af103bb5cdb23e9f6d2aec0db6a9b7c81bf88af36c",
+        "ff67c90a57cc05150c342a8f9fc8bfe2f8fcaec7a20be416ce722728b88ea18a",
         "65967da7c9b54d8a19bbaae57993a8ff9c4dfc628ecd7e6e69470b645368a767",
     ),
     # d = -2H: the neck ring has radius 0, so 63 of its coordinates are -0.0
     "entire_graph": (
         ["--H", "0.25", "--d", "-0.5", "--rho-max", "3", "--n", "20", "--m", "64"],
-        "c7b365f308984e02c63b4f713731ee2d334f81d6f7150bcff01c0c0753674aad",
+        "f74bc26dfc8335ad5816e741f54e3df557b43c42e8cb57a055a40af5ef6e601d",
         "4366a51773dc3c8a4c86756bfe7225a2eedca5fb38ef8d3c7b1cdb9db49f403c",
     ),
 }
 
 PINNED_FAMILY = {
     "family.json": "ee66922a0e619f3c24bd44bd5f5cf08934c033b50661e5a8729c051f87341a02",
-    "frame_d_-0.5.obj": "cc407e822d99d32168b3a41e38170ec4d26643c166a8ea3071701176e1ee2f05",
-    "frame_d_0.obj": "944d3fe34193674e3698d460b08a93f746c3781ff579262a78769ca6aa909f36",
-    "frame_d_2.obj": "d8075c6a4628b99298110f73da1d769be99e0bda3c9d7f1ce5bfacef1d158627",
+    "frame_d_-0.5.obj": "76625ac66135d499df21703afa71de3d93b83361577eaaeeb1cb7fc8d1287ce4",
+    "frame_d_0.obj": "6bc6cddd320166351924bde337bd8e6a6968141e917fad684e6a530bcdd78bbc",
+    "frame_d_2.obj": "945252e32020156380296c469405390f28333b95873dabcd68a4e0aa3dae22f8",
 }
 
 
