@@ -27,16 +27,19 @@ def small_cert():
 @pytest.fixture
 def inversion_counts(monkeypatch):
     """Count, for every HeightTable, its builds per (H, d, remainder), its
-    `quad` integrations per (d, remainder, u_lo, u_hi), split pieces
-    included, and its Brent solves per (d, |t|); and every evaluation of
-    the substituted integrand, Chebyshev samples and `quad` nodes alike."""
+    pieces per (d, remainder, u_lo, u_hi), split pieces included, by their
+    `quad` integrations (a piece spans every break from u_lo to u_hi), and
+    its Brent solves per (d, |t|); every evaluation of the substituted
+    integrand, Chebyshev samples and `quad` nodes alike; and every
+    evaluation of a piece's series (`series_reads`): Brent's steps, forward
+    reads and the heights at breaks inside a piece."""
     from hcat import core
 
     counts = SimpleNamespace(builds=Counter(), pieces=Counter(), solves=Counter(),
-                             evaluations=0)
-    init, integrate, substituted, radius, brentq = (
+                             evaluations=0, series_reads=0)
+    init, integrate, substituted, series_at, radius, brentq = (
         core.HeightTable.__init__, core._integrate_substituted, core._substituted,
-        core.HeightTable.radius, core.brentq)
+        core._series_at, core.HeightTable.radius, core.brentq)
     asking = []  # (d, |t|) of the radius call in progress
 
     def counting_init(self, params, quad_tol, remainder=False):
@@ -50,6 +53,10 @@ def inversion_counts(monkeypatch):
     def counting_substituted(*args):
         counts.evaluations += 1
         return substituted(*args)
+
+    def counting_series_at(series, u):
+        counts.series_reads += 1
+        return series_at(series, u)
 
     def counting_radius(self, t):
         asking.append((self.params.d, abs(t)))
@@ -65,6 +72,7 @@ def inversion_counts(monkeypatch):
     monkeypatch.setattr(core.HeightTable, "__init__", counting_init)
     monkeypatch.setattr(core, "_integrate_substituted", counting_integrate)
     monkeypatch.setattr(core, "_substituted", counting_substituted)
+    monkeypatch.setattr(core, "_series_at", counting_series_at)
     monkeypatch.setattr(core.HeightTable, "radius", counting_radius)
     monkeypatch.setattr(core, "brentq", counting_brentq)
     return counts

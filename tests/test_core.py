@@ -12,8 +12,10 @@ from scipy.special import roots_jacobi
 
 from hcat.core import (
     _LARGE_R,
+    _PANEL_U,
     QUAD_TOL,
     RHO_MAX_DEFAULT,
+    ROOT_TOL,
     CmcParams,
     HeightTable,
     ProfileCurve,
@@ -428,6 +430,21 @@ class TestHeightTable:
         for t, rho in zip(ts, radii):
             assert b_inverse(p, t) == rho
 
+    def test_pieces_double_and_breaks_stay_a_quarter_apart(self):
+        # one series spans [u, 2u] past u = 1/2, while the breaks that end
+        # Brent's brackets stay 1/4 apart below u_cap; fixed 1/4 panels
+        # held 32 series up to u = 8
+        table = HeightTable(CmcParams(0.25, 3.0), QUAD_TOL)
+        table.integral(table.params.eta + 64.0)
+        assert table.breaks[-1] == 8.0
+        assert all(0.0 < b - a <= _PANEL_U for a, b in zip(table.breaks, table.breaks[1:]))
+        pieces = list(dict.fromkeys(table.pieces))
+        assert len(pieces) <= 7
+        spans = [(mid - half, mid + half) for _, (mid, half, *_) in pieces]
+        assert spans[0][0] == 0.0
+        for (lo, hi), (nxt, _) in zip(spans, spans[1:] + [(8.0, None)]):
+            assert hi == lo + max(_PANEL_U, lo) == nxt
+
     def test_floor_member_splits_panel_zero(self):
         # the integrand turns on a scale of (d + 2H)^(1/4) in u near the floor
         table = HeightTable(CmcParams(0.25, -0.5 + 1e-12), QUAD_TOL)
@@ -455,9 +472,9 @@ class TestHeightTable:
             lambda_height(CmcParams(0.25, 3.0), rho)
 
     def test_radius_beyond_rho_max_raises(self):
-        # RHO_MAX_DEFAULT falls inside the panel [99.75, 100] of u (u_cap =
-        # 99.989), so the cap binds on the root found there, not on the
-        # table's growth
+        # RHO_MAX_DEFAULT falls between the last break below u_cap = 99.989
+        # and the end of the piece [64, 128] of u, so the cap binds on the
+        # root found there, not on the table's growth
         p = CmcParams(0.25, 2.0)
         t = lambda_height(p, RHO_MAX_DEFAULT)
         with pytest.raises(ConvergenceError):
@@ -519,9 +536,9 @@ class TestForwardReads:
 
     @pytest.mark.parametrize("H,d", [(0.01, 1e6), (0.25, 3.0), (0.45, -0.9 + 1e-12)])
     def test_reads_past_the_inversion_cap(self, H, d):
-        # only inversion stops at RHO_MAX_DEFAULT; past it the panels double
-        # in u, so ~14 panels reach 1e12 on top of the 400 below the cap (and
-        # up to 14 pieces split from panel 0 on the floor member)
+        # only inversion stops at RHO_MAX_DEFAULT; the pieces double in u, so
+        # ~24 reach 1e12 (and up to 14 more split from piece 0 on the floor
+        # member), with a break every 1/4 in u below the cap
         p = CmcParams(H, d)
         table = HeightTable(p, QUAD_TOL)
         for rho in (2.0 * RHO_MAX_DEFAULT, 1e6, 1e12):
@@ -534,6 +551,27 @@ class TestForwardReads:
         if d > 0:
             assert j_remainder(p, 1e12) == pytest.approx(
                 _mp_lambda_split(H, d, 1e12, remainder=True), abs=QUAD_TOL)
+
+    @given(
+        H=st.floats(1e-3, 0.4999),
+        kind=st.sampled_from(["small_neck", "2.5", "1e3"]),
+        band=st.sampled_from([(2.0, 4.0), (4.0, 8.0), (8.0, 16.0)]),
+        frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_reads_inside_a_doubling_piece(self, H, kind, band, frac):
+        # u in (2, 4), (4, 8) or (8, 16): one series spans each band
+        d = {"small_neck": -2.0 * H + 1e-6, "2.5": 2.5, "1e3": 1e3}[kind]
+        p = CmcParams(H, d)
+        u = band[0] + frac * (band[1] - band[0])
+        rho = p.eta + u * u
+        t = lambda_height(p, rho)
+        assert t == pytest.approx(_mp_lambda_split(H, d, rho), abs=QUAD_TOL)
+        assert j_remainder(p, rho) == pytest.approx(
+            _mp_lambda_split(H, d, rho, remainder=True), abs=QUAD_TOL)
+        # Brent stops within ROOT_TOL + 4 ulp(u) in u, doubled by rho = eta + u^2
+        root_tol = 2.0 * u * (ROOT_TOL + 4.0 * math.ulp(u)) + 2.0 * math.ulp(rho)
+        assert HeightTable(p, QUAD_TOL).radius(t) == pytest.approx(rho, abs=root_tol)
 
     def test_profile_past_the_inversion_cap(self):
         curve = profile(CmcParams(0.25, 3.0), 1e6, 5)
@@ -584,6 +622,35 @@ class TestEvaluationCounts:
         verify_appendix([0.1, 0.25, 0.4], [2.5, 3.0, 10.0, 100.0], grid_points=800)
         assert 10 * inversion_counts.evaluations <= 643_692
 
+    def test_pair_of_the_cold_scan(self, inversion_counts, tmp_path):
+        # one pair of the benchmark's pair scan: 2 070 on fixed 1/4 panels,
+        # 540 on doubling pieces (12 of 21 quad nodes and 24 samples)
+        from hcat import cli
+
+        assert cli.run(["disjoint", "--H", ".25", "--d1", "3", "--d2", "30", "--t-max", "20",
+                        "--step", ".5", "--out", str(tmp_path / "c.json")]) == 0
+        assert inversion_counts.evaluations <= 600
+
+    def test_headline_pipeline(self, inversion_counts, tmp_path):
+        # 6 660 on fixed 1/4 panels, 1 260 on doubling pieces (28)
+        _run_headline_pipeline(tmp_path)
+        assert inversion_counts.evaluations <= 1_400
+
+    def test_headline_solves_read_few_series_terms(self, inversion_counts, tmp_path):
+        # series reads per Brent solve, heights at breaks and forward reads
+        # included: 4.34 on fixed 1/4 panels, 4.41 on doubling pieces with a
+        # break every 1/4 in u, and 5.65 when a bracket spans a whole piece
+        _run_headline_pipeline(tmp_path)
+        solves = sum(inversion_counts.solves.values())
+        assert solves == 3_708
+        assert inversion_counts.series_reads <= 4.6 * solves
+
+    def test_one_off_far_read(self, inversion_counts):
+        # a table built for one read at rho = 1e4: 400 fixed 1/4 panels
+        # (about 42 ms), 10 doubling pieces (about 2 ms)
+        lambda_height(CmcParams(0.25, 2.0), RHO_MAX_DEFAULT)
+        assert sum(inversion_counts.pieces.values()) <= 12
+
     def test_appendix_builds_two_tables_per_member(self, inversion_counts):
         H_values, d_values = [0.1, 0.4], [2.5, 100.0]
         verify_appendix(H_values, d_values)
@@ -591,6 +658,15 @@ class TestEvaluationCounts:
             (H, d, remainder): 1
             for H in H_values for d in d_values for remainder in (False, True)
         }
+
+
+def _run_headline_pipeline(directory):
+    from hcat import cli
+
+    cert = str(directory / "cert.json")
+    assert cli.run(["disjoint", "--H", ".25", "--d1", "3", "--solve-d0", "--out", cert]) == 0
+    assert cli.run(["strips", "--cert", cert, "--out", str(directory / "strips.json"),
+                    "--csv", str(directory / "margins.csv")]) == 0
 
 
 class TestProfile:
