@@ -258,9 +258,14 @@ def _cmd_disjoint(args) -> int:
 
 def _load_certificate(path: str) -> DisjointnessCertificate:
     data = json.loads(Path(path).read_text())
-    if "result" in data:
+    if isinstance(data, dict) and "result" in data:
         data = data["result"]
-    return DisjointnessCertificate.from_json_dict(data)
+    if not isinstance(data, dict):
+        raise _UsageError(f"{path} is not a disjointness certificate: not a JSON object")
+    try:
+        return DisjointnessCertificate.from_json_dict(data)
+    except KeyError as exc:
+        raise _UsageError(f"{path} is not a disjointness certificate: no {exc}") from None
 
 
 def _log_spaced(lo: float, hi: float, n: int) -> list[float]:
@@ -272,7 +277,7 @@ def _log_spaced(lo: float, hi: float, n: int) -> list[float]:
 
 
 def _cmd_strips(args) -> int:
-    _require_distinct(("--out", args.out), ("--csv", args.csv))
+    _require_distinct(("--cert", args.cert), ("--out", args.out), ("--csv", args.csv))
     config = {
         "cert": args.cert, "t_min": args.t_min, "t_max": args.t_max,
         "step": args.step, "d_points": args.d_points, "quad_tol": args.quad_tol,

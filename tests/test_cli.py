@@ -38,6 +38,14 @@ def cert_file(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def report_file(tmp_path_factory):
+    # a JSON report that is not a certificate, as `strips --out` writes one
+    out = tmp_path_factory.mktemp("cli") / "report.json"
+    out.write_text(json.dumps({"command": "strips", "result": {"passed": True}}))
+    return out
+
+
 class TestExitCodes:
     def test_necksize_success(self, capsys):
         assert run(["necksize", "--H", "0.25", "--d", "2"]) == EXIT_OK
@@ -101,18 +109,35 @@ class TestExitCodes:
         ["curve", "--H", "0.25", "--d", "2", "--rho-max", "4", "--out", "{tmp}/p",
          "--json", "{tmp}/p"],
         ["strips", "--cert", "{cert}", "--out", "{tmp}/p", "--csv", "{tmp}/./p"],
+        # an output that would replace the certificate being read, and a
+        # report read as a certificate
+        ["strips", "--cert", "{cert}", "--out", "{cert}"],
+        ["strips", "--cert", "{report}", "--out", "{tmp}/s.json"],
         # family frames named frame_d_{d:.6g}.obj
         ["family", "--H", "0.25", "--d-list", "2.0000001", "2.0000002", "--rho-max", "3",
          "--out-dir", "{tmp}/frames"],
         ["family", "--H", "0.25", "--d-list", "2", "0", "2", "--rho-max", "3",
          "--out-dir", "{tmp}/frames"],
     ])
-    def test_bad_input_is_named_usage_error(self, capsys, tmp_path, cert_file, args):
-        argv = [a.format(cert=cert_file, tmp=tmp_path) for a in args]
+    def test_bad_input_is_named_usage_error(self, capsys, tmp_path, cert_file, report_file,
+                                            args):
+        argv = [a.format(cert=cert_file, report=report_file, tmp=tmp_path) for a in args]
         assert run(argv) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
         # refused before anything was written
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("doc, reason", [
+        ({"command": "strips", "result": {"passed": True}}, "no 'H'"),
+        ([1, 2], "not a JSON object"),
+    ])
+    def test_non_certificate_is_named(self, capsys, tmp_path, doc, reason):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "s.json"
+        assert run(["strips", "--cert", str(path), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {path} is not a disjointness certificate: {reason}\n")
 
     def test_inflated_gap_fails_margins(self, capsys, tmp_path, cert_file):
         doc = json.loads(cert_file.read_text())
