@@ -18,8 +18,8 @@ decomposition) is read from a `HeightTable`: pieces in u that double in
 width, each with one adaptive Gauss-Kronrod total and a Chebyshev series
 of the cumulative integral across it, tabulated at breaks every 1/4 in
 u.  Forward reads evaluate that series; profile inversion runs Brent on
-it between two breaks.  The quadrature (QUADPACK's QAGS)
-and Brent's root finder are the package's own, in `hcat.numerics`.
+it between two breaks.  The quadrature (QUADPACK's QAGS) and Brent's
+root finder are the package's own, in `hcat.numerics`.
 """
 
 from __future__ import annotations

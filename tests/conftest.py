@@ -27,12 +27,12 @@ def small_cert():
 @pytest.fixture
 def inversion_counts(monkeypatch):
     """Count, for every HeightTable, its builds per (H, d, remainder), its
-    pieces per (d, remainder, u_lo, u_hi), split pieces included, by their
-    `quad` integrations (a piece spans every break from u_lo to u_hi), and
-    its Brent solves per (d, |t|); every evaluation of the substituted
-    integrand, Chebyshev samples and `quad` nodes alike; and every
-    evaluation of a piece's series (`series_reads`): Brent's steps, forward
-    reads and the heights at breaks inside a piece."""
+    pieces per (d, remainder, u_lo, u_hi) by their `quad` integrations,
+    split pieces included (a piece may span many breaks), and its Brent
+    solves per (d, |t|); every evaluation of the substituted integrand,
+    Chebyshev samples and `quad` nodes alike; and every evaluation of a
+    piece's series (`series_reads`): Brent's steps, forward reads and the
+    heights at breaks inside a piece."""
     from hcat import core
 
     counts = SimpleNamespace(builds=Counter(), pieces=Counter(), solves=Counter(),

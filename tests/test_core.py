@@ -537,7 +537,7 @@ class TestForwardReads:
     @pytest.mark.parametrize("H,d", [(0.01, 1e6), (0.25, 3.0), (0.45, -0.9 + 1e-12)])
     def test_reads_past_the_inversion_cap(self, H, d):
         # only inversion stops at RHO_MAX_DEFAULT; the pieces double in u, so
-        # ~24 reach 1e12 (and up to 14 more split from piece 0 on the floor
+        # 23 reach 1e12 (and up to 14 more split from piece 0 on the floor
         # member), with a break every 1/4 in u below the cap
         p = CmcParams(H, d)
         table = HeightTable(p, QUAD_TOL)
