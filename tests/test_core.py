@@ -431,7 +431,7 @@ class TestHeightTable:
             assert b_inverse(p, t) == rho
 
     def test_pieces_double_and_breaks_stay_a_quarter_apart(self):
-        # one series spans [u, 2u] past u = 1/2, while the breaks that end
+        # one series spans [u, 2u] from u = 1/4 on, while the breaks that end
         # Brent's brackets stay 1/4 apart below u_cap; fixed 1/4 panels
         # held 32 series up to u = 8
         table = HeightTable(CmcParams(0.25, 3.0), QUAD_TOL)
@@ -639,7 +639,7 @@ class TestEvaluationCounts:
     def test_headline_solves_read_few_series_terms(self, inversion_counts, tmp_path):
         # series reads per Brent solve, heights at breaks and forward reads
         # included: 4.34 on fixed 1/4 panels, 4.41 on doubling pieces with a
-        # break every 1/4 in u, and 5.65 when a bracket spans a whole piece
+        # break every 1/4 in u, and 5.69 when a bracket spans a whole piece
         _run_headline_pipeline(tmp_path)
         solves = sum(inversion_counts.solves.values())
         assert solves == 3_708
