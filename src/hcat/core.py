@@ -479,6 +479,7 @@ class HeightTable:
                 and abs(series_total - total) <= max(tol, _QUAD_REL * abs(total))):
             start = self.heights[-1]
             entry = (start, series)
+            # below u_cap, a break every _PANEL_U keeps Brent's brackets narrow
             k = math.floor(u_lo / _PANEL_U) + 1
             while k * _PANEL_U < min(u_hi, self.u_cap):
                 self.breaks.append(k * _PANEL_U)
