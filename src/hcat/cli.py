@@ -31,7 +31,6 @@ from .disjoint import (
     DisjointnessCertificate,
     GRID_STEP_DEFAULT,
     certify,
-    height_grid,
     solve_d0,
 )
 from .errors import (
@@ -289,9 +288,8 @@ def _cmd_strips(args) -> int:
         _emit(_envelope("strips", config,
                         {"passed": False, "failure": str(exc)}), args.out)
         return EXIT_CHECK_FAILED
-    t_grid = height_grid(args.t_min, args.t_max, args.step)
     d_grid = _log_spaced(cert.d1, cert.d2, args.d_points)
-    pair = pair_radii(cert, t_grid, args.quad_tol)
+    pair = pair_radii(cert, args.t_min, args.t_max, args.step, args.quad_tol)
     strip = verify_strip_claim(pair, offsets)
     c3 = verify_c3_lemma(pair)
     remark = remark_sweep(pair, offsets, d_grid)

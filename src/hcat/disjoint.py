@@ -122,12 +122,18 @@ def height_grid(lo: float, hi: float, step: float) -> list[float]:
 
     The number of steps is rounded to the nearest whole number: a last
     stepped height past hi is clamped to hi, one short of it is followed
-    by hi.
+    by hi.  A range with lo < 0 <= hi is stepped outward from t = 0 both
+    ways: its negative half is the exact mirror of the grid on [0, -lo],
+    so t and -t share one |t| wherever both are on the grid.
     """
     if not (lo <= hi and math.isfinite(hi - lo)):
         raise PreconditionError(f"need a finite height range with lo <= hi, got [{lo}, {hi}]")
     if not step > 0.0:
         raise PreconditionError(f"step must be positive, got {step}")
+    if lo < 0.0 <= hi:
+        # 0.0 comes from the upper half: the mirror would make it -0.0
+        below = height_grid(0.0, -lo, step)
+        return [-t for t in reversed(below[1:])] + height_grid(0.0, hi, step)
     n = int(math.floor((hi - lo) / step + 0.5))
     ts = [min(lo + i * step, hi) for i in range(n + 1)]
     if ts[-1] < hi:

@@ -109,11 +109,19 @@ def _signed_margins(c1: HypCircle, c2: HypCircle) -> tuple[float, float, float]:
     return d, d - abs(c1.radius - c2.radius), c1.radius + c2.radius - d
 
 
+def margin_at_distance(distance: float, r1: float, r2: float) -> float:
+    """Signed margin of transversal intersection of two circles of radii
+    r1 and r2 whose centers are `distance` apart: positive iff they meet
+    in two points, |r1 - r2| < D < r1 + r2."""
+    if not (r1 > 0.0 and r2 > 0.0):
+        raise PreconditionError(f"circle radii must be > 0, got {r1} and {r2}")
+    return min(distance - abs(r1 - r2), r1 + r2 - distance)
+
+
 def two_point_margin(c1: HypCircle, c2: HypCircle) -> float:
-    """Signed margin of transversal intersection: positive iff the circles
-    meet in two points, |r1 - r2| < D < r1 + r2."""
-    _, inner, outer = _signed_margins(c1, c2)
-    return min(inner, outer)
+    """`margin_at_distance` of two circles: positive iff they meet in two
+    points."""
+    return margin_at_distance(hyp_distance(c1.center, c2.center), c1.radius, c2.radius)
 
 
 def classify_circle_intersection(

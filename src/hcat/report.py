@@ -18,6 +18,7 @@ import json
 import math
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Iterator, TextIO
 
 _INDENT = "  "
@@ -106,18 +107,17 @@ def _records(block: list | tuple, level: int, sep: str) -> str | None:
     preceded by `sep` and the others by a comma and a newline; or None
     unless every item is a non-empty dict of scalars keyed by the strings
     that key the first."""
-    head = block[0]
-    if type(head) is not dict or not head:
+    if set(map(type, block)) != {dict}:
         return None
-    keys = head.keys()
-    if not all(type(r) is dict and r.keys() == keys for r in block):
+    keys = block[0].keys()
+    if not keys or not all(map(keys.__eq__, map(dict.keys, block))):
         return None
     if not all(type(k) is str for k in keys):
         return None
     keys = sorted(keys)
     columns = []
     for key in keys:
-        column = _column([r[key] for r in block])
+        column = _column(list(map(itemgetter(key), block)))
         if column is None:
             return None
         columns.append(column)
@@ -132,13 +132,19 @@ def _records(block: list | tuple, level: int, sep: str) -> str | None:
 
 def _column(values: list) -> list[str] | None:
     """`values` formatted as json formats them, or None if any is not a
-    scalar of one of the exact types json's layout is written for here."""
+    scalar of one of the exact types json's layout is written for here.
+    A column of one type formats each of its distinct values once."""
     kinds = set(map(type, values))
-    if kinds == {float} and math.isfinite(sum(values)):
-        # a finite sum has no NaN or infinity among its terms
-        return list(map(float.__repr__, values))
     if not kinds <= _SCALARS.keys():
         return None
-    if len(kinds) == 1:
-        return list(map(_SCALARS[kinds.pop()], values))
-    return [_SCALARS[type(v)](v) for v in values]
+    if len(kinds) > 1:
+        return [_SCALARS[type(v)](v) for v in values]
+    kind = kinds.pop()
+    # a finite sum has no NaN or infinity among its terms
+    text = (float.__repr__ if kind is float and math.isfinite(sum(values))
+            else _SCALARS[kind])
+    distinct = set(values)
+    # 0.0 and -0.0 are one member of a set but two texts
+    if len(distinct) == len(values) or (kind is float and 0.0 in distinct):
+        return list(map(text, values))
+    return list(map(dict(zip(distinct, map(text, distinct))).__getitem__, values))

@@ -24,7 +24,7 @@ from .core import CmcParams, HeightTable, necksize
 from .core import b_inverse as b_inverse
 from .disjoint import DisjointnessCertificate, height_grid
 from .errors import PreconditionError
-from .geom import ORIGIN, HypCircle, HypPoint, two_point_margin
+from .geom import ORIGIN, HypPoint, hyp_distance, margin_at_distance
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,9 @@ class StripOffsets:
     delta2: float
 
 
-@dataclass(frozen=True)
+# not frozen: a frozen dataclass sets each field through object.__setattr__,
+# and the checks build one record per height and check
+@dataclass
 class StripCheck:
     t: float
     check_id: str
@@ -61,8 +63,8 @@ class StripReport:
     version: str = __version__
 
     def to_json_dict(self) -> dict:
-        # shallow, unlike asdict: each record dict is the frozen record's own,
-        # for serialising, not for editing
+        # shallow, unlike asdict: each record dict is the record's own, for
+        # serialising, not for editing
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         doc["records"] = [vars(r) for r in self.records]
         return doc
@@ -86,10 +88,10 @@ def write_margin_csv(reports: Iterable[StripReport], fh: TextIO) -> None:
 
 
 def _finish(kind: str, records: list[StripCheck]) -> StripReport:
-    worst = min(records, key=lambda r: r.margin)
+    worst = min(records, key=attrgetter("margin"))
     return StripReport(
         kind=kind,
-        passed=all(r.passed for r in records),
+        passed=all(map(attrgetter("passed"), records)),
         min_margin=worst.margin,
         min_margin_t=worst.t,
         min_margin_check=worst.check_id,
@@ -117,74 +119,80 @@ def compute_offsets(cert: DisjointnessCertificate) -> StripOffsets:
 class PairRadii:
     """The certified pair's height tables and the height grid they are checked on.
 
-    h1 and h2 are the tables of the members d1 and d2.  The three checks
-    read b_{d1}(t) and b_{d2}(t) from them, so each distinct |t| is
-    solved once however many checks ask for it.
+    t_grid is `height_grid(t_min, t_max, step)` and `step` its spacing,
+    by which the sweep refines.  h1 and h2 are the tables of the members
+    d1 and d2.  The three checks read b_{d1}(t) and b_{d2}(t) from them,
+    so each distinct |t| is solved once however many checks ask for it.
+    A grid across t = 0 is mirrored about it, so t and -t are one |t|.
     """
 
     t_grid: list[float]
+    step: float
     h1: HeightTable
     h2: HeightTable
 
 
 def pair_radii(
-    cert: DisjointnessCertificate, t_grid: list[float], quad_tol: float
+    cert: DisjointnessCertificate, t_min: float, t_max: float, step: float,
+    quad_tol: float,
 ) -> PairRadii:
-    """One height table for each member of the certified pair."""
-    return PairRadii(t_grid, HeightTable(CmcParams(cert.H, cert.d1), quad_tol),
+    """The height grid on [t_min, t_max] and one height table for each
+    member of the certified pair."""
+    return PairRadii(height_grid(t_min, t_max, step), step,
+                     HeightTable(CmcParams(cert.H, cert.d1), quad_tol),
                      HeightTable(CmcParams(cert.H, cert.d2), quad_tol))
+
+
+_STRIP_CHECKS = ("center1_inside", "shifted1_meets_inner", "shifted1_clears_outer",
+                 "center2_inside", "shifted2_meets_outer", "shifted2_clears_inner")
 
 
 def verify_strip_claim(pair: PairRadii, offsets: StripOffsets) -> StripReport:
     """Check, per height, the six inequalities making both shifted
     surfaces cut strips out of the region between the certified pair."""
-    if not (offsets.delta1 > 0.0 and offsets.delta2 > 0.0):
+    delta1, delta2 = offsets.delta1, offsets.delta2
+    if not (delta1 > 0.0 and delta2 > 0.0):
         raise PreconditionError("offsets must be positive")
-    center1 = HypPoint(offsets.delta1, 0.0)
-    center2 = HypPoint(offsets.delta2, math.pi)
+    # the shifted centers' distances from the pair's common center
+    dist1 = hyp_distance(ORIGIN, HypPoint(delta1, 0.0))
+    dist2 = hyp_distance(ORIGIN, HypPoint(delta2, math.pi))
 
     records: list[StripCheck] = []
     for t in pair.t_grid:
         r1, r2 = pair.h1.radius(t), pair.h2.radius(t)
-        checks = [
-            ("center1_inside", r1 - offsets.delta1),
-            (
-                "shifted1_meets_inner",
-                two_point_margin(HypCircle(ORIGIN, r1), HypCircle(center1, r1)),
-            ),
-            ("shifted1_clears_outer", r2 - (r1 + offsets.delta1)),
-            ("center2_inside", r2 - offsets.delta2),
-            (
-                "shifted2_meets_outer",
-                two_point_margin(HypCircle(ORIGIN, r2), HypCircle(center2, r2)),
-            ),
-            ("shifted2_clears_inner", (r2 - offsets.delta2) - r1),
-        ]
-        for check_id, margin in checks:
+        margins = (
+            r1 - delta1,
+            margin_at_distance(dist1, r1, r1),
+            r2 - (r1 + delta1),
+            r2 - delta2,
+            margin_at_distance(dist2, r2, r2),
+            (r2 - delta2) - r1,
+        )
+        for check_id, margin in zip(_STRIP_CHECKS, margins):
             records.append(StripCheck(t, check_id, margin, margin > 0.0))
     return _finish("strip_claim", records)
+
+
+_C3_CHECKS = (
+    "shifted3_meets_outer",
+    # eta2 - b2(t) < b1(t)
+    "shifted3_reaches_inner",
+    # eta2 - b2(t) > -b1(t), i.e. the gap stays below eta2
+    "shifted3_not_swallowing_inner",
+)
 
 
 def verify_c3_lemma(pair: PairRadii) -> StripReport:
     """Check that the outer surface shifted by its own neck radius cuts a
     pair of strips: per height, its circle meets both pair circles twice."""
     eta2 = necksize(pair.h2.params)
-    center3 = HypPoint(eta2, 0.0)
+    dist3 = hyp_distance(ORIGIN, HypPoint(eta2, 0.0))
 
     records: list[StripCheck] = []
     for t in pair.t_grid:
         r1, r2 = pair.h1.radius(t), pair.h2.radius(t)
-        checks = [
-            (
-                "shifted3_meets_outer",
-                two_point_margin(HypCircle(ORIGIN, r2), HypCircle(center3, r2)),
-            ),
-            # eta2 - b2(t) < b1(t)
-            ("shifted3_reaches_inner", r1 - (eta2 - r2)),
-            # eta2 - b2(t) > -b1(t), i.e. the gap stays below eta2
-            ("shifted3_not_swallowing_inner", eta2 - (r2 - r1)),
-        ]
-        for check_id, margin in checks:
+        margins = (margin_at_distance(dist3, r2, r2), r1 - (eta2 - r2), eta2 - (r2 - r1))
+        for check_id, margin in zip(_C3_CHECKS, margins):
             records.append(StripCheck(t, check_id, margin, margin > 0.0))
     return _finish("c3_lemma", records)
 
@@ -195,24 +203,22 @@ def remark_sweep(
     """For each intermediate d, find a height whose circle meets one of
     the shifted barrier circles in two points.
 
-    A miss triggers one automatic 10x refinement of the height grid for
-    that d before being recorded as a failure (grid coarseness, not a
-    disproof).
+    A miss triggers one automatic 10x refinement before being recorded
+    as a failure (grid coarseness, not a disproof): heights step by a
+    tenth of the grid's step from the best coarse |t| minus that step to
+    it plus that step, clamped to the grid's range of |t|.
     """
     p1, p2 = pair.h1.params, pair.h2.params
     for d in d_grid:
         if not (p1.d < d < p2.d):
             raise PreconditionError(f"d = {d} outside ({p1.d}, {p2.d})")
     ts_abs = sorted({abs(t) for t in pair.t_grid})
-    center1 = HypPoint(offsets.delta1, 0.0)
-    center2 = HypPoint(offsets.delta2, math.pi)
+    dist1 = hyp_distance(ORIGIN, HypPoint(offsets.delta1, 0.0))
+    dist2 = hyp_distance(ORIGIN, HypPoint(offsets.delta2, math.pi))
 
     def margin_at(hd: HeightTable, t: float) -> float:
         bd, r1, r2 = hd.radius(t), pair.h1.radius(t), pair.h2.radius(t)
-        return max(
-            two_point_margin(HypCircle(ORIGIN, bd), HypCircle(center1, r1)),
-            two_point_margin(HypCircle(ORIGIN, bd), HypCircle(center2, r2)),
-        )
+        return max(margin_at_distance(dist1, bd, r1), margin_at_distance(dist2, bd, r2))
 
     records: list[StripCheck] = []
     for d in d_grid:
@@ -226,7 +232,7 @@ def remark_sweep(
                 break
         if best_margin <= 0.0 and len(ts_abs) > 1:
             # one 10x refinement pass around the best coarse height
-            step = (ts_abs[-1] - ts_abs[0]) / max(len(ts_abs) - 1, 1)
+            step = pair.step
             lo = max(best_t - step, ts_abs[0])
             fine = height_grid(lo, min(best_t + step, ts_abs[-1]), step / 10.0)
             for t in fine:

@@ -134,8 +134,7 @@ def test_c5_necksize_exactness(capsys):
 def test_c6_strip_claims(capsys, full_certificate):
     cert, _, _ = full_certificate
     offsets = compute_offsets(cert)
-    t_grid = [-50.0 + 0.1 * k for k in range(1001)]
-    pair = pair_radii(cert, t_grid, QUAD_TOL)
+    pair = pair_radii(cert, -50.0, 50.0, 0.1, QUAD_TOL)
     strip = verify_strip_claim(pair, offsets)
     c3 = verify_c3_lemma(pair)
     log_lo, log_hi = math.log(cert.d1), math.log(cert.d2)

@@ -283,7 +283,8 @@ class TestStrips:
 
     @pytest.mark.parametrize("t_min,t_max,step", [("0", "1", "0.4"), ("-1", "1", "0.7")])
     def test_height_grid_stays_in_range(self, cert_file, tmp_path, t_min, t_max, step):
-        # the last stepped height (1.2 and 1.1 here) is clamped to t_max
+        # the last stepped height is clamped to t_max (1.2 here) or followed
+        # by it (0.7 here, stepped outward from t = 0 both ways)
         out = tmp_path / "strips.json"
         args = ["strips", "--cert", str(cert_file), "--t-min", t_min, "--t-max", t_max,
                 "--step", step, "--d-points", "2", "--out", str(out)]
@@ -294,6 +295,25 @@ class TestStrips:
             assert all(lo <= r["t"] <= hi for r in result[key]["records"])
         ts = {r["t"] for r in result["strip_claim"]["records"]}
         assert min(ts) == lo and max(ts) == hi
+
+    def test_sweep_refines_by_the_grid_step(self, tmp_path, monkeypatch,
+                                            inversion_counts):
+        # the grid [-1, -.7, 0, .7, 1] steps by .7, and the swept member's
+        # best coarse |t| is 1, so its 10x refinement steps by .07 from
+        # 1 - .7 up to 1, the grid's largest |t|: the grid's step, not the
+        # spread of its distinct |t| over their count (.5 here)
+        monkeypatch.chdir(tmp_path)
+        _write_tampered_certificate()
+        args = ["strips", "--cert", "tampered.json", "--t-min", "-1", "--t-max", "1",
+                "--step", "0.7", "--d-points", "1", "--out", "r.json"]
+        assert run(args) == EXIT_CHECK_FAILED
+        (record,) = json.loads(Path("r.json").read_text())["result"]["remark_sweep"]["records"]
+        assert record["t"] == 1.0
+        (swept,) = {d for d, _ in inversion_counts.solves} - {3.0, 100.0}
+        fine = sorted({t for d, t in inversion_counts.solves if d == swept} - {0.7})
+        assert len(fine) == 11
+        assert fine[0] == pytest.approx(0.3) and fine[-1] == 1.0
+        assert all(b - a == pytest.approx(0.07) for a, b in zip(fine, fine[1:]))
 
     def test_accepts_bare_certificate_json(self, cert_file, tmp_path):
         bare = tmp_path / "bare.json"
@@ -310,15 +330,15 @@ def _sha256(path):
 
 # the headline pipeline, `disjoint --H .25 --d1 3 --solve-d0` then
 # `strips --csv`, and the sha256 of its reports: 9 029 strip records and
-# the margins of all three checks
+# the margins of all three checks, on heights stepped outward from t = 0
 _HEADLINE_COMMANDS = [
     ["disjoint", "--H", ".25", "--d1", "3", "--solve-d0", "--out", "cert.json"],
     ["strips", "--cert", "cert.json", "--out", "strips.json", "--csv", "margins.csv"],
 ]
 _HEADLINE_SHA256 = {
     "cert.json": "8e049a9e3a3082e72ca9296a3ade998b1daa64b3a6cfa573c99d37d0b8c44155",
-    "strips.json": "a343379c7615cca64e02a885874d2289c07bca8324a78be866c24bfdc04be0a6",
-    "margins.csv": "5479034448f9cf95d6823d7bfa4f5f16f8446894b9bd8c2a65df162d1f553efa",
+    "strips.json": "94a8bade3a45ff520165f98cb89c127d803e6edbe856aa569f06a23a5af91451",
+    "margins.csv": "e84cfefd779117c9dac049e0075ff2b30bd4cc8718c6c942cedb452f7c47d700",
 }
 # each check entry nests a `witness` dict: not a flat record
 _APPENDIX_COMMAND = ["verify-appendix", "--out", "appendix.json"]
@@ -338,6 +358,15 @@ def _written_sha256(directory):
     return {p.name: _sha256(p) for p in directory.iterdir()}
 
 
+def _write_tampered_certificate():
+    # the small pair's certificate with its scanned gap cut to 2e-3, so the
+    # barriers shift by 1e-3 and reach no intermediate member
+    assert run(_disjoint_args("small.json")) == EXIT_OK
+    doc = json.loads(Path("small.json").read_text())
+    doc["result"]["min_gap_observed"] = 2e-3
+    Path("tampered.json").write_text(json.dumps(doc))
+
+
 class TestPinnedReports:
     # sha256 of report bytes as json.dump wrote them; every writer must
     # reproduce them.  Reports are written in the working directory, since
@@ -353,10 +382,7 @@ class TestPinnedReports:
         # barriers shifted by 1e-3 reach no intermediate member, so every
         # swept member takes the 10x refinement and fails
         monkeypatch.chdir(tmp_path)
-        assert run(_disjoint_args("small.json")) == EXIT_OK
-        doc = json.loads((tmp_path / "small.json").read_text())
-        doc["result"]["min_gap_observed"] = 2e-3
-        (tmp_path / "tampered.json").write_text(json.dumps(doc))
+        _write_tampered_certificate()
         args = ["strips", "--cert", "tampered.json", "--t-min", "-2", "--t-max", "2",
                 "--step", "0.5", "--d-points", "3", "--out", "r.json", "--csv", "r.csv"]
         assert run(args) == EXIT_CHECK_FAILED
@@ -472,6 +498,14 @@ class TestEmit:
                 _emit(doc, None)
         assert out.read_text() == want
         assert stdout.getvalue() == want
+
+    def test_signed_zeros_in_a_repeated_column(self, tmp_path):
+        # 0.0 and -0.0 are one member of a set but two texts
+        values = [0.0, -0.0, 1.5, -0.0, 0.0, 1.5, -0.0, 2.0, 0.0, -0.0]
+        doc = {"records": [{"t": v, "id": f"c{i % 3}"} for i, v in enumerate(values)]}
+        out = tmp_path / "doc.json"
+        _emit(doc, str(out))
+        assert out.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_large_report_streams(self, tmp_path):
         # joining the 9 000 records' text in memory, as the margins CSV

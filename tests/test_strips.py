@@ -2,10 +2,13 @@
 
 import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hcat.core import QUAD_TOL, CmcParams, necksize
+from hcat.disjoint import height_grid
 from hcat.errors import PreconditionError
 from hcat.strips import (
     StripOffsets,
@@ -22,7 +25,7 @@ T_GRID = [k * 0.5 - 2.0 for k in range(9)]  # [-2, 2] step 0.5
 
 @pytest.fixture(scope="module")
 def small_pair(small_cert):
-    return pair_radii(small_cert, T_GRID, QUAD_TOL)
+    return pair_radii(small_cert, -2.0, 2.0, 0.5, QUAD_TOL)
 
 
 class TestOffsets:
@@ -80,14 +83,14 @@ class TestStripClaim:
     def test_absurd_offsets_fail_cleanly(self, small_cert):
         # a shift larger than the whole gap cannot clear the outer circle
         offsets = StripOffsets(delta=50.0, delta1=25.0, delta2=37.5)
-        report = verify_strip_claim(pair_radii(small_cert, [0.0], QUAD_TOL), offsets)
+        report = verify_strip_claim(pair_radii(small_cert, 0.0, 0.0, 1.0, QUAD_TOL), offsets)
         assert not report.passed
         assert report.min_margin < 0.0
 
     def test_nonpositive_offsets_rejected(self, small_cert):
         with pytest.raises(PreconditionError):
             verify_strip_claim(
-                pair_radii(small_cert, [0.0], QUAD_TOL), StripOffsets(1.0, 0.0, 1.0)
+                pair_radii(small_cert, 0.0, 0.0, 1.0, QUAD_TOL), StripOffsets(1.0, 0.0, 1.0)
             )
 
 
@@ -101,7 +104,7 @@ class TestC3Lemma:
     def test_reach_margin_at_zero_height(self, small_cert):
         # at t = 0 the radii are the necks, so the reach margin is
         # exactly eta1: b1 - (eta2 - b2) = eta1
-        report = verify_c3_lemma(pair_radii(small_cert, [0.0], QUAD_TOL))
+        report = verify_c3_lemma(pair_radii(small_cert, 0.0, 0.0, 1.0, QUAD_TOL))
         eta1 = necksize(CmcParams(small_cert.H, small_cert.d1))
         reach = next(
             r for r in report.records if r.check_id == "shifted3_reaches_inner"
@@ -126,7 +129,7 @@ class TestRemarkSweep:
         # sweep refines; only the swept member gets a table of its own, and
         # all three members are solved once at every height asked
         counts = inversion_counts
-        pair = pair_radii(small_cert, T_GRID, QUAD_TOL)
+        pair = pair_radii(small_cert, -2.0, 2.0, 0.5, QUAD_TOL)
         report = remark_sweep(pair, StripOffsets(2e-3, 1e-3, 1e-3), [30.0])
         assert not report.passed
         members = (small_cert.d1, small_cert.d2, 30.0)
@@ -141,7 +144,7 @@ class TestRemarkSweep:
         # no shifted barrier reaches d = 30, so the sweep refines around its
         # best coarse height, the grid's largest |t| = 2; stepping 21 fine
         # heights from there used to reach |t| = 2.5
-        pair = pair_radii(small_cert, T_GRID, QUAD_TOL)
+        pair = pair_radii(small_cert, -2.0, 2.0, 0.5, QUAD_TOL)
         report = remark_sweep(pair, StripOffsets(2e-3, 1e-3, 1e-3), [30.0])
         (record,) = report.records
         assert not record.passed
@@ -157,6 +160,11 @@ class TestRemarkSweep:
 
 
 class TestSharedRadii:
+    # |t| in {.5, 1, 1.5, 2}, |t| = 0 being the neck, unsolved; and the
+    # default grid on [-50, 50] step .1, mirrored about t = 0: 500 non-zero
+    # |t|, where stepping from t = -50 made 835
+    GRIDS = ((["--t-min", "-2", "--t-max", "2", "--step", "0.5"], 4), ([], 500))
+
     def test_strips_inverts_each_pair_height_once(self, small_cert, tmp_path,
                                                   inversion_counts):
         # one height table per pair member, each of its pieces integrated
@@ -166,24 +174,48 @@ class TestSharedRadii:
         counts = inversion_counts
         cert = tmp_path / "cert.json"
         cert.write_text(json.dumps(small_cert.to_json_dict(), indent=2, sort_keys=True))
-        assert cli.run(["strips", "--cert", str(cert), "--t-min", "-2", "--t-max", "2",
-                        "--step", "0.5", "--d-points", "3",
-                        "--out", str(tmp_path / "strips.json")]) == 0
         members = (small_cert.d1, small_cert.d2)
-        assert {d: counts.builds[small_cert.H, d, False] for d in members} == {
-            small_cert.d1: 1, small_cert.d2: 1}
-        assert {d for d, *_ in counts.pieces} >= set(members)
-        assert {k: n for k, n in counts.pieces.items() if n > 1} == {}
-        pair = {k: n for k, n in counts.solves.items() if k[0] in members}
-        # |t| in {.5, 1, 1.5, 2} for d1 and d2; |t| = 0 is the neck, unsolved
-        assert len(pair) == 2 * 4
-        assert {k: n for k, n in pair.items() if n > 1} == {}
+        for grid, distinct in self.GRIDS:
+            for counter in (counts.builds, counts.pieces, counts.solves):
+                counter.clear()
+            assert cli.run(["strips", "--cert", str(cert), *grid, "--d-points", "3",
+                            "--out", str(tmp_path / "strips.json")]) == 0
+            assert {d: counts.builds[small_cert.H, d, False] for d in members} == {
+                small_cert.d1: 1, small_cert.d2: 1}
+            assert {d for d, *_ in counts.pieces} >= set(members)
+            assert {k: n for k, n in counts.pieces.items() if n > 1} == {}
+            pair = {k: n for k, n in counts.solves.items() if k[0] in members}
+            assert len(pair) == 2 * distinct
+            assert {k: n for k, n in pair.items() if n > 1} == {}
+
+
+class TestMirroredGrid:
+    @settings(max_examples=25, deadline=None)
+    @given(t_min=st.floats(-3.0, -0.01), t_max=st.floats(0.0, 3.0),
+           step=st.floats(0.05, 1.0))
+    def test_heights_and_margins_mirror_about_zero(self, small_cert, t_min, t_max,
+                                                   step):
+        pair = pair_radii(small_cert, t_min, t_max, step, QUAD_TOL)
+        upper = height_grid(0.0, t_max, step)
+        below = [t for t in pair.t_grid if t < 0.0]
+        assert [-t for t in reversed(below)] == height_grid(0.0, -t_min, step)[1:]
+        assert pair.t_grid == below + upper
+        # the upper half's 0.0, never a -0.0
+        assert math.copysign(1.0, upper[0]) == 1.0
+        if min(-t_min, t_max) >= step:
+            assert step in pair.t_grid and -step in pair.t_grid
+        # t and -t read one solved radius, so each check's margin is even in t
+        offsets = compute_offsets(small_cert)
+        for report in (verify_strip_claim(pair, offsets), verify_c3_lemma(pair)):
+            margins = {(r.t, r.check_id): r.margin for r in report.records}
+            assert all(margins[-t, c] == m for (t, c), m in margins.items() if t < 0.0
+                       and (-t, c) in margins)
 
 
 class TestReportOutput:
     def test_margin_csv_layout(self, small_cert):
         offsets = compute_offsets(small_cert)
-        report = verify_strip_claim(pair_radii(small_cert, [0.0, 1.0], QUAD_TOL), offsets)
+        report = verify_strip_claim(pair_radii(small_cert, 0.0, 1.0, 1.0, QUAD_TOL), offsets)
         out = io.StringIO()
         write_margin_csv([report], out)
         lines = out.getvalue().splitlines()
@@ -195,7 +227,7 @@ class TestReportOutput:
         assert float(margin) == report.records[0].margin
 
     def test_json_dict_round_trips_through_json(self, small_cert):
-        report = verify_c3_lemma(pair_radii(small_cert, [0.0], QUAD_TOL))
+        report = verify_c3_lemma(pair_radii(small_cert, 0.0, 0.0, 1.0, QUAD_TOL))
         data = json.loads(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
         assert data["passed"] is True
         assert data["min_margin"] == report.min_margin
