@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage or domain error, 2 a mathematical
 verification or certification check failed.  All JSON reports embed the
-tool version, the echoed configuration, and the tolerances in effect,
-and are byte-deterministic for identical configurations.
+tool version and the echoed configuration, and are byte-deterministic
+for identical configurations.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from pathlib import Path
 from . import __version__
 from .core import (
     CmcParams,
-    QUAD_TOL,
     entire_graph_profile,
     necksize,
     profile,
@@ -60,7 +59,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_float(text: str) -> float:
-    # tolerances and grid steps: zero, negative and non-finite are usage errors
+    # grid steps: zero, negative and non-finite are usage errors
     try:
         value = float(text)
     except ValueError:
@@ -122,7 +121,6 @@ def _args_curve(p: _Parser) -> None:
     p.add_argument("--d", type=float, required=True)
     p.add_argument("--rho-max", type=float, required=True)
     p.add_argument("--n", type=int, default=128)
-    p.add_argument("--quad-tol", type=_positive_float, default=QUAD_TOL)
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--json", dest="json_out", default=None, help="JSON output path")
 
@@ -131,7 +129,6 @@ def _args_entire_graph(p: _Parser) -> None:
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--rho-max", type=float, required=True)
     p.add_argument("--n", type=int, default=128)
-    p.add_argument("--quad-tol", type=_positive_float, default=QUAD_TOL)
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--json", dest="json_out", default=None)
 
@@ -140,7 +137,6 @@ def _args_verify_appendix(p: _Parser) -> None:
     p.add_argument("--H", type=float, nargs="+", default=[0.1, 0.25, 0.4])
     p.add_argument("--d", type=float, nargs="+", default=[2.5, 3.0, 10.0, 100.0])
     p.add_argument("--grid-points", type=int, default=50)
-    p.add_argument("--quad-tol", type=_positive_float, default=QUAD_TOL)
     p.add_argument("--out", default=None)
 
 
@@ -154,7 +150,6 @@ def _args_disjoint(p: _Parser) -> None:
     )
     p.add_argument("--t-max", type=float, default=50.0)
     p.add_argument("--step", type=_positive_float, default=GRID_STEP_DEFAULT)
-    p.add_argument("--quad-tol", type=_positive_float, default=QUAD_TOL)
     p.add_argument("--out", default=None)
 
 
@@ -164,7 +159,6 @@ def _args_strips(p: _Parser) -> None:
     p.add_argument("--t-max", type=float, default=50.0)
     p.add_argument("--step", type=_positive_float, default=0.1)
     p.add_argument("--d-points", type=int, default=20)
-    p.add_argument("--quad-tol", type=_positive_float, default=QUAD_TOL)
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None, help="margin table CSV path")
 
@@ -199,14 +193,12 @@ def _cmd_necksize(args) -> int:
 def _cmd_curve(args) -> int:
     _require_distinct(("--out", args.out), ("--json", args.json_out))
     if args.command == "entire-graph":
-        curve = entire_graph_profile(args.H, args.rho_max, args.n, args.quad_tol)
-        config = {"H": args.H, "rho_max": args.rho_max, "n": args.n,
-                  "quad_tol": args.quad_tol}
+        curve = entire_graph_profile(args.H, args.rho_max, args.n)
+        config = {"H": args.H, "rho_max": args.rho_max, "n": args.n}
         command = "entire-graph"
     else:
-        curve = profile(CmcParams(args.H, args.d), args.rho_max, args.n, args.quad_tol)
-        config = {"H": args.H, "d": args.d, "rho_max": args.rho_max, "n": args.n,
-                  "quad_tol": args.quad_tol}
+        curve = profile(CmcParams(args.H, args.d), args.rho_max, args.n)
+        config = {"H": args.H, "d": args.d, "rho_max": args.rho_max, "n": args.n}
         command = "curve"
     Path(args.out).write_text(curve.to_csv())
     if args.json_out is not None:
@@ -215,9 +207,8 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_verify_appendix(args) -> int:
-    result = verify_appendix(args.H, args.d, args.grid_points, args.quad_tol)
-    config = {"H": args.H, "d": args.d, "grid_points": args.grid_points,
-              "quad_tol": args.quad_tol}
+    result = verify_appendix(args.H, args.d, args.grid_points)
+    config = {"H": args.H, "d": args.d, "grid_points": args.grid_points}
     _emit(_envelope("verify-appendix", config, result), args.out)
     return EXIT_OK if result["passed"] else EXIT_CHECK_FAILED
 
@@ -231,13 +222,10 @@ def _cmd_disjoint(args) -> int:
         d2 = args.d2
     config = {
         "H": args.H, "d1": args.d1, "d2": d2, "solve_d0": args.solve_d0,
-        "t_max": args.t_max, "step": args.step, "quad_tol": args.quad_tol,
+        "t_max": args.t_max, "step": args.step,
     }
     try:
-        cert = certify(
-            args.H, args.d1, d2, args.t_max, args.step,
-            quad_tol=args.quad_tol, d0=d0,
-        )
+        cert = certify(args.H, args.d1, d2, args.t_max, args.step, d0=d0)
     except CertificationFailure as exc:
         _emit(
             _envelope("disjoint", config, {
@@ -279,7 +267,7 @@ def _cmd_strips(args) -> int:
     _require_distinct(("--cert", args.cert), ("--out", args.out), ("--csv", args.csv))
     config = {
         "cert": args.cert, "t_min": args.t_min, "t_max": args.t_max,
-        "step": args.step, "d_points": args.d_points, "quad_tol": args.quad_tol,
+        "step": args.step, "d_points": args.d_points,
     }
     cert = _load_certificate(args.cert)
     try:
@@ -289,7 +277,7 @@ def _cmd_strips(args) -> int:
                         {"passed": False, "failure": str(exc)}), args.out)
         return EXIT_CHECK_FAILED
     d_grid = _log_spaced(cert.d1, cert.d2, args.d_points)
-    pair = pair_radii(cert, args.t_min, args.t_max, args.step, args.quad_tol)
+    pair = pair_radii(cert, args.t_min, args.t_max, args.step)
     strip = verify_strip_claim(pair, offsets)
     c3 = verify_c3_lemma(pair)
     remark = remark_sweep(pair, offsets, d_grid)

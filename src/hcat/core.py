@@ -15,11 +15,11 @@ The inverse-square-root endpoint singularity at the neck is removed by
 the substitution r = neck + u^2; in the u variable the integrand is
 smooth.  Every height (and every remainder integral of the height
 decomposition) is read from a `HeightTable`: pieces in u that double in
-width, each with one adaptive Gauss-Kronrod total and a Chebyshev series
-of the cumulative integral across it, tabulated at breaks every 1/4 in
-u.  Forward reads evaluate that series; profile inversion runs Brent on
-it between two breaks.  The quadrature (QUADPACK's QAGS) and Brent's
-root finder are the package's own, in `hcat.numerics`.
+width, each with a 24-point Chebyshev series of the cumulative integral
+across it (`quad`, the package's one quadrature rule), tabulated at
+breaks every 1/4 in u.  Forward reads evaluate that series; profile
+inversion runs Brent on it between two breaks.  Brent's root finder is
+the package's own, in `hcat.numerics`.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ from dataclasses import asdict, dataclass, field
 from operator import mul
 
 from .errors import ConvergenceError, DomainError, PreconditionError
-from .numerics import brentq, quad
+from .numerics import brentq
 
-#: default absolute quadrature tolerance
-QUAD_TOL = 1e-10
 #: root-finding tolerance (in the substituted variable u = sqrt(rho - neck))
 ROOT_TOL = 1e-12
 #: cap on the radius reached by profile inversion
@@ -42,12 +40,12 @@ RHO_MAX_DEFAULT = 1e4
 # break spacing of the height table and width of its first pieces, in
 # u = sqrt(rho - neck)
 _PANEL_U = 0.25
-# relative tolerance of every quad call
-_QUAD_REL = 1e-12
 # Chebyshev points sampled on each piece
 _CHEB_N = 24
-# a piece is kept when its last two Chebyshev coefficients times its
-# half-width are at most this, times max(1, |piece total|): round-off alone
+# the height table's accuracy rule: a piece is kept when its tail (the last
+# two Chebyshev coefficients of the integrand times the piece's half-width)
+# is at most this times max(1, |piece total|).  It is relative, so it holds
+# where heights grow large (3.5e4 at H = .4999, rho = 700); round-off alone
 # leaves ~1e-15 of the total there once the integrand grows like u
 _TAIL_TOL = 1e-13
 # halvings of a piece before its series is given up
@@ -213,38 +211,28 @@ def _substituted(params: CmcParams, u: float, remainder: bool) -> float:
     return 2.0 * num / math.sqrt(denom)
 
 
-def _integrate_substituted(
-    params: CmcParams, u_lo: float, u_hi: float, remainder: bool, tol: float
-) -> float:
-    val, _ = quad(
-        lambda u: _substituted(params, u, remainder),
-        u_lo,
-        u_hi,
-        epsabs=tol,
-        epsrel=_QUAD_REL,
-        limit=200,
-    )
-    return val
+def quad(f, a: float, b: float, full_output: bool = False):
+    """The running integral of f across the finite interval [a, b], a < b:
+    (series, tail).
 
-
-def _chebyshev_piece(
-    params: CmcParams, u_lo: float, u_hi: float, remainder: bool
-) -> tuple[float, float, tuple]:
-    """(series total, tail, series) of the integral across [u_lo, u_hi].
-
-    The substituted integrand is sampled at _CHEB_N Chebyshev points and
-    its series integrated term by term from u_lo; the series is
-    (mid, half-width, C_0, (C_N, ..., C_1)) for `_series_at`.  The tail
-    is the last two coefficients of the integrand times the half-width.
+    f is sampled at the _CHEB_N first-kind Chebyshev points of [a, b] and
+    its series integrated term by term from a.  `series` is (mid,
+    half-width, C_0, (C_N, ..., C_1)), which `_series_at` reads anywhere
+    in [a, b]; `tail`, the last two coefficients of f times the
+    half-width, estimates its error (Trefethen, ATAP, Thms 8.1 and 19.3).
+    With `full_output` it returns (series, tail, {"neval": _CHEB_N}).
     """
-    mid, half = 0.5 * (u_lo + u_hi), 0.5 * (u_hi - u_lo)
-    f = [_substituted(params, mid + half * x, remainder) for x in _CHEB_X]
-    a = [sum(map(mul, row, f)) for row in _CHEB_DCT] + [0.0, 0.0]
+    if not -math.inf < a < b < math.inf:
+        raise PreconditionError(f"quad needs a finite interval a < b, got [{a}, {b}]")
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    fx = [f(mid + half * x) for x in _CHEB_X]
+    ak = [sum(map(mul, row, fx)) for row in _CHEB_DCT] + [0.0, 0.0]
     # integral of sum' a_k T_k: C_k = (a_{k-1} - a_{k+1}) / 2k, C_0 from C(-1) = 0
-    c = [half * (a[k - 1] - a[k + 1]) / (2 * k) for k in range(1, _CHEB_N + 1)]
+    c = [half * (ak[k - 1] - ak[k + 1]) / (2 * k) for k in range(1, _CHEB_N + 1)]
     c0 = sum(ck if k % 2 else -ck for k, ck in enumerate(c, 1))
-    tail = (abs(a[_CHEB_N - 1]) + abs(a[_CHEB_N - 2])) * half
-    return c0 + sum(c), tail, (mid, half, c0, tuple(reversed(c)))
+    tail = (abs(ak[_CHEB_N - 1]) + abs(ak[_CHEB_N - 2])) * half
+    series = (mid, half, c0, tuple(reversed(c)))
+    return (series, tail, {"neval": _CHEB_N}) if full_output else (series, tail)
 
 
 def _series_at(series: tuple, u: float) -> float:
@@ -258,26 +246,24 @@ def _series_at(series: tuple, u: float) -> float:
     return c0 + x * b1 - b2
 
 
-def _table_read(params: CmcParams, rho: float, tol: float, table, remainder: bool) -> float:
+def _table_read(params: CmcParams, rho: float, table, remainder: bool) -> float:
     if table is None:
-        table = HeightTable(params, tol, remainder)
-    elif (table.params, table.quad_tol, table.remainder) != (params, tol, remainder):
-        raise PreconditionError("the table belongs to another member, tolerance or integrand")
+        table = HeightTable(params, remainder)
+    elif (table.params, table.remainder) != (params, remainder):
+        raise PreconditionError("the table belongs to another member or integrand")
     return table.integral(rho)
 
 
-def lambda_height(
-    params: CmcParams, rho: float, tol: float = QUAD_TOL, table: HeightTable | None = None
-) -> float:
+def lambda_height(params: CmcParams, rho: float, table: HeightTable | None = None) -> float:
     """Height of the generating curve at radius rho (0 at the neck).
 
-    Read from `table`, a HeightTable(params, tol) that the caller keeps
-    across reads.  Without one, a table is built for this read alone: one
-    `quad` and _CHEB_N samples for each piece below rho, whose widths
-    double in u (10 pieces and about 2 ms at rho = 1e4, against about
-    3 us for a read from a kept table).
+    Read from `table`, a HeightTable(params) that the caller keeps across
+    reads.  Without one, a table is built for this read alone: one `quad`
+    of _CHEB_N samples for each piece below rho, whose widths double in u
+    (10 pieces and about 1.8 ms at rho = 1e4, against about 2 us for a
+    read from a kept table).
     """
-    return _table_read(params, rho, tol, table, remainder=False)
+    return _table_read(params, rho, table, remainder=False)
 
 
 def f_closed(params: CmcParams, rho: float) -> float:
@@ -314,15 +300,13 @@ def g_residual(params: CmcParams, rho: float) -> float:
     return f_closed(params, rho) - f_asymptote(params, rho)
 
 
-def j_remainder(
-    params: CmcParams, rho: float, tol: float = QUAD_TOL, table: HeightTable | None = None
-) -> float:
+def j_remainder(params: CmcParams, rho: float, table: HeightTable | None = None) -> float:
     """Remainder integral of the height decomposition (numerator d + 2H e^{-r}).
 
-    Read from `table`, a HeightTable(params, tol, remainder=True), or from
-    one built for this read alone, at the cost given in `lambda_height`.
+    Read from `table`, a HeightTable(params, remainder=True), or from one
+    built for this read alone, at the cost given in `lambda_height`.
     """
-    return _table_read(params, rho, tol, table, remainder=True)
+    return _table_read(params, rho, table, remainder=True)
 
 
 @dataclass(frozen=True)
@@ -356,7 +340,6 @@ def verify_appendix(
     H_values: list[float],
     d_values: list[float],
     grid_points: int = 50,
-    quad_tol: float = QUAD_TOL,
 ) -> dict:
     """The appendix checks for every (H, d), as a {"passed", "checks"} report.
 
@@ -374,8 +357,8 @@ def verify_appendix(
         for d in d_values:
             params = CmcParams(H, d)
             eta = params.eta
-            heights = HeightTable(params, quad_tol)
-            remainders = HeightTable(params, quad_tol, remainder=True)
+            heights = HeightTable(params)
+            remainders = HeightTable(params, remainder=True)
             max_decomp = 0.0
             max_deriv = 0.0
             sup_j = 0.0
@@ -383,9 +366,9 @@ def verify_appendix(
             g_decays = True
             for i in range(grid_points):
                 rho = eta + 1e-6 + (10.0 - 1e-6) * i / (grid_points - 1)
-                lam = lambda_height(params, rho, quad_tol, heights)
+                lam = lambda_height(params, rho, heights)
                 fc = f_closed(params, rho)
-                jr = j_remainder(params, rho, quad_tol, remainders)
+                jr = j_remainder(params, rho, remainders)
                 max_decomp = max(max_decomp, abs(lam - (fc + jr)) / max(1.0, lam))
                 sup_j = max(sup_j, jr)
                 if rho - eta >= 0.05:
@@ -432,34 +415,33 @@ class HeightTable:
     [1, 2], [2, 4] and so on.  The integrand's complex singularities lie
     about u away from the real axis, so one series resolves a piece as
     wide as its start (Trefethen, ATAP, Thm 8.1).  Each piece gets one
-    `quad` total and a Chebyshev series of the cumulative integral
-    across it (`_chebyshev_piece`).  A piece is kept whole when the
-    series' tail is small and its total agrees with `quad`'s; otherwise
-    it is halved, and each half tested the same way, down to _MAX_DEPTH
+    `quad`: a Chebyshev series of the cumulative integral across it, and
+    the series' tail.  A piece is kept whole when its tail is at most
+    _TAIL_TOL * max(1, |piece total|), on no other test; otherwise it is
+    halved, and each half tested the same way, down to _MAX_DEPTH
     halvings.  Near the family floor d = -2H this splits piece 0 toward
     u = 0, where the integrand turns on a scale of (d + 2H)^(1/4).
 
     `breaks` are the pieces' ends in u and, below u_cap, every multiple
     of _PANEL_U inside a piece, so Brent's brackets stay 1/4 wide.
-    `heights` is the integral there: at a piece's end the running sum of
-    the pieces' `quad` totals, inside a piece its start height plus its
-    series.  `pieces[i]` is (start height, series) of the piece holding
-    [breaks[i], breaks[i + 1]].  The table grows lazily to the largest
-    radius (`integral`) or height (`radius`) asked for; inversion stops
-    at RHO_MAX_DEFAULT (u_cap in u), and forward reads cost one piece
-    per doubling of u.  Between two breaks both read "start + series":
-    `integral(rho)` evaluates it, and `radius(t)` runs Brent on it
-    between the breaks whose heights bracket t.  Every solved radius is
+    `pieces[i]` is (start height, series) of the piece holding
+    [breaks[i], breaks[i + 1]], where the start height is the height at
+    the piece's first break.  Every height the table holds reads "start +
+    series": `heights[i]` at the breaks, the piece's end included,
+    `integral(rho)` between them, and `radius(t)` runs Brent on it between
+    the breaks whose heights bracket t.  The table grows lazily to the
+    largest radius (`integral`) or height (`radius`) asked for; inversion
+    stops at RHO_MAX_DEFAULT (u_cap in u), and forward reads cost one
+    piece per doubling of u.  Every solved radius is
     kept in `radii`, keyed by |t|, so asking again returns the stored
     bits.  The table lives as long as its caller keeps it; nothing
     outlives one call of a command.
     """
 
-    def __init__(self, params: CmcParams, quad_tol: float, remainder: bool = False):
+    def __init__(self, params: CmcParams, remainder: bool = False):
         if remainder and params.is_entire_graph:
             raise PreconditionError("remainder decomposition needs d > -2H")
         self.params = params
-        self.quad_tol = quad_tol
         self.remainder = remainder
         self.u_cap = math.sqrt(max(RHO_MAX_DEFAULT - params.eta, 0.0))
         self.breaks = [0.0]
@@ -472,11 +454,10 @@ class HeightTable:
         self._add_piece(u_lo, u_lo + max(_PANEL_U, u_lo), 0)
 
     def _add_piece(self, u_lo: float, u_hi: float, depth: int) -> None:
-        params, remainder, tol = self.params, self.remainder, self.quad_tol
-        total = _integrate_substituted(params, u_lo, u_hi, remainder, tol)
-        series_total, tail, series = _chebyshev_piece(params, u_lo, u_hi, remainder)
-        if (tail <= _TAIL_TOL * max(1.0, abs(total))
-                and abs(series_total - total) <= max(tol, _QUAD_REL * abs(total))):
+        params, remainder = self.params, self.remainder
+        series, tail = quad(lambda u: _substituted(params, u, remainder), u_lo, u_hi)
+        total = _series_at(series, u_hi)
+        if tail <= _TAIL_TOL * max(1.0, abs(total)):
             start = self.heights[-1]
             entry = (start, series)
             # below u_cap, a break every _PANEL_U keeps Brent's brackets narrow
@@ -556,7 +537,7 @@ class HeightTable:
 
 def b_inverse(params: CmcParams, t: float) -> float:
     """Radius of the profile at height t (even in t), from a one-off HeightTable."""
-    return HeightTable(params, QUAD_TOL).radius(t)
+    return HeightTable(params).radius(t)
 
 
 @dataclass(frozen=True)
@@ -571,7 +552,6 @@ class ProfileCurve:
 
     params: CmcParams
     samples: tuple[ProfileSample, ...]
-    quad_tol: float = QUAD_TOL
 
     def __post_init__(self):
         if len(self.samples) < 2:
@@ -593,7 +573,6 @@ class ProfileCurve:
     def to_json_dict(self) -> dict:
         return {
             "params": {"H": self.params.H, "d": self.params.d},
-            "quad_tol": self.quad_tol,
             "samples": [{"rho": s.rho, "t": s.t} for s in self.samples],
         }
 
@@ -604,25 +583,20 @@ def _graded_rhos(eta: float, rho_max: float, n: int) -> list[float]:
     return [eta + (span * i / (n - 1)) ** 2 for i in range(n)]
 
 
-def profile(
-    params: CmcParams, rho_max: float, n: int, tol: float = QUAD_TOL
-) -> ProfileCurve:
+def profile(params: CmcParams, rho_max: float, n: int) -> ProfileCurve:
     """Sample the generating curve on a neck-graded grid up to rho_max."""
     eta = params.eta
     if not eta < rho_max < math.inf:
         raise PreconditionError(f"rho_max must be finite and exceed the neck radius {eta}")
     if n < 2:
         raise PreconditionError("n must be >= 2")
-    table = HeightTable(params, tol)
+    table = HeightTable(params)
     samples = [ProfileSample(eta, 0.0)]
     for rho in _graded_rhos(eta, rho_max, n)[1:]:
-        samples.append(ProfileSample(rho, lambda_height(params, rho, tol, table)))
-    return ProfileCurve(params=params, samples=tuple(samples), quad_tol=tol)
+        samples.append(ProfileSample(rho, lambda_height(params, rho, table)))
+    return ProfileCurve(params=params, samples=tuple(samples))
 
 
-def entire_graph_profile(
-    H: float, rho_max: float, n: int, tol: float = QUAD_TOL
-) -> ProfileCurve:
+def entire_graph_profile(H: float, rho_max: float, n: int) -> ProfileCurve:
     """Profile of the d = -2H member, a graph over the whole plane from rho = 0."""
-    params = CmcParams(H, -2.0 * H)
-    return profile(params, rho_max, n, tol)
+    return profile(CmcParams(H, -2.0 * H), rho_max, n)

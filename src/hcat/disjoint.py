@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, asdict
 
 from . import __version__
-from .core import CmcParams, HeightTable, QUAD_TOL, ROOT_TOL, b_inverse
+from .core import CmcParams, HeightTable, ROOT_TOL, b_inverse
 from .errors import CertificationFailure, PreconditionError
 from .numerics import brentq
 
@@ -96,7 +96,6 @@ class DisjointnessCertificate:
     monotone_decreasing: bool
     beyond_lemma: bool
     d0: float | None = None
-    quad_tol: float = QUAD_TOL
     root_tol: float = ROOT_TOL
     monotone_tol: float = MONOTONE_TOL
     version: str = __version__
@@ -111,7 +110,9 @@ class DisjointnessCertificate:
             "min_gap_observed", "min_gap_t", "asymptotic_bound",
             "monotone_decreasing", "beyond_lemma",
         )}
-        for opt in ("d0", "quad_tol", "root_tol", "monotone_tol", "version"):
+        # keys not named here, such as the quadrature tolerance that older
+        # certificates recorded, are ignored
+        for opt in ("d0", "root_tol", "monotone_tol", "version"):
             if opt in data and data[opt] is not None:
                 fields[opt] = data[opt]
         return DisjointnessCertificate(**fields)
@@ -147,7 +148,6 @@ def certify(
     d2: float,
     t_max: float,
     grid_step: float = GRID_STEP_DEFAULT,
-    quad_tol: float = QUAD_TOL,
     monotone_tol: float = MONOTONE_TOL,
     d0: float | None = None,
 ) -> DisjointnessCertificate:
@@ -167,8 +167,8 @@ def certify(
 
     ts = height_grid(0.0, t_max, grid_step)
     # one table per member, read by the coarse scan and the refinement
-    h1 = HeightTable(CmcParams(H, d1), quad_tol)
-    h2 = HeightTable(CmcParams(H, d2), quad_tol)
+    h1 = HeightTable(CmcParams(H, d1))
+    h2 = HeightTable(CmcParams(H, d2))
     gaps = [h2.radius(t) - h1.radius(t) for t in ts]
 
     for t, g in zip(ts, gaps):
@@ -218,6 +218,5 @@ def certify(
         monotone_decreasing=True,
         beyond_lemma=d2 < threshold,
         d0=d0,
-        quad_tol=quad_tol,
         monotone_tol=monotone_tol,
     )

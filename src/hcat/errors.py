@@ -25,6 +25,3 @@ class CertificationFailure(RuntimeError):
         self.t = t
         self.values = values
 
-
-class IntegrationWarning(UserWarning):
-    """An adaptive quadrature stopped short of its requested tolerance."""

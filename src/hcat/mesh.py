@@ -118,7 +118,6 @@ def revolve(
         "rows": len(rows),
         "vertex_count": len(rows) * m,
         "face_count": (len(rows) - 1) * m,
-        "quad_tol": curve.quad_tol,
         "version": __version__,
     }
     return SurfaceMesh(vertices.reshape(-1, 3), faces.reshape(-1, 4), metadata)

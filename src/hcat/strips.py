@@ -134,13 +134,12 @@ class PairRadii:
 
 def pair_radii(
     cert: DisjointnessCertificate, t_min: float, t_max: float, step: float,
-    quad_tol: float,
 ) -> PairRadii:
     """The height grid on [t_min, t_max] and one height table for each
     member of the certified pair."""
     return PairRadii(height_grid(t_min, t_max, step), step,
-                     HeightTable(CmcParams(cert.H, cert.d1), quad_tol),
-                     HeightTable(CmcParams(cert.H, cert.d2), quad_tol))
+                     HeightTable(CmcParams(cert.H, cert.d1)),
+                     HeightTable(CmcParams(cert.H, cert.d2)))
 
 
 _STRIP_CHECKS = ("center1_inside", "shifted1_meets_inner", "shifted1_clears_outer",
@@ -222,7 +221,7 @@ def remark_sweep(
 
     records: list[StripCheck] = []
     for d in d_grid:
-        hd = HeightTable(CmcParams(p1.H, d), pair.h1.quad_tol)
+        hd = HeightTable(CmcParams(p1.H, d))
         best_margin, best_t = -math.inf, None
         for t in ts_abs:
             m = margin_at(hd, t)

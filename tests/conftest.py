@@ -27,28 +27,27 @@ def small_cert():
 @pytest.fixture
 def inversion_counts(monkeypatch):
     """Count, for every HeightTable, its builds per (H, d, remainder), its
-    pieces per (d, remainder, u_lo, u_hi) by their `quad` integrations,
+    pieces per (d, remainder, u_lo, u_hi) as `_add_piece` tries them,
     split pieces included (a piece may span many breaks), and its Brent
-    solves per (d, |t|); every evaluation of the substituted integrand,
-    Chebyshev samples and `quad` nodes alike; and every evaluation of a
-    piece's series (`series_reads`): Brent's steps, forward reads and the
-    heights at breaks inside a piece."""
+    solves per (d, |t|); every evaluation of the substituted integrand;
+    and every evaluation of a piece's series (`series_reads`): Brent's
+    steps, forward reads and the heights at breaks."""
     from hcat import core
 
     counts = SimpleNamespace(builds=Counter(), pieces=Counter(), solves=Counter(),
                              evaluations=0, series_reads=0)
-    init, integrate, substituted, series_at, radius, brentq = (
-        core.HeightTable.__init__, core._integrate_substituted, core._substituted,
+    init, add_piece, substituted, series_at, radius, brentq = (
+        core.HeightTable.__init__, core.HeightTable._add_piece, core._substituted,
         core._series_at, core.HeightTable.radius, core.brentq)
     asking = []  # (d, |t|) of the radius call in progress
 
-    def counting_init(self, params, quad_tol, remainder=False):
+    def counting_init(self, params, remainder=False):
         counts.builds[params.H, params.d, remainder] += 1
-        init(self, params, quad_tol, remainder)
+        init(self, params, remainder)
 
-    def counting_integrate(params, u_lo, u_hi, remainder, tol):
-        counts.pieces[params.d, remainder, u_lo, u_hi] += 1
-        return integrate(params, u_lo, u_hi, remainder, tol)
+    def counting_add_piece(self, u_lo, u_hi, depth):
+        counts.pieces[self.params.d, self.remainder, u_lo, u_hi] += 1
+        add_piece(self, u_lo, u_hi, depth)
 
     def counting_substituted(*args):
         counts.evaluations += 1
@@ -70,7 +69,7 @@ def inversion_counts(monkeypatch):
         return brentq(*args, **kwargs)
 
     monkeypatch.setattr(core.HeightTable, "__init__", counting_init)
-    monkeypatch.setattr(core, "_integrate_substituted", counting_integrate)
+    monkeypatch.setattr(core.HeightTable, "_add_piece", counting_add_piece)
     monkeypatch.setattr(core, "_substituted", counting_substituted)
     monkeypatch.setattr(core, "_series_at", counting_series_at)
     monkeypatch.setattr(core.HeightTable, "radius", counting_radius)

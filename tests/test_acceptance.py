@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from hcat.core import (
-    QUAD_TOL,
     CmcParams,
     b_inverse,
     lambda_height,
@@ -134,7 +133,7 @@ def test_c5_necksize_exactness(capsys):
 def test_c6_strip_claims(capsys, full_certificate):
     cert, _, _ = full_certificate
     offsets = compute_offsets(cert)
-    pair = pair_radii(cert, -50.0, 50.0, 0.1, QUAD_TOL)
+    pair = pair_radii(cert, -50.0, 50.0, 0.1)
     strip = verify_strip_claim(pair, offsets)
     c3 = verify_c3_lemma(pair)
     log_lo, log_hi = math.log(cert.d1), math.log(cert.d2)

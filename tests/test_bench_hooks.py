@@ -1,6 +1,8 @@
 """Every name the benchmark's tracer hooks is still defined by the package,
-and the commands reach the hooked names."""
+the commands reach the hooked names, and the hooked `quad` sees every
+integrand sample."""
 
+from hcat import core
 from hcat.cli import run
 
 
@@ -35,3 +37,27 @@ def test_forward_commands_read_heights_through_the_hooks(load_bench_module, tmp_
     assert metrics["core.lambda_height.calls"] == 12 * 10 + 15 + 4
     assert metrics["core.j_remainder.calls"] == 12 * 10
     assert metrics["core.profile.calls"] == 2
+
+
+def test_tracer_counts_every_integrand_sample(load_bench_module, monkeypatch, tmp_path):
+    # `core.quad` is the height tables' one integration rule, so the traced
+    # evaluations are all the samples of the substituted integrand: 14
+    # pieces of 24 on the headline pair
+    counted = 0
+    substituted = core._substituted
+
+    def counting(*args):
+        nonlocal counted
+        counted += 1
+        return substituted(*args)
+
+    monkeypatch.setattr(core, "_substituted", counting)
+    tracer = load_bench_module("hcat_bench_tracer", "tracer.py").Tracer()
+    tracer.install()
+    try:
+        assert run(["disjoint", "--H", ".25", "--d1", "3", "--solve-d0",
+                    "--out", str(tmp_path / "cert.json")]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.rep_metrics()
+    assert metrics["core.quad.evals"] == 24 * metrics["core.quad.calls"] == counted == 336

@@ -65,3 +65,9 @@ def test_run_ends_in_a_result_line(tmp_path, name, trace):
     assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in values.values())
     if not trace:
         assert all(values[k] > 0.0 for k in END_TO_END), values
+    else:
+        # every hook found its target, so the result holds every per-layer
+        # metric the benchmark declares, in the declared order
+        assert docs[-2]["absent_metrics"] == []
+        declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+        assert list(result["metrics"]) == [m["name"] for m in declared]

@@ -100,10 +100,10 @@ class TestExitCodes:
         ["strips", "--cert", "{cert}", "--step", "0"],
         ["strips", "--cert", "{cert}", "--d-points", "0"],
         ["strips", "--cert", "{cert}", "--t-min", "1", "--t-max", "-1"],
-        ["curve", "--H", "0.25", "--d", "2", "--rho-max", "4", "--quad-tol", "0",
+        ["curve", "--H", "0.25", "--d", "2", "--rho-max", "4", "--n", "1",
          "--out", "{tmp}/c.csv"],
         ["curve", "--H", "0.25", "--d", "2", "--rho-max", "inf", "--out", "{tmp}/c.csv"],
-        ["verify-appendix", "--quad-tol", "-1", "--out", "{tmp}/a.json"],
+        ["verify-appendix", "--H", "0.5", "--out", "{tmp}/a.json"],
         # two outputs, or an output and the mesh's sidecar, naming one file
         ["mesh", "--H", "0.25", "--d", "2", "--rho-max", "3", "--out", "{tmp}/m.json"],
         ["curve", "--H", "0.25", "--d", "2", "--rho-max", "4", "--out", "{tmp}/p",
@@ -316,12 +316,16 @@ class TestStrips:
         assert all(b - a == pytest.approx(0.07) for a, b in zip(fine, fine[1:]))
 
     def test_accepts_bare_certificate_json(self, cert_file, tmp_path):
-        bare = tmp_path / "bare.json"
-        bare.write_text(json.dumps(json.loads(cert_file.read_text())["result"]))
-        args = ["strips", "--cert", str(bare), "--t-min", "-1",
-                "--t-max", "1", "--step", "0.5", "--d-points", "2",
-                "--out", str(tmp_path / "r.json")]
-        assert run(args) == EXIT_OK
+        # a bare certificate, and one as older versions wrote it, with the
+        # quadrature tolerance they recorded, a key now ignored
+        result = json.loads(cert_file.read_text())["result"]
+        for name, doc in [("bare.json", result), ("older.json", {**result, "quad_tol": 1e-10})]:
+            path = tmp_path / name
+            path.write_text(json.dumps(doc))
+            args = ["strips", "--cert", str(path), "--t-min", "-1",
+                    "--t-max", "1", "--step", "0.5", "--d-points", "2",
+                    "--out", str(tmp_path / "r.json")]
+            assert run(args) == EXIT_OK
 
 
 def _sha256(path):
@@ -336,21 +340,21 @@ _HEADLINE_COMMANDS = [
     ["strips", "--cert", "cert.json", "--out", "strips.json", "--csv", "margins.csv"],
 ]
 _HEADLINE_SHA256 = {
-    "cert.json": "8e049a9e3a3082e72ca9296a3ade998b1daa64b3a6cfa573c99d37d0b8c44155",
-    "strips.json": "94a8bade3a45ff520165f98cb89c127d803e6edbe856aa569f06a23a5af91451",
-    "margins.csv": "e84cfefd779117c9dac049e0075ff2b30bd4cc8718c6c942cedb452f7c47d700",
+    "cert.json": "2c3b3c1a662b2341c3c252977c6691fde122d36325fda8da9dcb20e9235c082f",
+    "strips.json": "b3d589ca14f402c0df2eabc63ef00bb4bf2d5926e81030165651c08a5656bdbf",
+    "margins.csv": "cc06b9c9c40ff991936c4ccb2f300d617984eb80c5ea7c9b8357c347d6fa5445",
 }
 # each check entry nests a `witness` dict: not a flat record
 _APPENDIX_COMMAND = ["verify-appendix", "--out", "appendix.json"]
 _APPENDIX_SHA256 = {
-    "appendix.json": "e119c8c520b145b1131aad45811ade6ab22e2ca323843d1f573fdfdeb1a64147",
+    "appendix.json": "d834fa13420c0182ee48218f496113bf553cd8d09c10c29ce566ca08e08096ec",
 }
 # `samples` is a list of flat records
 _CURVE_COMMAND = ["curve", "--H", ".27", "--d", "2.6", "--rho-max", "6", "--n", "64",
                   "--out", "curve.csv", "--json", "curve.json"]
 _CURVE_SHA256 = {
-    "curve.csv": "0aecf648283ee2e2331639c6a13c70e5596ee59a424d19f16910bf57cc666a67",
-    "curve.json": "1861e84f1744e64a8469e1d069c76545c97a5b3855fd5293af1452a73add42cc",
+    "curve.csv": "91c674465badd4c86c3ef0f5881d104e5ad0a999fb03c6ecbb8017ba86406f01",
+    "curve.json": "c95647603b8c9fe371a993778bbd3ce35ae50173ac01daeed1246de41820b3f8",
 }
 
 
@@ -387,9 +391,9 @@ class TestPinnedReports:
                 "--step", "0.5", "--d-points", "3", "--out", "r.json", "--csv", "r.csv"]
         assert run(args) == EXIT_CHECK_FAILED
         assert _sha256(tmp_path / "r.json") == (
-            "6e5294bf50bfe002c7bae9b4c9263671b082f046710e7d3f37c5ccc158b18d63")
+            "73dc264942dd699c12b13d0278964fbcf8fc01fdddc0439bd985a767360be28f")
         assert _sha256(tmp_path / "r.csv") == (
-            "1452fabc8408ec1fa1d319574b756f794f00d62ea434e25ff1b0a07876d700bc")
+            "b39343a45e67fbc288e0b3fc8562a4934462f75f87a985b75c883da0dc040e22")
 
     def test_verify_appendix(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

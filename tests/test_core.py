@@ -13,7 +13,6 @@ from scipy.special import roots_jacobi
 from hcat.core import (
     _LARGE_R,
     _PANEL_U,
-    QUAD_TOL,
     RHO_MAX_DEFAULT,
     ROOT_TOL,
     CmcParams,
@@ -32,6 +31,7 @@ from hcat.core import (
     necksize,
     profile,
     verify_appendix,
+    _series_at,
     _substituted,
 )
 from hcat.disjoint import solve_d0
@@ -42,6 +42,8 @@ NECK_H25_D2 = 2.12332671310460198891336
 # closed-form residual at the neck for the same parameters:
 # -(2H/sqrt(1-4H^2)) (neck + ln((1-4H^2)/sqrt(d^2+1-4H^2)))
 G_AT_NECK_H25_D2 = -0.6100123200846290089334066
+# absolute bound on a table's height against the 40-digit oracles
+ORACLE_TOL = 1e-10
 
 
 def _mp_eta(H, d):
@@ -92,8 +94,8 @@ def _mp_lambda_split(H, d, rho, remainder=False):
 
 
 # the threshold member d0(H, d1) (d0 ~ 71 463.5) at the radius its hinted
-# scan reaches for t = 25.65: QUADPACK accepts one 21-point Gauss-Kronrod
-# panel there whose true error is 7.06e-10
+# scan reaches for t = 25.65: QUADPACK's QAGS accepts one 21-point
+# Gauss-Kronrod panel from the neck there whose true error is 7.06e-10
 DEFECT_H, DEFECT_D1 = 0.24820734518035178, 2.9255529619311083
 DEFECT_RHO = 54.475816978215796
 
@@ -248,7 +250,7 @@ class TestHeightIntegral:
         [(0.25, 2.0, 1.0), (0.1, 5.0, 3.0), (0.4, 2.5, 0.3)],
     )
     def test_dual_quadrature_routes_agree(self, H, d, offset):
-        # substituted adaptive Gauss-Kronrod vs Gauss-Jacobi on the raw
+        # substituted Chebyshev series vs Gauss-Jacobi on the raw
         # singular integrand: two genuinely different treatments of the
         # endpoint must agree
         p = CmcParams(H, d)
@@ -376,7 +378,7 @@ class TestInversion:
 
     def test_grid_holds_each_distinct_height_once(self):
         p = CmcParams(0.25, 3.0)
-        table = HeightTable(p, QUAD_TOL)
+        table = HeightTable(p)
         radii = [table.radius(t) for t in (2.0, -1.0, 0.0, 1.0, -2.0)]
         assert sorted(table.radii) == [0.0, 1.0, 2.0]
         assert radii[0] == radii[4] and radii[1] == radii[3]
@@ -398,23 +400,22 @@ TABLE_D = {
 }
 
 
-@pytest.mark.filterwarnings("error::hcat.errors.IntegrationWarning")
 class TestHeightTable:
     @pytest.mark.parametrize("kind", list(TABLE_D))
     @pytest.mark.parametrize("H", TABLE_H)
     def test_radii_invert_the_height_within_quad_tol(self, H, kind):
         # a float radius b can be no closer than one spacing ulp(b) to the
         # exact root, which moves the height by integrand(b) * ulp(b); that
-        # stays below QUAD_TOL (at most 3.6e-12) for H <= .45 and reaches
+        # stays below ORACLE_TOL (at most 3.6e-12) for H <= .45 and reaches
         # 7e-9 at H = .4999 and t = .01, where the height is steep at the neck
         d = TABLE_D[kind](H)
         ts = [0.01, 0.3, 7.0, 25.65, 50.0]
         p = CmcParams(H, d)
-        table = HeightTable(p, QUAD_TOL)
+        table = HeightTable(p)
         for t in ts:
             b = table.radius(t)
             resolution = integrand(p, b) * math.ulp(b)
-            assert abs(_mp_lambda_split(H, d, b) - t) <= max(QUAD_TOL, resolution)
+            assert abs(_mp_lambda_split(H, d, b) - t) <= max(ORACLE_TOL, resolution)
 
     @given(
         H=st.floats(0.02, 0.4999),
@@ -425,7 +426,7 @@ class TestHeightTable:
     def test_one_point_inversion_equals_the_grid_bit_for_bit(self, H, offset, ts):
         # one shared table, asked for every height in turn
         p = CmcParams(H, -2.0 * H + offset)
-        table = HeightTable(p, QUAD_TOL)
+        table = HeightTable(p)
         radii = [table.radius(t) for t in ts]
         for t, rho in zip(ts, radii):
             assert b_inverse(p, t) == rho
@@ -434,7 +435,7 @@ class TestHeightTable:
         # one series spans [u, 2u] from u = 1/4 on, while the breaks that end
         # Brent's brackets stay 1/4 apart below u_cap; fixed 1/4 panels
         # held 32 series up to u = 8
-        table = HeightTable(CmcParams(0.25, 3.0), QUAD_TOL)
+        table = HeightTable(CmcParams(0.25, 3.0))
         table.integral(table.params.eta + 64.0)
         assert table.breaks[-1] == 8.0
         assert all(0.0 < b - a <= _PANEL_U for a, b in zip(table.breaks, table.breaks[1:]))
@@ -444,10 +445,18 @@ class TestHeightTable:
         assert spans[0][0] == 0.0
         for (lo, hi), (nxt, _) in zip(spans, spans[1:] + [(8.0, None)]):
             assert hi == lo + max(_PANEL_U, lo) == nxt
+        # one reading rule: every height the table holds, at a piece's end
+        # too, is its piece's start height plus its series
+        for H, d in [(0.25, 3.0), (0.25, 71_617.9), (0.1, 2.5), (0.4999, 3.0),
+                     (0.25, -0.5 + 1e-12)]:
+            table = HeightTable(CmcParams(H, d))
+            table.integral(RHO_MAX_DEFAULT)
+            for i, (start, series) in enumerate(table.pieces):
+                assert start + _series_at(series, table.breaks[i + 1]) == table.heights[i + 1]
 
     def test_floor_member_splits_panel_zero(self):
         # the integrand turns on a scale of (d + 2H)^(1/4) in u near the floor
-        table = HeightTable(CmcParams(0.25, -0.5 + 1e-12), QUAD_TOL)
+        table = HeightTable(CmcParams(0.25, -0.5 + 1e-12))
         table.radius(1.0)
         panel0 = [u for u in table.breaks if 0.0 < u <= 0.25]
         assert panel0[-1] == 0.25
@@ -463,7 +472,7 @@ class TestHeightTable:
 
     def test_remainder_table_does_not_invert(self):
         with pytest.raises(PreconditionError):
-            HeightTable(CmcParams(0.25, 3.0), QUAD_TOL, remainder=True).radius(1.0)
+            HeightTable(CmcParams(0.25, 3.0), remainder=True).radius(1.0)
 
     @pytest.mark.parametrize("rho", [math.nan, math.inf, 1.0])
     def test_read_outside_the_table_raises(self, rho):
@@ -493,19 +502,19 @@ class TestHeightAccuracyAtThresholdMember:
         assert split == pytest.approx(_mp_lambda(DEFECT_H, d, DEFECT_RHO), abs=1e-12)
 
     def test_inversion_within_quad_tol(self):
-        # the inversion integrates fixed panels, never the one wide panel
-        # that QUADPACK accepts below
+        # the table integrates doubling pieces, never the one wide panel
+        # that QAGS accepts
         d = solve_d0(DEFECT_H, DEFECT_D1)
         rho = b_inverse(CmcParams(DEFECT_H, d), 25.65)
-        assert _mp_lambda_split(DEFECT_H, d, rho) == pytest.approx(25.65, abs=QUAD_TOL)
+        assert _mp_lambda_split(DEFECT_H, d, rho) == pytest.approx(25.65, abs=ORACLE_TOL)
 
     def test_height_within_quad_tol(self):
-        # one adaptive quad from the neck accepted a panel off by 7.06e-10
-        # here; the table's panel sum reads the oracle value
+        # one adaptive QAGS from the neck accepted a panel off by 7.06e-10
+        # here; the table's series read the oracle value
         d = solve_d0(DEFECT_H, DEFECT_D1)
         want = _mp_lambda_split(DEFECT_H, d, DEFECT_RHO)
         assert lambda_height(CmcParams(DEFECT_H, d), DEFECT_RHO) == pytest.approx(
-            want, abs=QUAD_TOL
+            want, abs=ORACLE_TOL
         )
 
 
@@ -514,16 +523,15 @@ FORWARD_RHO = (349.9, 350.1, 700.0)
 FORWARD_MEMBERS = [(H, d) for H in (0.01, 0.25, 0.45) for d in (-2.0 * H + 1e-12, 3.0, 1e6)]
 
 
-@pytest.mark.filterwarnings("error::hcat.errors.IntegrationWarning")
 class TestForwardReads:
     @pytest.mark.parametrize("H,d", FORWARD_MEMBERS)
     def test_height_and_remainder_within_quad_tol(self, H, d):
         p = CmcParams(H, d)
         for rho in FORWARD_RHO:
             assert lambda_height(p, rho) == pytest.approx(
-                _mp_lambda_split(H, d, rho), abs=QUAD_TOL)
+                _mp_lambda_split(H, d, rho), abs=ORACLE_TOL)
             assert j_remainder(p, rho) == pytest.approx(
-                _mp_lambda_split(H, d, rho, remainder=True), abs=QUAD_TOL)
+                _mp_lambda_split(H, d, rho, remainder=True), abs=ORACLE_TOL)
 
     @pytest.mark.parametrize("H,d", [(0.25, -0.5 + 1e-12), (0.45, 3.0)])
     def test_profile_within_quad_tol(self, H, d):
@@ -532,7 +540,7 @@ class TestForwardReads:
             # samples[0] is the neck at height 0
             for sample in profile(p, rho_max, 3).samples[1:]:
                 assert sample.t == pytest.approx(
-                    _mp_lambda_split(H, d, sample.rho), abs=QUAD_TOL)
+                    _mp_lambda_split(H, d, sample.rho), abs=ORACLE_TOL)
 
     @pytest.mark.parametrize("H,d", [(0.01, 1e6), (0.25, 3.0), (0.45, -0.9 + 1e-12)])
     def test_reads_past_the_inversion_cap(self, H, d):
@@ -540,17 +548,17 @@ class TestForwardReads:
         # 23 reach 1e12 (and up to 14 more split from piece 0 on the floor
         # member), with a break every 1/4 in u below the cap
         p = CmcParams(H, d)
-        table = HeightTable(p, QUAD_TOL)
+        table = HeightTable(p)
         for rho in (2.0 * RHO_MAX_DEFAULT, 1e6, 1e12):
-            # each panel's quad meets QUAD_TOL or a relative 1e-12
+            # each piece's tail is at most 1e-13 of max(1, |piece total|)
             assert lambda_height(p, rho, table=table) == pytest.approx(
-                _mp_lambda_split(H, d, rho), abs=QUAD_TOL, rel=1e-12)
+                _mp_lambda_split(H, d, rho), abs=ORACLE_TOL, rel=1e-12)
         assert len(table.pieces) <= 4 * math.sqrt(RHO_MAX_DEFAULT) + 30
         with pytest.raises(ConvergenceError):
             table.radius(lambda_height(p, 2.0 * RHO_MAX_DEFAULT, table=table))
         if d > 0:
             assert j_remainder(p, 1e12) == pytest.approx(
-                _mp_lambda_split(H, d, 1e12, remainder=True), abs=QUAD_TOL)
+                _mp_lambda_split(H, d, 1e12, remainder=True), abs=ORACLE_TOL)
 
     @given(
         H=st.floats(1e-3, 0.4999),
@@ -566,31 +574,31 @@ class TestForwardReads:
         u = band[0] + frac * (band[1] - band[0])
         rho = p.eta + u * u
         t = lambda_height(p, rho)
-        assert t == pytest.approx(_mp_lambda_split(H, d, rho), abs=QUAD_TOL)
+        assert t == pytest.approx(_mp_lambda_split(H, d, rho), abs=ORACLE_TOL)
         assert j_remainder(p, rho) == pytest.approx(
-            _mp_lambda_split(H, d, rho, remainder=True), abs=QUAD_TOL)
+            _mp_lambda_split(H, d, rho, remainder=True), abs=ORACLE_TOL)
         # Brent stops within ROOT_TOL + 4 ulp(u) in u, doubled by rho = eta + u^2
         root_tol = 2.0 * u * (ROOT_TOL + 4.0 * math.ulp(u)) + 2.0 * math.ulp(rho)
-        assert HeightTable(p, QUAD_TOL).radius(t) == pytest.approx(rho, abs=root_tol)
+        assert HeightTable(p).radius(t) == pytest.approx(rho, abs=root_tol)
 
     def test_profile_past_the_inversion_cap(self):
         curve = profile(CmcParams(0.25, 3.0), 1e6, 5)
         assert curve.samples[-1].t == pytest.approx(
-            _mp_lambda_split(0.25, 3.0, 1e6), abs=QUAD_TOL, rel=1e-12)
+            _mp_lambda_split(0.25, 3.0, 1e6), abs=ORACLE_TOL, rel=1e-12)
 
     def test_reads_share_the_table_they_are_given(self, inversion_counts):
         p = CmcParams(0.25, 3.0)
-        heights = HeightTable(p, QUAD_TOL)
-        remainders = HeightTable(p, QUAD_TOL, remainder=True)
+        heights = HeightTable(p)
+        remainders = HeightTable(p, remainder=True)
         for rho in (3.0, 5.0, 4.0):
             assert lambda_height(p, rho, table=heights) == heights.integral(rho)
             assert j_remainder(p, rho, table=remainders) == remainders.integral(rho)
         assert inversion_counts.builds == {(0.25, 3.0, False): 1, (0.25, 3.0, True): 1}
 
     @pytest.mark.parametrize("other", [
-        HeightTable(CmcParams(0.25, 2.0), QUAD_TOL),
-        HeightTable(CmcParams(0.25, 3.0), 1e-8),
-        HeightTable(CmcParams(0.25, 3.0), QUAD_TOL, remainder=True),
+        HeightTable(CmcParams(0.25, 2.0)),
+        HeightTable(CmcParams(0.3, 3.0)),
+        HeightTable(CmcParams(0.25, 3.0), remainder=True),
     ])
     def test_a_table_of_another_member_is_refused(self, other):
         with pytest.raises(PreconditionError):
@@ -600,41 +608,44 @@ class TestForwardReads:
         # d = -2H: a height table without the remainder
         p = CmcParams(0.25, -0.5)
         assert lambda_height(p, 350.1) == pytest.approx(
-            _mp_lambda_split(0.25, -0.5, 350.1), abs=QUAD_TOL)
+            _mp_lambda_split(0.25, -0.5, 350.1), abs=ORACLE_TOL)
         with pytest.raises(PreconditionError):
             j_remainder(p, 1.0)
 
 
 class TestEvaluationCounts:
-    # every evaluation of the substituted integrand, Chebyshev samples and
-    # quad nodes alike
+    # every evaluation of the substituted integrand: 24 Chebyshev samples
+    # per piece, the table's one integration rule
     def test_appendix_defaults(self, inversion_counts, tmp_path):
-        # one adaptive quad from the neck per radius and integrand took
-        # 40 614 here; two tables of 13 panels per member take 14 040, a
-        # floor of 13 * (21 quad nodes + 24 samples) per table
+        # one adaptive QAGS from the neck per radius and integrand took
+        # 40 614 here, and a QAGS total beside each series 5 400; two tables
+        # of 5 pieces (u up to sqrt(10)) for each of 12 members take 2 880
         from hcat import cli
 
         assert cli.run(["verify-appendix", "--out", str(tmp_path / "a.json")]) == 0
-        assert 2.5 * inversion_counts.evaluations <= 40_614
+        assert inversion_counts.evaluations == 2_880
 
     def test_appendix_at_800_radii(self, inversion_counts):
-        # the benchmark's forward sweep: 643 692 with one quad per radius
+        # the benchmark's forward sweep: 643 692 with one QAGS per radius;
+        # the radii reach no further than at the defaults, so 2 880
         verify_appendix([0.1, 0.25, 0.4], [2.5, 3.0, 10.0, 100.0], grid_points=800)
-        assert 10 * inversion_counts.evaluations <= 643_692
+        assert inversion_counts.evaluations == 2_880
 
     def test_pair_of_the_cold_scan(self, inversion_counts, tmp_path):
         # one pair of the benchmark's pair scan: 2 070 on fixed 1/4 panels,
-        # 540 on doubling pieces (12 of 21 quad nodes and 24 samples)
+        # 540 on doubling pieces with a QAGS total beside each series, and
+        # 288 on the series alone (12 pieces)
         from hcat import cli
 
         assert cli.run(["disjoint", "--H", ".25", "--d1", "3", "--d2", "30", "--t-max", "20",
                         "--step", ".5", "--out", str(tmp_path / "c.json")]) == 0
-        assert inversion_counts.evaluations <= 600
+        assert inversion_counts.evaluations == 288
 
     def test_headline_pipeline(self, inversion_counts, tmp_path):
-        # 6 660 on fixed 1/4 panels, 1 260 on doubling pieces (28)
+        # 6 660 on fixed 1/4 panels, 1 260 on doubling pieces with a QAGS
+        # total beside each series, and 672 on the series alone (28 pieces)
         _run_headline_pipeline(tmp_path)
-        assert inversion_counts.evaluations <= 1_400
+        assert inversion_counts.evaluations == 672
 
     def test_headline_solves_read_few_series_terms(self, inversion_counts, tmp_path):
         # series reads per Brent solve, heights at breaks and forward reads
@@ -649,7 +660,7 @@ class TestEvaluationCounts:
 
     def test_one_off_far_read(self, inversion_counts):
         # a table built for one read at rho = 1e4: 400 fixed 1/4 panels
-        # (about 42 ms), 10 doubling pieces (about 2 ms)
+        # (about 42 ms), 10 doubling pieces (about 1.8 ms)
         lambda_height(CmcParams(0.25, 2.0), RHO_MAX_DEFAULT)
         assert sum(inversion_counts.pieces.values()) <= 12
 

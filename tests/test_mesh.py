@@ -169,34 +169,34 @@ class TestExport:
 PINNED_MESHES = {
     "poincare_doubled": (
         ["--H", "0.25", "--d", "2", "--rho-max", "6", "--n", "256", "--m", "256"],
-        "6599cbe96dcbc7631fdfb93e1bdc9a47022db27b579796afa4f25b07541da36e",
-        "b66fbf29909bbcbbf66d60b65137d70b302cdc9d4cbbc0c236609c5865c17284",
+        "cf9a8216650beb62cb5cfb2e41e0de70b87a0cecf91688bf18f9670a9021513a",
+        "56d903841e5c8aa9c7c4fb09e011153083388ba5d24ca08ffe21579f9527ea17",
     ),
     "cylinder_doubled": (
         ["--H", "0.3", "--d", "1.5", "--rho-max", "4", "--n", "33", "--m", "24",
          "--mode", "cylinder_polar"],
-        "4f71413941a637838e4c9bf6c5b83682fa1fee5c1d5af004d355f6f56b0b8f43",
-        "14f178b456384d46de45bfa047ad5498410e8b4ddda4922ca720feb491879e93",
+        "66c1b1d1d77cd7e65b0fd4f443e2559af85794d618539689e521c6617d0ae441",
+        "0066d580124f9b8e955979c8006288cca71e0cf8ac2119ddd9d5ebbf2bc4a2f2",
     ),
     "not_doubled": (
         ["--H", "0.2", "--d", "5", "--rho-max", "8", "--n", "40", "--m", "17",
          "--no-doubled"],
-        "ff67c90a57cc05150c342a8f9fc8bfe2f8fcaec7a20be416ce722728b88ea18a",
-        "65967da7c9b54d8a19bbaae57993a8ff9c4dfc628ecd7e6e69470b645368a767",
+        "cf14a68bf6b8aff01ba084fae7497307ced5c65518ac3a91b897ad782f5b177c",
+        "7f7c415870c1246cfba234d3a9b973f0d0ea77fb42888d58c752fac142de41ed",
     ),
     # d = -2H: the neck ring has radius 0, so 63 of its coordinates are -0.0
     "entire_graph": (
         ["--H", "0.25", "--d", "-0.5", "--rho-max", "3", "--n", "20", "--m", "64"],
-        "f74bc26dfc8335ad5816e741f54e3df557b43c42e8cb57a055a40af5ef6e601d",
-        "4366a51773dc3c8a4c86756bfe7225a2eedca5fb38ef8d3c7b1cdb9db49f403c",
+        "7e1706d41120c28fe64c35dafaf8587f25301c8177483121b3649b609e31c231",
+        "ec3565f6311eae7baef8d3a173460c76073532996e857e6cbb441223e0f14cb7",
     ),
 }
 
 PINNED_FAMILY = {
-    "family.json": "ee66922a0e619f3c24bd44bd5f5cf08934c033b50661e5a8729c051f87341a02",
-    "frame_d_-0.5.obj": "76625ac66135d499df21703afa71de3d93b83361577eaaeeb1cb7fc8d1287ce4",
-    "frame_d_0.obj": "6bc6cddd320166351924bde337bd8e6a6968141e917fad684e6a530bcdd78bbc",
-    "frame_d_2.obj": "945252e32020156380296c469405390f28333b95873dabcd68a4e0aa3dae22f8",
+    "family.json": "9a672336b63c90f679be964b6530112cf638729e25c9803e0481c894f12e75c1",
+    "frame_d_-0.5.obj": "873dd9f67f46d7b75f72cd03b80162c30ca781567f3f37c8e9cdb837e28baecb",
+    "frame_d_0.obj": "46eef2f254ba2e2b02ad64a5fe8a254e560a377429d2fd2c168bd832850646c3",
+    "frame_d_2.obj": "8506826220c25f711c1e0f0f0b8a62ca1cad3b41a5d277ae020b05c791af242c",
 }
 
 

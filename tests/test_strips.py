@@ -7,7 +7,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hcat.core import QUAD_TOL, CmcParams, necksize
+from hcat.core import CmcParams, necksize
 from hcat.disjoint import height_grid
 from hcat.errors import PreconditionError
 from hcat.strips import (
@@ -25,7 +25,7 @@ T_GRID = [k * 0.5 - 2.0 for k in range(9)]  # [-2, 2] step 0.5
 
 @pytest.fixture(scope="module")
 def small_pair(small_cert):
-    return pair_radii(small_cert, -2.0, 2.0, 0.5, QUAD_TOL)
+    return pair_radii(small_cert, -2.0, 2.0, 0.5)
 
 
 class TestOffsets:
@@ -83,14 +83,14 @@ class TestStripClaim:
     def test_absurd_offsets_fail_cleanly(self, small_cert):
         # a shift larger than the whole gap cannot clear the outer circle
         offsets = StripOffsets(delta=50.0, delta1=25.0, delta2=37.5)
-        report = verify_strip_claim(pair_radii(small_cert, 0.0, 0.0, 1.0, QUAD_TOL), offsets)
+        report = verify_strip_claim(pair_radii(small_cert, 0.0, 0.0, 1.0), offsets)
         assert not report.passed
         assert report.min_margin < 0.0
 
     def test_nonpositive_offsets_rejected(self, small_cert):
         with pytest.raises(PreconditionError):
             verify_strip_claim(
-                pair_radii(small_cert, 0.0, 0.0, 1.0, QUAD_TOL), StripOffsets(1.0, 0.0, 1.0)
+                pair_radii(small_cert, 0.0, 0.0, 1.0), StripOffsets(1.0, 0.0, 1.0)
             )
 
 
@@ -104,7 +104,7 @@ class TestC3Lemma:
     def test_reach_margin_at_zero_height(self, small_cert):
         # at t = 0 the radii are the necks, so the reach margin is
         # exactly eta1: b1 - (eta2 - b2) = eta1
-        report = verify_c3_lemma(pair_radii(small_cert, 0.0, 0.0, 1.0, QUAD_TOL))
+        report = verify_c3_lemma(pair_radii(small_cert, 0.0, 0.0, 1.0))
         eta1 = necksize(CmcParams(small_cert.H, small_cert.d1))
         reach = next(
             r for r in report.records if r.check_id == "shifted3_reaches_inner"
@@ -129,7 +129,7 @@ class TestRemarkSweep:
         # sweep refines; only the swept member gets a table of its own, and
         # all three members are solved once at every height asked
         counts = inversion_counts
-        pair = pair_radii(small_cert, -2.0, 2.0, 0.5, QUAD_TOL)
+        pair = pair_radii(small_cert, -2.0, 2.0, 0.5)
         report = remark_sweep(pair, StripOffsets(2e-3, 1e-3, 1e-3), [30.0])
         assert not report.passed
         members = (small_cert.d1, small_cert.d2, 30.0)
@@ -144,7 +144,7 @@ class TestRemarkSweep:
         # no shifted barrier reaches d = 30, so the sweep refines around its
         # best coarse height, the grid's largest |t| = 2; stepping 21 fine
         # heights from there used to reach |t| = 2.5
-        pair = pair_radii(small_cert, -2.0, 2.0, 0.5, QUAD_TOL)
+        pair = pair_radii(small_cert, -2.0, 2.0, 0.5)
         report = remark_sweep(pair, StripOffsets(2e-3, 1e-3, 1e-3), [30.0])
         (record,) = report.records
         assert not record.passed
@@ -195,7 +195,7 @@ class TestMirroredGrid:
            step=st.floats(0.05, 1.0))
     def test_heights_and_margins_mirror_about_zero(self, small_cert, t_min, t_max,
                                                    step):
-        pair = pair_radii(small_cert, t_min, t_max, step, QUAD_TOL)
+        pair = pair_radii(small_cert, t_min, t_max, step)
         upper = height_grid(0.0, t_max, step)
         below = [t for t in pair.t_grid if t < 0.0]
         assert [-t for t in reversed(below)] == height_grid(0.0, -t_min, step)[1:]
@@ -215,7 +215,7 @@ class TestMirroredGrid:
 class TestReportOutput:
     def test_margin_csv_layout(self, small_cert):
         offsets = compute_offsets(small_cert)
-        report = verify_strip_claim(pair_radii(small_cert, 0.0, 1.0, 1.0, QUAD_TOL), offsets)
+        report = verify_strip_claim(pair_radii(small_cert, 0.0, 1.0, 1.0), offsets)
         out = io.StringIO()
         write_margin_csv([report], out)
         lines = out.getvalue().splitlines()
@@ -227,7 +227,7 @@ class TestReportOutput:
         assert float(margin) == report.records[0].margin
 
     def test_json_dict_round_trips_through_json(self, small_cert):
-        report = verify_c3_lemma(pair_radii(small_cert, 0.0, 0.0, 1.0, QUAD_TOL))
+        report = verify_c3_lemma(pair_radii(small_cert, 0.0, 0.0, 1.0))
         data = json.loads(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
         assert data["passed"] is True
         assert data["min_margin"] == report.min_margin
