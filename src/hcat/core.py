@@ -16,16 +16,17 @@ the substitution r = neck + u^2; in the u variable the integrand is
 smooth.  Every height (and every remainder integral of the height
 decomposition) is read from a `HeightTable`: pieces in u that double in
 width, each with a 24-point Chebyshev series of the cumulative integral
-across it (`quad`, the package's one quadrature rule), tabulated at
-breaks every 1/4 in u.  Forward reads evaluate that series; profile
-inversion runs Brent on it between two breaks.  Brent's root finder is
-the package's own, in `hcat.numerics`.
+across it (`quad`, the package's one quadrature rule).  Forward reads
+evaluate that series; profile inversion runs Brent on it across one
+piece, in v = u^2 = rho - neck, where the height is nearly linear.
+Brent's root finder is the package's own, in `hcat.numerics`.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from operator import mul
@@ -33,12 +34,10 @@ from operator import mul
 from .errors import ConvergenceError, DomainError, PreconditionError
 from .numerics import brentq
 
-#: root-finding tolerance (in the substituted variable u = sqrt(rho - neck))
+#: root-finding tolerance in the substituted variable u = sqrt(rho - neck);
+#: Brent solves in v = u^2 = rho - neck, to within 2u ROOT_TOL there
 ROOT_TOL = 1e-12
-#: cap on the radius reached by profile inversion
-RHO_MAX_DEFAULT = 1e4
-# break spacing of the height table and width of its first pieces, in
-# u = sqrt(rho - neck)
+# width of the height table's first pieces, in u = sqrt(rho - neck)
 _PANEL_U = 0.25
 # Chebyshev points sampled on each piece
 _CHEB_N = 24
@@ -260,7 +259,7 @@ def lambda_height(params: CmcParams, rho: float, table: HeightTable | None = Non
     Read from `table`, a HeightTable(params) that the caller keeps across
     reads.  Without one, a table is built for this read alone: one `quad`
     of _CHEB_N samples for each piece below rho, whose widths double in u
-    (10 pieces and about 1.8 ms at rho = 1e4, against about 2 us for a
+    (10 pieces and about 0.7 ms at rho = 1e4, against about 2 us for a
     read from a kept table).
     """
     return _table_read(params, rho, table, remainder=False)
@@ -422,19 +421,18 @@ class HeightTable:
     halvings.  Near the family floor d = -2H this splits piece 0 toward
     u = 0, where the integrand turns on a scale of (d + 2H)^(1/4).
 
-    `breaks` are the pieces' ends in u and, below u_cap, every multiple
-    of _PANEL_U inside a piece, so Brent's brackets stay 1/4 wide.
-    `pieces[i]` is (start height, series) of the piece holding
-    [breaks[i], breaks[i + 1]], where the start height is the height at
-    the piece's first break.  Every height the table holds reads "start +
-    series": `heights[i]` at the breaks, the piece's end included,
-    `integral(rho)` between them, and `radius(t)` runs Brent on it between
-    the breaks whose heights bracket t.  The table grows lazily to the
-    largest radius (`integral`) or height (`radius`) asked for; inversion
-    stops at RHO_MAX_DEFAULT (u_cap in u), and forward reads cost one
-    piece per doubling of u.  Every solved radius is
-    kept in `radii`, keyed by |t|, so asking again returns the stored
-    bits.  The table lives as long as its caller keeps it; nothing
+    `breaks` are the pieces' ends in u, and `pieces[i]` is the series of
+    the piece holding [breaks[i], breaks[i + 1]].  Every height the table
+    holds reads "start + series", the start being `heights[i]`, the
+    height at breaks[i]: `heights[i + 1]` at the piece's end,
+    `integral(rho)` inside it, and `radius(t)` runs Brent on it across
+    the piece whose end heights bracket t, in v = u^2 = rho - neck.  The
+    height is nearly linear in v over a piece, where in u it bends like
+    u^2.  The table grows lazily to the largest radius (`integral`) or
+    height (`radius`) asked for, at one piece per doubling of u; a
+    height that no finite radius reaches is a DomainError.  Every solved
+    radius is kept in `radii`, keyed by |t|, so asking again returns the
+    stored bits.  The table lives as long as its caller keeps it; nothing
     outlives one call of a command.
     """
 
@@ -443,7 +441,6 @@ class HeightTable:
             raise PreconditionError("remainder decomposition needs d > -2H")
         self.params = params
         self.remainder = remainder
-        self.u_cap = math.sqrt(max(RHO_MAX_DEFAULT - params.eta, 0.0))
         self.breaks = [0.0]
         self.heights = [0.0]
         self.pieces: list[tuple] = []
@@ -458,18 +455,9 @@ class HeightTable:
         series, tail = quad(lambda u: _substituted(params, u, remainder), u_lo, u_hi)
         total = _series_at(series, u_hi)
         if tail <= _TAIL_TOL * max(1.0, abs(total)):
-            start = self.heights[-1]
-            entry = (start, series)
-            # below u_cap, a break every _PANEL_U keeps Brent's brackets narrow
-            k = math.floor(u_lo / _PANEL_U) + 1
-            while k * _PANEL_U < min(u_hi, self.u_cap):
-                self.breaks.append(k * _PANEL_U)
-                self.heights.append(start + _series_at(series, k * _PANEL_U))
-                self.pieces.append(entry)
-                k += 1
             self.breaks.append(u_hi)
-            self.heights.append(start + total)
-            self.pieces.append(entry)
+            self.heights.append(self.heights[-1] + total)
+            self.pieces.append(series)
             return
         if depth == _MAX_DEPTH:
             raise ConvergenceError(
@@ -491,8 +479,7 @@ class HeightTable:
         i = bisect_right(self.breaks, u) - 1
         if self.breaks[i] == u:
             return self.heights[i]
-        start, series = self.pieces[i]
-        return start + _series_at(series, u)
+        return self.heights[i] + _series_at(self.pieces[i], u)
 
     def radius(self, t: float) -> float:
         """Radius of the profile at height t (even in t)."""
@@ -506,33 +493,38 @@ class HeightTable:
     def _solve(self, t: float) -> float:
         if not math.isfinite(t):
             raise DomainError(f"height must be finite, got {t}")
+        eta = self.params.eta
         if t == 0.0:
-            return self.params.eta
-        heights = self.heights
-        while heights[-1] < t:
-            if self.breaks[-1] >= self.u_cap:
-                raise ConvergenceError(f"no bracket below rho_max = {RHO_MAX_DEFAULT}")
+            return eta
+        heights, breaks = self.heights, self.breaks
+        # grow past t, so that the piece holding t has an end above it
+        while heights[-1] <= t:
+            if breaks[-1] * breaks[-1] == math.inf:
+                raise DomainError(f"no finite radius reaches height t = {t}")
             self._add_panel()
         i = bisect_right(heights, t) - 1
-        lo = self.breaks[i]
+        lo, hi = breaks[i], breaks[i + 1]
+        v_lo, v_end = lo * lo, hi * hi
         if heights[i] == t:
-            u = lo
-        else:
-            hi, below, above = self.breaks[i + 1], heights[i], heights[i + 1]
-            start, series = self.pieces[i]
+            return eta + v_lo
+        start, series = heights[i], self.pieces[i]
 
-            def excess(u: float) -> float:
-                # the bracket's ends are tabulated heights, so its signs hold exactly
-                if u == lo:
-                    return below - t
-                if u == hi:
-                    return above - t
-                return start + _series_at(series, u) - t
+        def excess(v: float) -> float:
+            # the bracket's ends are tabulated heights, so its signs hold exactly
+            if v == v_lo:
+                return start - t
+            if v == v_end:
+                return heights[i + 1] - t
+            return start + _series_at(series, math.sqrt(v)) - t
 
-            u = brentq(excess, lo, hi, xtol=ROOT_TOL, rtol=4.0 * math.ulp(1.0))
-        if u > self.u_cap:
-            raise ConvergenceError(f"no bracket below rho_max = {RHO_MAX_DEFAULT}")
-        return self.params.eta + u * u
+        # the largest finite radius closes the bracket where hi^2 overflows
+        v_hi = min(v_end, sys.float_info.max)
+        if not excess(v_hi) >= 0.0:
+            raise DomainError(f"no finite radius reaches height t = {t}")
+        # dv = 2u du, so xtol keeps u within ROOT_TOL; from u = 0, rtol rules
+        v = brentq(excess, v_lo, v_hi, xtol=2.0 * ROOT_TOL * max(lo, ROOT_TOL),
+                   rtol=4.0 * math.ulp(1.0))
+        return eta + v
 
 
 def b_inverse(params: CmcParams, t: float) -> float:

@@ -28,10 +28,10 @@ def small_cert():
 def inversion_counts(monkeypatch):
     """Count, for every HeightTable, its builds per (H, d, remainder), its
     pieces per (d, remainder, u_lo, u_hi) as `_add_piece` tries them,
-    split pieces included (a piece may span many breaks), and its Brent
-    solves per (d, |t|); every evaluation of the substituted integrand;
-    and every evaluation of a piece's series (`series_reads`): Brent's
-    steps, forward reads and the heights at breaks."""
+    split pieces included, and its Brent solves per (d, |t|); every
+    evaluation of the substituted integrand; and every evaluation of a
+    piece's series (`series_reads`): Brent's steps, forward reads and the
+    heights at the pieces' ends."""
     from hcat import core
 
     counts = SimpleNamespace(builds=Counter(), pieces=Counter(), solves=Counter(),

@@ -257,6 +257,26 @@ class TestDisjoint:
         assert run(args) == EXIT_OK
         assert json.loads(out.read_text())["result"]["certified"] is True
 
+    @pytest.mark.parametrize("H,d1,code", [("0.002", "10", EXIT_OK),
+                                           ("0.001", "3", EXIT_CHECK_FAILED)])
+    def test_small_h_reaches_the_checks(self, tmp_path, H, d1, code):
+        # radii pass 1e4 before t = 50 here; (.001, 3) really crosses
+        cert = tmp_path / "cert.json"
+        assert run(["disjoint", "--H", H, "--d1", d1, "--solve-d0", "--out", str(cert)]) == code
+        result = json.loads(cert.read_text())["result"]
+        if code == EXIT_CHECK_FAILED:
+            assert result["failure"].startswith("gap non-positive")
+            return
+        assert run(["strips", "--cert", str(cert), "--out", str(tmp_path / "s.json")]) == EXIT_OK
+
+    def test_height_past_every_finite_radius_is_named(self, tmp_path, capsys):
+        # the largest float radius reaches a height of about 1.04e308 on both
+        # members, so the grid's 1.1e308 has no radius
+        args = ["disjoint", "--H", ".25", "--d1", "3", "--d2", "10", "--t-max", "1.7e308",
+                "--step", "1e307", "--out", str(tmp_path / "c.json")]
+        assert run(args) == EXIT_USAGE
+        assert "error: no finite radius reaches height t = 1.1e+308" in capsys.readouterr().err
+
 
 class TestStrips:
     def test_full_report(self, cert_file, tmp_path, schema_registry):
@@ -340,9 +360,9 @@ _HEADLINE_COMMANDS = [
     ["strips", "--cert", "cert.json", "--out", "strips.json", "--csv", "margins.csv"],
 ]
 _HEADLINE_SHA256 = {
-    "cert.json": "2c3b3c1a662b2341c3c252977c6691fde122d36325fda8da9dcb20e9235c082f",
-    "strips.json": "b3d589ca14f402c0df2eabc63ef00bb4bf2d5926e81030165651c08a5656bdbf",
-    "margins.csv": "cc06b9c9c40ff991936c4ccb2f300d617984eb80c5ea7c9b8357c347d6fa5445",
+    "cert.json": "4d907f89992f5f2aeebbfbbd3f984b2acd29e64ea287d691b7d54ac82bc2992a",
+    "strips.json": "9dcaded6972a0747e64eedbff2c66985ecc206f056ce46a49c09a885ba0dc9ff",
+    "margins.csv": "4607a8dda2ff431b78d2b4341b7cac38b17521e500847c71589b7bad77558b9f",
 }
 # each check entry nests a `witness` dict: not a flat record
 _APPENDIX_COMMAND = ["verify-appendix", "--out", "appendix.json"]
@@ -391,9 +411,9 @@ class TestPinnedReports:
                 "--step", "0.5", "--d-points", "3", "--out", "r.json", "--csv", "r.csv"]
         assert run(args) == EXIT_CHECK_FAILED
         assert _sha256(tmp_path / "r.json") == (
-            "73dc264942dd699c12b13d0278964fbcf8fc01fdddc0439bd985a767360be28f")
+            "2037c98bb7518ada6fa758f9c3473a4b7382fd9135db8c38e83ab9b91d7879fc")
         assert _sha256(tmp_path / "r.csv") == (
-            "b39343a45e67fbc288e0b3fc8562a4934462f75f87a985b75c883da0dc040e22")
+            "78103db3be1743576166b33144c78790c211c1af305cde4e95274f5f41654620")
 
     def test_verify_appendix(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -4,6 +4,7 @@ closed forms; integrals are cross-checked by an independent Gauss-Jacobi
 quadrature of the raw singular integrand."""
 
 import math
+import sys
 
 import mpmath as mp
 import pytest
@@ -12,8 +13,6 @@ from scipy.special import roots_jacobi
 
 from hcat.core import (
     _LARGE_R,
-    _PANEL_U,
-    RHO_MAX_DEFAULT,
     ROOT_TOL,
     CmcParams,
     HeightTable,
@@ -371,10 +370,10 @@ class TestInversion:
         with pytest.raises(PreconditionError):
             b_inverse(CmcParams(0.25, -0.5), 1.0)
 
-    def test_unreachable_height_raises(self):
-        # the height at RHO_MAX_DEFAULT is about 5 774 here
-        with pytest.raises(ConvergenceError):
-            b_inverse(CmcParams(0.25, 2.0), 1e4)
+    def test_height_beyond_every_finite_radius_raises(self):
+        # the height at the largest float radius is about 1.0379e308 here
+        with pytest.raises(DomainError, match=r"no finite radius reaches height t = 1\.7e\+308"):
+            b_inverse(CmcParams(0.25, 3.0), 1.7e308)
 
     def test_grid_holds_each_distinct_height_once(self):
         p = CmcParams(0.25, 3.0)
@@ -431,28 +430,25 @@ class TestHeightTable:
         for t, rho in zip(ts, radii):
             assert b_inverse(p, t) == rho
 
-    def test_pieces_double_and_breaks_stay_a_quarter_apart(self):
-        # one series spans [u, 2u] from u = 1/4 on, while the breaks that end
-        # Brent's brackets stay 1/4 apart below u_cap; fixed 1/4 panels
-        # held 32 series up to u = 8
+    def test_one_break_and_one_series_per_doubling_piece(self):
+        # one series spans [u, 2u] from u = 1/4 on, and the breaks are the
+        # pieces' ends; fixed 1/4 panels held 32 series up to u = 8
         table = HeightTable(CmcParams(0.25, 3.0))
         table.integral(table.params.eta + 64.0)
-        assert table.breaks[-1] == 8.0
-        assert all(0.0 < b - a <= _PANEL_U for a, b in zip(table.breaks, table.breaks[1:]))
-        pieces = list(dict.fromkeys(table.pieces))
-        assert len(pieces) <= 7
-        spans = [(mid - half, mid + half) for _, (mid, half, *_) in pieces]
-        assert spans[0][0] == 0.0
-        for (lo, hi), (nxt, _) in zip(spans, spans[1:] + [(8.0, None)]):
-            assert hi == lo + max(_PANEL_U, lo) == nxt
+        assert table.breaks == [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
+        assert len(table.pieces) == len(table.breaks) - 1
+        spans = [(mid - half, mid + half) for mid, half, *_ in table.pieces]
+        assert spans == list(zip(table.breaks, table.breaks[1:]))
         # one reading rule: every height the table holds, at a piece's end
-        # too, is its piece's start height plus its series
+        # too, is its start height plus its series
         for H, d in [(0.25, 3.0), (0.25, 71_617.9), (0.1, 2.5), (0.4999, 3.0),
                      (0.25, -0.5 + 1e-12)]:
             table = HeightTable(CmcParams(H, d))
-            table.integral(RHO_MAX_DEFAULT)
-            for i, (start, series) in enumerate(table.pieces):
-                assert start + _series_at(series, table.breaks[i + 1]) == table.heights[i + 1]
+            table.integral(1e4)
+            assert len(table.pieces) == len(table.breaks) - 1
+            for i, series in enumerate(table.pieces):
+                assert table.heights[i] + _series_at(series, table.breaks[i + 1]) == (
+                    table.heights[i + 1])
 
     def test_floor_member_splits_panel_zero(self):
         # the integrand turns on a scale of (d + 2H)^(1/4) in u near the floor
@@ -480,15 +476,26 @@ class TestHeightTable:
         with pytest.raises(DomainError):
             lambda_height(CmcParams(0.25, 3.0), rho)
 
-    def test_radius_beyond_rho_max_raises(self):
-        # RHO_MAX_DEFAULT falls between the last break below u_cap = 99.989
-        # and the end of the piece [64, 128] of u, so the cap binds on the
-        # root found there, not on the table's growth
-        p = CmcParams(0.25, 2.0)
-        t = lambda_height(p, RHO_MAX_DEFAULT)
-        with pytest.raises(ConvergenceError):
-            b_inverse(p, t + 1e-3)
-        assert b_inverse(p, t - 1e-3) < RHO_MAX_DEFAULT
+    def test_inversion_stays_finite_at_the_top_of_the_float_range(self):
+        # the piece [2^511, 2^512] of u holds the largest float radius, and
+        # its end, where u^2 overflows, holds a height just above `top`
+        p = CmcParams(0.25, 3.0)
+        table = HeightTable(p)
+        top = lambda_height(p, sys.float_info.max, table=table)
+        assert table.breaks[-1] == 2.0**512 and table.heights[-1] > top
+        assert table.radius(top) == sys.float_info.max
+        for t in (1e307, 1e308, math.nextafter(top, 0.0)):
+            rho = table.radius(t)
+            assert rho < math.inf
+            assert lambda_height(p, rho, table=table) == pytest.approx(t, rel=1e-15)
+        for t in (math.nextafter(top, math.inf), table.heights[-1]):
+            with pytest.raises(DomainError, match="no finite radius reaches height"):
+                table.radius(t)
+
+    def test_forward_read_at_the_top_of_the_float_range(self):
+        # forward reads go to any finite radius, bit-equal to the reads of
+        # the table that kept a break every 1/4 in u
+        assert lambda_height(CmcParams(0.25, 3.0), 1.79e308) == 1.0334569818494302e308
 
     def test_non_finite_height_rejected(self):
         with pytest.raises(DomainError):
@@ -542,20 +549,20 @@ class TestForwardReads:
                 assert sample.t == pytest.approx(
                     _mp_lambda_split(H, d, sample.rho), abs=ORACLE_TOL)
 
-    @pytest.mark.parametrize("H,d", [(0.01, 1e6), (0.25, 3.0), (0.45, -0.9 + 1e-12)])
-    def test_reads_past_the_inversion_cap(self, H, d):
-        # only inversion stops at RHO_MAX_DEFAULT; the pieces double in u, so
-        # 23 reach 1e12 (and up to 14 more split from piece 0 on the floor
-        # member), with a break every 1/4 in u below the cap
+    @pytest.mark.parametrize("H,d", [(0.01, 1e6), (0.25, 3.0), (0.45, -0.9 + 1e-12),
+                                     (0.002, 10.0), (1e-4, 100.0), (0.4999, 3.0)])
+    def test_far_reads_and_round_trips(self, H, d):
+        # the pieces double in u, so 23 reach 1e12 (and up to 14 more split
+        # from piece 0 on the floor member); inversion reaches them all
         p = CmcParams(H, d)
         table = HeightTable(p)
-        for rho in (2.0 * RHO_MAX_DEFAULT, 1e6, 1e12):
+        for rho in (2e4, 1e6, 1e12):
             # each piece's tail is at most 1e-13 of max(1, |piece total|)
-            assert lambda_height(p, rho, table=table) == pytest.approx(
-                _mp_lambda_split(H, d, rho), abs=ORACLE_TOL, rel=1e-12)
-        assert len(table.pieces) <= 4 * math.sqrt(RHO_MAX_DEFAULT) + 30
-        with pytest.raises(ConvergenceError):
-            table.radius(lambda_height(p, 2.0 * RHO_MAX_DEFAULT, table=table))
+            t = lambda_height(p, rho, table=table)
+            assert t == pytest.approx(_mp_lambda_split(H, d, rho), abs=ORACLE_TOL, rel=1e-12)
+            b = table.radius(t)
+            assert abs(_mp_lambda_split(H, d, b) - t) <= max(ORACLE_TOL, 1e-12 * t)
+        assert len(table.pieces) <= 23 + 14
         if d > 0:
             assert j_remainder(p, 1e12) == pytest.approx(
                 _mp_lambda_split(H, d, 1e12, remainder=True), abs=ORACLE_TOL)
@@ -648,21 +655,27 @@ class TestEvaluationCounts:
         assert inversion_counts.evaluations == 672
 
     def test_headline_solves_read_few_series_terms(self, inversion_counts, tmp_path):
-        # series reads per Brent solve, heights at breaks and forward reads
-        # included: 4.34 on fixed 1/4 panels, 4.41 on doubling pieces with a
-        # break every 1/4 in u, and 5.69 when a bracket spans a whole piece.
-        # The strip grid, mirrored about t = 0, holds 500 distinct non-zero
-        # |t| per member; stepped from t = -50 it held 835 (3 708 solves)
+        # series reads per Brent solve, heights at piece ends and forward
+        # reads included: 4.34 on fixed 1/4 panels, 4.41 on doubling pieces
+        # with a break every 1/4 in u, 5.69 with Brent in u across a whole
+        # piece, and 2.91 with Brent in v = rho - neck across it.  The strip
+        # grid, mirrored about t = 0, holds 500 distinct non-zero |t| per
+        # member; stepped from t = -50 it held 835 (3 708 solves).  The
+        # certificate's 10x refinement follows the scanned minimum, whose
+        # height moved 45.41 -> 31.4 with Brent in v
         _run_headline_pipeline(tmp_path)
         solves = sum(inversion_counts.solves.values())
-        assert solves == 3_038
-        assert inversion_counts.series_reads <= 4.6 * solves
+        assert solves == 3_036
+        assert inversion_counts.series_reads <= 3.0 * solves
 
     def test_one_off_far_read(self, inversion_counts):
         # a table built for one read at rho = 1e4: 400 fixed 1/4 panels
-        # (about 42 ms), 10 doubling pieces (about 1.8 ms)
-        lambda_height(CmcParams(0.25, 2.0), RHO_MAX_DEFAULT)
+        # (about 42 ms), 10 doubling pieces (about 0.7 ms).  Each series is
+        # read once for its piece's end height, and the last piece's once
+        # more for the read; with a break every 1/4 in u it read 401 series
+        lambda_height(CmcParams(0.25, 2.0), 1e4)
         assert sum(inversion_counts.pieces.values()) <= 12
+        assert inversion_counts.series_reads <= 11
 
     def test_appendix_builds_two_tables_per_member(self, inversion_counts):
         H_values, d_values = [0.1, 0.4], [2.5, 100.0]
