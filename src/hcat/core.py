@@ -19,7 +19,9 @@ width, each with a 24-point Chebyshev series of the cumulative integral
 across it (`quad`, the package's one quadrature rule).  Forward reads
 evaluate that series; profile inversion runs Brent on it across one
 piece, in v = u^2 = rho - neck, where the height is nearly linear.
-Brent's root finder is the package's own, in `hcat.numerics`.
+That Brent is `brentq` here, a kernel for one piece: the iteration of
+`hcat.numerics.brentq` with the series summed inline, returning the same
+root after the same number of evaluations.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import asdict, dataclass, field
 from operator import mul
 
 from .errors import ConvergenceError, DomainError, PreconditionError
-from .numerics import brentq
+from .numerics import _MAXITER, RootResult
 
 #: root-finding tolerance in the substituted variable u = sqrt(rho - neck);
 #: Brent solves in v = u^2 = rho - neck, to within 2u ROOT_TOL there
@@ -245,6 +247,87 @@ def _series_at(series: tuple, u: float) -> float:
     return c0 + x * b1 - b2
 
 
+def brentq(series: tuple, start: float, t: float, a: float, b: float, fa: float,
+           fb: float, xtol: float, rtol: float, full_output: bool = False):
+    """Root v in [a, b] of start + _series_at(series, sqrt(v)) - t: the height
+    of one table piece, from its start height, less t.
+
+    fa and fb are that excess at a and b, of opposite signs, and are read
+    wherever an iterate lands on a or b.  This is `hcat.numerics.brentq` on
+    that excess operation for operation, the series summed inline, so it
+    returns the same root after the same number of evaluations (a and b
+    counted).  Returns the root, or (root, RootResult) with `full_output`.
+    """
+    mid, half, c0, rev = series
+    calls = 2
+
+    def done(x: float):
+        return (x, RootResult(calls)) if full_output else x
+
+    if fa == 0.0:
+        return done(a)
+    if fb == 0.0:
+        return done(b)
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return done(xcur)
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # an infinite or NaN step in IEEE arithmetic: never taken
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        calls += 1
+        # the excess at xcur: a tabulated end, or the series summed by Clenshaw
+        if xcur == a:
+            fcur = fa
+        elif xcur == b:
+            fcur = fb
+        else:
+            x = (math.sqrt(xcur) - mid) / half
+            x2 = x + x
+            b1 = b2 = 0.0
+            for ck in rev:
+                b1, b2 = ck + x2 * b1 - b2, b1
+            fcur = start + (c0 + x * b1 - b2) - t
+            if fcur != fcur:
+                raise DomainError(f"the series is NaN at v = {xcur!r}")
+    raise ConvergenceError(f"brentq did not converge in {_MAXITER} iterations; last v = {xcur!r}")
+
+
 def _table_read(params: CmcParams, rho: float, table, remainder: bool) -> float:
     if table is None:
         table = HeightTable(params, remainder)
@@ -430,10 +513,11 @@ class HeightTable:
     height is nearly linear in v over a piece, where in u it bends like
     u^2.  The table grows lazily to the largest radius (`integral`) or
     height (`radius`) asked for, at one piece per doubling of u; a
-    height that no finite radius reaches is a DomainError.  Every solved
-    radius is kept in `radii`, keyed by |t|, so asking again returns the
-    stored bits.  The table lives as long as its caller keeps it; nothing
-    outlives one call of a command.
+    piece whose total overflows is halved too.  A forward read whose
+    height overflows, and a height that no finite radius reaches, are
+    DomainErrors.  Every solved radius is kept in `radii`, keyed by |t|,
+    so asking again returns the stored bits.  The table lives as long as
+    its caller keeps it; nothing outlives one call of a command.
     """
 
     def __init__(self, params: CmcParams, remainder: bool = False):
@@ -454,7 +538,7 @@ class HeightTable:
         params, remainder = self.params, self.remainder
         series, tail = quad(lambda u: _substituted(params, u, remainder), u_lo, u_hi)
         total = _series_at(series, u_hi)
-        if tail <= _TAIL_TOL * max(1.0, abs(total)):
+        if tail <= _TAIL_TOL * max(1.0, abs(total)) < math.inf:
             self.breaks.append(u_hi)
             self.heights.append(self.heights[-1] + total)
             self.pieces.append(series)
@@ -477,18 +561,22 @@ class HeightTable:
         while self.breaks[-1] < u:
             self._add_panel()
         i = bisect_right(self.breaks, u) - 1
-        if self.breaks[i] == u:
-            return self.heights[i]
-        return self.heights[i] + _series_at(self.pieces[i], u)
+        h = self.heights[i]
+        if self.breaks[i] != u:
+            h += _series_at(self.pieces[i], u)
+        if not h < math.inf:
+            raise DomainError(f"the height at rho = {rho} overflows the float range")
+        return h
 
     def radius(self, t: float) -> float:
         """Radius of the profile at height t (even in t)."""
-        if self.remainder or self.params.is_entire_graph:
-            raise PreconditionError("profile inversion needs a height table with d > -2H")
         t = abs(t)
-        if t not in self.radii:
-            self.radii[t] = self._solve(t)
-        return self.radii[t]
+        rho = self.radii.get(t)
+        if rho is None:
+            if self.remainder or self.params.is_entire_graph:
+                raise PreconditionError("profile inversion needs a height table with d > -2H")
+            rho = self.radii[t] = self._solve(t)
+        return rho
 
     def _solve(self, t: float) -> float:
         if not math.isfinite(t):
@@ -504,26 +592,32 @@ class HeightTable:
             self._add_panel()
         i = bisect_right(heights, t) - 1
         lo, hi = breaks[i], breaks[i + 1]
-        v_lo, v_end = lo * lo, hi * hi
+        v_lo, v_hi = lo * lo, hi * hi
         if heights[i] == t:
             return eta + v_lo
         start, series = heights[i], self.pieces[i]
-
-        def excess(v: float) -> float:
-            # the bracket's ends are tabulated heights, so its signs hold exactly
-            if v == v_lo:
-                return start - t
-            if v == v_end:
-                return heights[i + 1] - t
-            return start + _series_at(series, math.sqrt(v)) - t
-
-        # the largest finite radius closes the bracket where hi^2 overflows
-        v_hi = min(v_end, sys.float_info.max)
-        if not excess(v_hi) >= 0.0:
+        # the bracket's ends are tabulated heights, so its signs hold exactly
+        f_lo, f_hi = start - t, heights[i + 1] - t
+        if v_hi == math.inf:
+            # the largest finite radius closes the bracket where hi^2 overflows
+            v_hi = sys.float_info.max
+            f_hi = start + _series_at(series, math.sqrt(v_hi)) - t
+        while f_hi == math.inf:
+            # the height overflows inside the piece, and Brent's steps need
+            # a finite end: bisect to one
+            v = v_lo + 0.5 * (v_hi - v_lo)
+            if v in (v_lo, v_hi):
+                break
+            f = start + _series_at(series, math.sqrt(v)) - t
+            if f < 0.0:
+                v_lo, f_lo = v, f
+            else:
+                v_hi, f_hi = v, f
+        if not 0.0 <= f_hi < math.inf:
             raise DomainError(f"no finite radius reaches height t = {t}")
         # dv = 2u du, so xtol keeps u within ROOT_TOL; from u = 0, rtol rules
-        v = brentq(excess, v_lo, v_hi, xtol=2.0 * ROOT_TOL * max(lo, ROOT_TOL),
-                   rtol=4.0 * math.ulp(1.0))
+        v = brentq(series, start, t, v_lo, v_hi, f_lo, f_hi,
+                   xtol=2.0 * ROOT_TOL * max(lo, ROOT_TOL), rtol=4.0 * math.ulp(1.0))
         return eta + v
 
 

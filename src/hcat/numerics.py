@@ -4,6 +4,14 @@
 without Derivatives*, 1973) in the form of SciPy's `brentq.c`.  It
 follows that routine operation for operation, as SciPy 1.17 runs it,
 and returns the same root after the same number of calls.
+
+It serves callers with a general function: `hcat.disjoint.solve_d0`.
+Profile inversion, the package's hot loop, runs `hcat.core.brentq`
+instead: the same iteration on one height-table piece, with the piece's
+series summed inline and the bracket's two tabulated ends passed in,
+which saves the closure, the NaN-checking wrapper and the series call
+around every step.  This routine is that kernel's reference: both
+return the same root after the same number of evaluations.
 """
 
 from __future__ import annotations

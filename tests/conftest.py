@@ -29,13 +29,16 @@ def inversion_counts(monkeypatch):
     """Count, for every HeightTable, its builds per (H, d, remainder), its
     pieces per (d, remainder, u_lo, u_hi) as `_add_piece` tries them,
     split pieces included, and its Brent solves per (d, |t|); every
-    evaluation of the substituted integrand; and every evaluation of a
-    piece's series (`series_reads`): Brent's steps, forward reads and the
-    heights at the pieces' ends."""
+    evaluation of the substituted integrand; every evaluation of Brent's
+    excess (`solve_evaluations`), the bracket's two ends included; and
+    every evaluation of a piece's series (`series_reads`): Brent's steps,
+    forward reads and the heights at the pieces' ends.  `core.brentq` sums
+    the series inline, so its reads are taken from its `RootResult`: its
+    evaluations less the two ends, which the table already holds."""
     from hcat import core
 
     counts = SimpleNamespace(builds=Counter(), pieces=Counter(), solves=Counter(),
-                             evaluations=0, series_reads=0)
+                             evaluations=0, solve_evaluations=0, series_reads=0)
     init, add_piece, substituted, series_at, radius, brentq = (
         core.HeightTable.__init__, core.HeightTable._add_piece, core._substituted,
         core._series_at, core.HeightTable.radius, core.brentq)
@@ -64,9 +67,12 @@ def inversion_counts(monkeypatch):
         finally:
             asking.pop()
 
-    def counting_brentq(*args, **kwargs):
+    def counting_brentq(*args, full_output=False, **kwargs):
         counts.solves[asking[-1]] += 1
-        return brentq(*args, **kwargs)
+        root, result = brentq(*args, full_output=True, **kwargs)
+        counts.solve_evaluations += result.function_calls
+        counts.series_reads += result.function_calls - 2
+        return (root, result) if full_output else root
 
     monkeypatch.setattr(core.HeightTable, "__init__", counting_init)
     monkeypatch.setattr(core.HeightTable, "_add_piece", counting_add_piece)

@@ -1,6 +1,6 @@
 """Every name the benchmark's tracer hooks is still defined by the package,
-the commands reach the hooked names, and the hooked `quad` sees every
-integrand sample."""
+the commands reach the hooked names, the hooked `quad` sees every
+integrand sample and the hooked `brentq` every Brent solve."""
 
 from hcat import core
 from hcat.cli import run
@@ -61,3 +61,22 @@ def test_tracer_counts_every_integrand_sample(load_bench_module, monkeypatch, tm
         tracer.uninstall()
     metrics = tracer.rep_metrics()
     assert metrics["core.quad.evals"] == 24 * metrics["core.quad.calls"] == counted == 336
+
+
+def test_tracer_counts_every_brent_solve(load_bench_module, tmp_path):
+    # the height tables solve through `core.brentq` by that module name, so
+    # the traced headline pipeline sees all 3 036 solves and their 14 884
+    # evaluations (`TestEvaluationCounts` in test_core.py counts the same
+    # untraced); a table that held the kernel under another name would
+    # read 0 here
+    tracer = load_bench_module("hcat_bench_tracer", "tracer.py").Tracer()
+    tracer.install()
+    try:
+        cert = str(tmp_path / "cert.json")
+        assert run(["disjoint", "--H", ".25", "--d1", "3", "--solve-d0", "--out", cert]) == 0
+        assert run(["strips", "--cert", cert, "--out", str(tmp_path / "strips.json"),
+                    "--csv", str(tmp_path / "margins.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.rep_metrics()
+    assert (metrics["core.brentq.calls"], metrics["core.brentq.evals"]) == (3_036, 14_884)

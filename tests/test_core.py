@@ -3,6 +3,7 @@ inversion.  Frozen constants come from 40-digit mpmath evaluations of the
 closed forms; integrals are cross-checked by an independent Gauss-Jacobi
 quadrature of the raw singular integrand."""
 
+import contextlib
 import math
 import sys
 
@@ -501,6 +502,85 @@ class TestHeightTable:
         with pytest.raises(DomainError):
             b_inverse(CmcParams(0.25, 3.0), math.nan)
 
+    def test_forward_read_whose_height_overflows_raises(self):
+        # at H = .4999 the height grows like 50 rho and passes the largest
+        # float near rho = 3.6e306, below the largest float radius
+        with pytest.raises(DomainError, match=r"rho = 1\.7976931348623157e\+308"):
+            lambda_height(CmcParams(0.4999, 3.0), sys.float_info.max)
+
+    def test_inversion_where_the_height_overflows(self):
+        # t = 1.7e308 lies in the piece whose end height is infinite; Brent
+        # runs on a bracket bisected down to a finite end.  No float radius
+        # has a finite height at or above the largest float
+        p = CmcParams(0.4999, 3.0)
+        table = HeightTable(p)
+        rho = table.radius(1.7e308)
+        assert rho < math.inf
+        assert lambda_height(p, rho, table=table) == pytest.approx(1.7e308, rel=1e-15)
+        with pytest.raises(DomainError,
+                           match=r"no finite radius reaches height t = 1\.7976931348623157e\+308"):
+            table.radius(sys.float_info.max)
+
+
+def _brent_outcome(solve, *args, **kwargs):
+    """The root's bits and the RootResult of a Brent solve, or the type of
+    the error it raised."""
+    try:
+        root, result = solve(*args, full_output=True, **kwargs)
+    except (ConvergenceError, DomainError) as error:
+        return type(error)
+    return root.hex(), result
+
+
+class TestBrentKernel:
+    @given(
+        H=st.floats(0.02, 0.4999),
+        d=st.floats(-1.0, 1e6),
+        t=st.floats(1e-9, 1e4),
+        k=st.integers(1, 12),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_the_generic_brent_bit_for_bit(self, H, d, t, k):
+        # every bracket the table hands `core.brentq`, solved again by
+        # `numerics.brentq` on the piece's excess as a closure that returns
+        # the bracket's end values at its ends: the same root, bit for bit,
+        # after the same number of evaluations.  Heights: t, a tabulated
+        # piece end and the floats either side of it, and just below the
+        # height at the largest float radius (where that height overflows,
+        # H above about .354, inside the piece whose end height is infinite).
+        # On the piece from the neck, at small t, Brent can use up its 100
+        # iterations; both routines must then fail alike
+        from hcat import core, numerics
+
+        table = HeightTable(CmcParams(H, max(d, -2.0 * H + 1e-12)))
+        kernel, brackets = core.brentq, []
+
+        def spy(*args, **kwargs):
+            brackets.append((args, kwargs))
+            return kernel(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "brentq", spy)
+            try:
+                top = math.nextafter(table.integral(sys.float_info.max), 0.0)
+            except DomainError:
+                top = 0.999 * sys.float_info.max
+            end = table.heights[min(k, len(table.heights) - 1)]
+            for s in (t, end, math.nextafter(end, 0.0), math.nextafter(end, math.inf), top):
+                with contextlib.suppress(ConvergenceError):
+                    table.radius(s)
+        assert len(brackets) >= 3
+        for (series, start, s, a, b, fa, fb), kwargs in brackets:
+            def excess(v, series=series, start=start, s=s, a=a, b=b, fa=fa, fb=fb):
+                if v == a:
+                    return fa
+                if v == b:
+                    return fb
+                return start + _series_at(series, math.sqrt(v)) - s
+
+            assert _brent_outcome(kernel, series, start, s, a, b, fa, fb, **kwargs) == (
+                _brent_outcome(numerics.brentq, excess, a, b, **kwargs))
+
 
 class TestHeightAccuracyAtThresholdMember:
     def test_split_oracle_agrees_with_single_interval_route(self):
@@ -650,9 +730,13 @@ class TestEvaluationCounts:
 
     def test_headline_pipeline(self, inversion_counts, tmp_path):
         # 6 660 on fixed 1/4 panels, 1 260 on doubling pieces with a QAGS
-        # total beside each series, and 672 on the series alone (28 pieces)
+        # total beside each series, and 672 on the series alone (28 pieces).
+        # Brent evaluates its excess 14 884 times over the 3 036 solves,
+        # the two tabulated ends of each bracket included: the traced
+        # `core.brentq.evals`
         _run_headline_pipeline(tmp_path)
         assert inversion_counts.evaluations == 672
+        assert inversion_counts.solve_evaluations == 14_884
 
     def test_headline_solves_read_few_series_terms(self, inversion_counts, tmp_path):
         # series reads per Brent solve, heights at piece ends and forward
@@ -662,7 +746,8 @@ class TestEvaluationCounts:
         # grid, mirrored about t = 0, holds 500 distinct non-zero |t| per
         # member; stepped from t = -50 it held 835 (3 708 solves).  The
         # certificate's 10x refinement follows the scanned minimum, whose
-        # height moved 45.41 -> 31.4 with Brent in v
+        # height moved 45.41 -> 31.4 with Brent in v.  Brent's own reads
+        # are its evaluations less the two tabulated ends of its bracket
         _run_headline_pipeline(tmp_path)
         solves = sum(inversion_counts.solves.values())
         assert solves == 3_036
