@@ -18,10 +18,17 @@ decomposition) is read from a `HeightTable`: pieces in u that double in
 width, each with a 24-point Chebyshev series of the cumulative integral
 across it (`quad`, the package's one quadrature rule).  Forward reads
 evaluate that series; profile inversion runs Brent on it across one
-piece, in v = u^2 = rho - neck, where the height is nearly linear.
-That Brent is `brentq` here, a kernel for one piece: the iteration of
+piece, in v = u^2 = rho - neck, where the height is nearly linear, and
+in u on the piece from the neck, where the height grows like u.  That
+Brent is `brentq` here, a kernel for one piece: the iteration of
 `hcat.numerics.brentq` with the series summed inline, returning the same
 root after the same number of evaluations.
+
+A piece asked for many heights also gets an inverse series, u as a
+Chebyshev series in t (Chebfun's `inv`: Driscoll, Hale and Trefethen,
+*Chebfun Guide*, 2014).  A read from it is kept only when its residual
+on the forward series certifies it within ROOT_TOL in u; any other
+height is solved by Brent (see `HeightTable`).
 """
 
 from __future__ import annotations
@@ -37,7 +44,9 @@ from .errors import ConvergenceError, DomainError, PreconditionError
 from .numerics import _MAXITER, RootResult
 
 #: root-finding tolerance in the substituted variable u = sqrt(rho - neck);
-#: Brent solves in v = u^2 = rho - neck, to within 2u ROOT_TOL there
+#: Brent solves in v = u^2 = rho - neck, to within 2u ROOT_TOL there, and
+#: in u on the piece from the neck; an inverse-series read is certified
+#: within it
 ROOT_TOL = 1e-12
 # width of the height table's first pieces, in u = sqrt(rho - neck)
 _PANEL_U = 0.25
@@ -51,6 +60,22 @@ _CHEB_N = 24
 _TAIL_TOL = 1e-13
 # halvings of a piece before its series is given up
 _MAX_DEPTH = 40
+# Brent's relative tolerance: 4 ulp(1)
+_RTOL = 4.0 * math.ulp(1.0)
+# a piece's inverse series (see HeightTable) is built once the piece has
+# been asked for more than _INVERSE_AFTER distinct heights, at the cost of
+# _CHEB_N Brent solves.  Demand per piece: over 200 drawn pairs of the
+# benchmark's pair scan (`disjoint --t-max 20 --step .5`) no piece was asked
+# for more than 45 heights, so none builds there; the headline `disjoint`
+# asks its three outer pieces 139, 555 and 228 heights per member on its
+# coarse grid, and `strips` 69, 278 and 114
+_INVERSE_AFTER = 64
+# an inverse series is kept where its tail (the last two coefficients) is at
+# most ROOT_TOL in u, else halved in t, at most this many times; a part that
+# still fails is read by Brent
+_INVERSE_MAX_DEPTH = 3
+# rounding slack of a read's residual, in ulp(t)
+_RESIDUAL_ULPS = 4.0
 
 # the first-kind points cos(pi (j + 1/2) / N) and the DCT-II rows that take
 # samples there to Chebyshev coefficients (the first one doubled)
@@ -248,9 +273,11 @@ def _series_at(series: tuple, u: float) -> float:
 
 
 def brentq(series: tuple, start: float, t: float, a: float, b: float, fa: float,
-           fb: float, xtol: float, rtol: float, full_output: bool = False):
-    """Root v in [a, b] of start + _series_at(series, sqrt(v)) - t: the height
-    of one table piece, from its start height, less t.
+           fb: float, xtol: float, rtol: float, in_v: bool = True,
+           full_output: bool = False):
+    """Root x in [a, b] of start + _series_at(series, u) - t: the height of
+    one table piece, from its start height, less t.  The variable x is
+    v = u^2 = rho - neck with `in_v`, else u itself.
 
     fa and fb are that excess at a and b, of opposite signs, and are read
     wherever an iterate lands on a or b.  This is `hcat.numerics.brentq` on
@@ -317,15 +344,16 @@ def brentq(series: tuple, start: float, t: float, a: float, b: float, fa: float,
         elif xcur == b:
             fcur = fb
         else:
-            x = (math.sqrt(xcur) - mid) / half
+            x = ((math.sqrt(xcur) if in_v else xcur) - mid) / half
             x2 = x + x
             b1 = b2 = 0.0
             for ck in rev:
                 b1, b2 = ck + x2 * b1 - b2, b1
             fcur = start + (c0 + x * b1 - b2) - t
             if fcur != fcur:
-                raise DomainError(f"the series is NaN at v = {xcur!r}")
-    raise ConvergenceError(f"brentq did not converge in {_MAXITER} iterations; last v = {xcur!r}")
+                raise DomainError(f"the series is NaN at {'v' if in_v else 'u'} = {xcur!r}")
+    raise ConvergenceError(f"brentq did not converge in {_MAXITER} iterations; last "
+                           f"{'v' if in_v else 'u'} = {xcur!r}")
 
 
 def _table_read(params: CmcParams, rho: float, table, remainder: bool) -> float:
@@ -511,13 +539,37 @@ class HeightTable:
     `integral(rho)` inside it, and `radius(t)` runs Brent on it across
     the piece whose end heights bracket t, in v = u^2 = rho - neck.  The
     height is nearly linear in v over a piece, where in u it bends like
-    u^2.  The table grows lazily to the largest radius (`integral`) or
-    height (`radius`) asked for, at one piece per doubling of u; a
-    piece whose total overflows is halved too.  A forward read whose
-    height overflows, and a height that no finite radius reaches, are
-    DomainErrors.  Every solved radius is kept in `radii`, keyed by |t|,
-    so asking again returns the stored bits.  The table lives as long as
-    its caller keeps it; nothing outlives one call of a command.
+    u^2.  On the piece from the neck it grows like u instead, so Brent
+    runs in u there, to within ROOT_TOL; in v, with a tolerance relative
+    to v = 0, its steps could creep past the iteration limit.  The table
+    grows lazily to the largest radius (`integral`) or height (`radius`)
+    asked for, at one piece per doubling of u; a piece whose total
+    overflows is halved too.  A forward read whose height overflows, and
+    a height that no finite radius reaches, are DomainErrors.
+
+    Inverse reads.  On a member with d >= 0, a piece away from the neck
+    (u_lo = breaks[i] > 0) that has been asked for more than
+    _INVERSE_AFTER = 64 distinct heights gets an inverse series: u as a
+    _CHEB_N-point Chebyshev series in t across [heights[i],
+    heights[i + 1]], from Brent solves at the Chebyshev points in t, kept
+    when its tail is at most ROOT_TOL and halved in t otherwise (see
+    `_INVERSE_AFTER` for the demand that sized it: the benchmark's pair
+    scan builds none).  A read sums that series at t to u~ and is kept
+    only when its residual certifies it.  The residual is r = heights[i] +
+    series_i(u~) - t.  For d >= 0, lambda' = N / sqrt(sinh^2 r - N^2) with
+    N = d + 2H cosh r falls with r, since sinh r / N rises (its slope is
+    (d cosh r + 2H) / N^2), toward 2H/sqrt(q).  So dt/du = 2u lambda' is at
+    least 2 u_lo lambda'(rho_hi) across the piece, rho_hi being its end
+    radius, and |u~ - u*| <= (|r| + 4 ulp(t)) / (2 u_lo lambda'(rho_hi)),
+    the ulps covering the rounding of r; u* is the root of the forward
+    series, the one Brent solves for.  The read is kept when that bound is
+    at most ROOT_TOL.  Every other height, and every height on the neck
+    piece or on a member with d < 0, is solved by Brent.
+
+    Every solved radius is kept in `radii`, keyed by |t|, so asking again
+    returns the stored bits; a radius depends only on the heights the
+    table was asked before it.  The table lives as long as its caller
+    keeps it; nothing outlives one call of a command.
     """
 
     def __init__(self, params: CmcParams, remainder: bool = False):
@@ -525,10 +577,16 @@ class HeightTable:
             raise PreconditionError("remainder decomposition needs d > -2H")
         self.params = params
         self.remainder = remainder
+        self.invertible = not (remainder or params.is_entire_graph)
         self.breaks = [0.0]
         self.heights = [0.0]
         self.pieces: list[tuple] = []
         self.radii: dict[float, float] = {}
+        # per piece: the distinct heights solved on it, and its inverse
+        # series once built; () where none will be (the piece from the neck,
+        # a member with d < 0, or a piece where no read could be certified)
+        self.asked: list[int] = []
+        self.inverses: list[tuple | None] = []
 
     def _add_panel(self) -> None:
         u_lo = self.breaks[-1]
@@ -542,6 +600,8 @@ class HeightTable:
             self.breaks.append(u_hi)
             self.heights.append(self.heights[-1] + total)
             self.pieces.append(series)
+            self.asked.append(0)
+            self.inverses.append(None if u_lo > 0.0 and params.d >= 0.0 else ())
             return
         if depth == _MAX_DEPTH:
             raise ConvergenceError(
@@ -573,7 +633,7 @@ class HeightTable:
         t = abs(t)
         rho = self.radii.get(t)
         if rho is None:
-            if self.remainder or self.params.is_entire_graph:
+            if not self.invertible:
                 raise PreconditionError("profile inversion needs a height table with d > -2H")
             rho = self.radii[t] = self._solve(t)
         return rho
@@ -591,10 +651,27 @@ class HeightTable:
                 raise DomainError(f"no finite radius reaches height t = {t}")
             self._add_panel()
         i = bisect_right(heights, t) - 1
-        lo, hi = breaks[i], breaks[i + 1]
-        v_lo, v_hi = lo * lo, hi * hi
+        lo = breaks[i]
         if heights[i] == t:
-            return eta + v_lo
+            return eta + lo * lo
+        if lo == 0.0:
+            # from the neck the height grows like u, so Brent runs in u: in v
+            # it grows like sqrt(v), where Brent's steps crept past its
+            # iteration limit
+            u = brentq(self.pieces[i], heights[i], t, 0.0, breaks[i + 1], heights[i] - t,
+                       heights[i + 1] - t, xtol=ROOT_TOL, rtol=_RTOL, in_v=False)
+            return eta + u * u
+        inverse = self.inverses[i]
+        if inverse is None:
+            asked = self.asked[i] = self.asked[i] + 1
+            if asked > _INVERSE_AFTER:
+                inverse = self.inverses[i] = self._invert(i)
+        if inverse:
+            u = self._read_inverse(i, inverse, t)
+            if u is not None:
+                return eta + u * u
+        hi = breaks[i + 1]
+        v_lo, v_hi = lo * lo, hi * hi
         start, series = heights[i], self.pieces[i]
         # the bracket's ends are tabulated heights, so its signs hold exactly
         f_lo, f_hi = start - t, heights[i + 1] - t
@@ -615,10 +692,63 @@ class HeightTable:
                 v_hi, f_hi = v, f
         if not 0.0 <= f_hi < math.inf:
             raise DomainError(f"no finite radius reaches height t = {t}")
-        # dv = 2u du, so xtol keeps u within ROOT_TOL; from u = 0, rtol rules
+        # dv = 2u du, so xtol keeps u within ROOT_TOL
         v = brentq(series, start, t, v_lo, v_hi, f_lo, f_hi,
-                   xtol=2.0 * ROOT_TOL * max(lo, ROOT_TOL), rtol=4.0 * math.ulp(1.0))
+                   xtol=2.0 * ROOT_TOL * max(lo, ROOT_TOL), rtol=_RTOL, in_v=True)
         return eta + v
+
+    def _invert(self, i: int) -> tuple:
+        """Piece i's inverse series: (t_breaks, series, du_dt), u as a
+        Chebyshev series in t on each [t_breaks[j], t_breaks[j + 1]] (None
+        where halving gave up) and the largest du/dt across the piece; ()
+        when no read could be certified."""
+        # no inverse while the piece is fitted: _solve answers its sample
+        # heights by Brent
+        self.inverses[i] = ()
+        params = self.params
+        t_lo, t_hi = self.heights[i], self.heights[i + 1]
+        # dt/du = 2u lambda'(rho) is least at the piece's ends: u at its start,
+        # lambda' at its end, since lambda' falls with rho for d >= 0
+        u_lo, u_hi = self.breaks[i], self.breaks[i + 1]
+        du_dt = 1.0 / (2.0 * u_lo * integrand(params, params.eta + u_hi * u_hi))
+        if _RESIDUAL_ULPS * math.ulp(t_hi) * du_dt > 0.5 * ROOT_TOL:
+            # the rounding slack alone would take half of every read's budget
+            return ()
+        t_breaks, series = [t_lo], []
+        self._fit_inverse(i, t_lo, t_hi, 0, t_breaks, series)
+        return t_breaks, series, du_dt
+
+    def _fit_inverse(self, i: int, a: float, b: float, depth: int, t_breaks: list,
+                     series: list) -> None:
+        """Append to t_breaks and series the fit of u(t) on [a, b], inside
+        piece i: one series from Brent at its _CHEB_N Chebyshev points,
+        halved where its tail exceeds ROOT_TOL."""
+        mid, half, eta = 0.5 * (a + b), 0.5 * (b - a), self.params.eta
+        us = [math.sqrt(self._solve(mid + half * x) - eta) for x in _CHEB_X]
+        ak = [sum(map(mul, row, us)) for row in _CHEB_DCT]
+        tail = abs(ak[-1]) + abs(ak[-2])
+        if tail <= ROOT_TOL or depth == _INVERSE_MAX_DEPTH:
+            t_breaks.append(b)
+            series.append((mid, half, 0.5 * ak[0], tuple(reversed(ak[1:])))
+                          if tail <= ROOT_TOL else None)
+            return
+        self._fit_inverse(i, a, mid, depth + 1, t_breaks, series)
+        self._fit_inverse(i, mid, b, depth + 1, t_breaks, series)
+
+    def _read_inverse(self, i: int, inverse: tuple, t: float) -> float | None:
+        """u at height t from piece i's inverse series, or None when the
+        read's certified bound exceeds ROOT_TOL."""
+        t_breaks, series, du_dt = inverse
+        fit = series[bisect_right(t_breaks, t) - 1]
+        if fit is None:
+            return None
+        u = _series_at(fit, t)
+        if not self.breaks[i] <= u <= self.breaks[i + 1]:
+            return None
+        r = self.heights[i] + _series_at(self.pieces[i], u) - t
+        if (abs(r) + _RESIDUAL_ULPS * math.ulp(t)) * du_dt > ROOT_TOL:
+            return None
+        return u
 
 
 def b_inverse(params: CmcParams, t: float) -> float:

@@ -28,20 +28,25 @@ def small_cert():
 def inversion_counts(monkeypatch):
     """Count, for every HeightTable, its builds per (H, d, remainder), its
     pieces per (d, remainder, u_lo, u_hi) as `_add_piece` tries them,
-    split pieces included, and its Brent solves per (d, |t|); every
-    evaluation of the substituted integrand; every evaluation of Brent's
-    excess (`solve_evaluations`), the bracket's two ends included; and
+    split pieces included, the non-zero heights it was asked for the first
+    time per (d, |t|) (`radii`, solved by Brent or read from an inverse
+    series) and its Brent solves per (d, |t|), the solves that fit an
+    inverse series counted for the height that asked it; every evaluation
+    of the substituted integrand; every evaluation of Brent's excess
+    (`solve_evaluations`), the bracket's two ends included; and
     every evaluation of a piece's series (`series_reads`): Brent's steps,
     forward reads and the heights at the pieces' ends.  `core.brentq` sums
     the series inline, so its reads are taken from its `RootResult`: its
-    evaluations less the two ends, which the table already holds."""
+    evaluations less the two ends, which the table already holds.  Also
+    the inverse series built, per (d, u_lo) of their piece (`inverses`)."""
     from hcat import core
 
-    counts = SimpleNamespace(builds=Counter(), pieces=Counter(), solves=Counter(),
-                             evaluations=0, solve_evaluations=0, series_reads=0)
-    init, add_piece, substituted, series_at, radius, brentq = (
+    counts = SimpleNamespace(builds=Counter(), pieces=Counter(), radii=Counter(),
+                             solves=Counter(), inverses=Counter(), evaluations=0,
+                             solve_evaluations=0, series_reads=0)
+    init, add_piece, substituted, series_at, radius, brentq, invert = (
         core.HeightTable.__init__, core.HeightTable._add_piece, core._substituted,
-        core._series_at, core.HeightTable.radius, core.brentq)
+        core._series_at, core.HeightTable.radius, core.brentq, core.HeightTable._invert)
     asking = []  # (d, |t|) of the radius call in progress
 
     def counting_init(self, params, remainder=False):
@@ -60,7 +65,13 @@ def inversion_counts(monkeypatch):
         counts.series_reads += 1
         return series_at(series, u)
 
+    def counting_invert(self, i):
+        counts.inverses[self.params.d, self.breaks[i]] += 1
+        return invert(self, i)
+
     def counting_radius(self, t):
+        if t and abs(t) not in self.radii:
+            counts.radii[self.params.d, abs(t)] += 1
         asking.append((self.params.d, abs(t)))
         try:
             return radius(self, t)
@@ -79,6 +90,7 @@ def inversion_counts(monkeypatch):
     monkeypatch.setattr(core, "_substituted", counting_substituted)
     monkeypatch.setattr(core, "_series_at", counting_series_at)
     monkeypatch.setattr(core.HeightTable, "radius", counting_radius)
+    monkeypatch.setattr(core.HeightTable, "_invert", counting_invert)
     monkeypatch.setattr(core, "brentq", counting_brentq)
     return counts
 

@@ -359,10 +359,15 @@ _HEADLINE_COMMANDS = [
     ["disjoint", "--H", ".25", "--d1", "3", "--solve-d0", "--out", "cert.json"],
     ["strips", "--cert", "cert.json", "--out", "strips.json", "--csv", "margins.csv"],
 ]
+# re-pinned when Brent moved to u on the neck piece and the busy outer
+# pieces began reading inverse series: radii moved by at most 2.2e-13 in
+# u, `min_gap_observed` by 2.5e-13 (its height 31.4 -> 38.6 on a gap flat
+# to round-off) and strip margins by at most 1.5e-12; `delta0` and
+# `sup_gap` are bit-equal
 _HEADLINE_SHA256 = {
-    "cert.json": "4d907f89992f5f2aeebbfbbd3f984b2acd29e64ea287d691b7d54ac82bc2992a",
-    "strips.json": "9dcaded6972a0747e64eedbff2c66985ecc206f056ce46a49c09a885ba0dc9ff",
-    "margins.csv": "4607a8dda2ff431b78d2b4341b7cac38b17521e500847c71589b7bad77558b9f",
+    "cert.json": "6053093a72ce9929c911708010200ffaab62af701d25b38cb1332ab11047cc30",
+    "strips.json": "58f0d2d2285a5856453faa0da3d5a17c52f61f1cb565bdd4bc2ff347767a20c9",
+    "margins.csv": "5e56427ec46e853fe7ad918d24b324c44a09a0bdf34ec3181c4a1a2ff34afc69",
 }
 # each check entry nests a `witness` dict: not a flat record
 _APPENDIX_COMMAND = ["verify-appendix", "--out", "appendix.json"]

@@ -547,9 +547,11 @@ class TestBrentKernel:
         # after the same number of evaluations.  Heights: t, a tabulated
         # piece end and the floats either side of it, and just below the
         # height at the largest float radius (where that height overflows,
-        # H above about .354, inside the piece whose end height is infinite).
-        # On the piece from the neck, at small t, Brent can use up its 100
-        # iterations; both routines must then fail alike
+        # H above about .354, inside the piece whose end height is infinite),
+        # and a third of the way up the piece from the neck.  On that piece
+        # the kernel solves in u, elsewhere in v = u^2, and the excess follows
+        # the same variable.  Should Brent use up its 100 iterations, both
+        # routines must fail alike
         from hcat import core, numerics
 
         table = HeightTable(CmcParams(H, max(d, -2.0 * H + 1e-12)))
@@ -566,20 +568,177 @@ class TestBrentKernel:
             except DomainError:
                 top = 0.999 * sys.float_info.max
             end = table.heights[min(k, len(table.heights) - 1)]
-            for s in (t, end, math.nextafter(end, 0.0), math.nextafter(end, math.inf), top):
+            for s in (t, end, math.nextafter(end, 0.0), math.nextafter(end, math.inf), top,
+                      table.heights[1] / 3.0):
                 with contextlib.suppress(ConvergenceError):
                     table.radius(s)
         assert len(brackets) >= 3
+        assert any(kwargs["in_v"] is False for _, kwargs in brackets)
         for (series, start, s, a, b, fa, fb), kwargs in brackets:
-            def excess(v, series=series, start=start, s=s, a=a, b=b, fa=fa, fb=fb):
-                if v == a:
-                    return fa
-                if v == b:
-                    return fb
-                return start + _series_at(series, math.sqrt(v)) - s
+            in_v = kwargs.pop("in_v")
 
-            assert _brent_outcome(kernel, series, start, s, a, b, fa, fb, **kwargs) == (
+            def excess(x, series=series, start=start, s=s, a=a, b=b, fa=fa, fb=fb,
+                       in_v=in_v):
+                if x == a:
+                    return fa
+                if x == b:
+                    return fb
+                return start + _series_at(series, math.sqrt(x) if in_v else x) - s
+
+            assert _brent_outcome(kernel, series, start, s, a, b, fa, fb, in_v=in_v,
+                                  **kwargs) == (
                 _brent_outcome(numerics.brentq, excess, a, b, **kwargs))
+
+
+# the heights at which Brent in v = rho - neck used up its 100 iterations on
+# the piece from the neck (the last three rounded as they were recorded)
+NECK_CASES = [
+    (0.4413311421197282, 105.37577219433828, 0.008134099939098107),
+    (0.43442155216435213, 1294.7333247592803, 4.29e-4),
+    (0.45251562815465435, 617.5575056089523, 2.23e-3),
+    (0.39854665821568797, 9.284291109492425, 1.05e-4),
+]
+
+
+class TestNeckPiece:
+    @pytest.mark.parametrize("H,d,t", NECK_CASES)
+    def test_found_cases_round_trip(self, H, d, t):
+        rho = b_inverse(CmcParams(H, d), t)
+        assert math.isfinite(rho)
+        assert abs(_mp_lambda_split(H, d, rho) - t) <= ORACLE_TOL
+
+    @given(H=st.floats(1e-4, 0.4999), offset=st.floats(1e-12, 1e12),
+           t=st.floats(1e-12, 1e6))
+    @settings(max_examples=60, deadline=None)
+    def test_radius_is_finite_or_a_domain_error_naming_t(self, H, offset, t):
+        # d in (-2H, 1e12]: never a ConvergenceError
+        try:
+            rho = HeightTable(CmcParams(H, -2.0 * H + offset)).radius(t)
+        except DomainError as error:
+            assert f"t = {t}" in str(error)
+        else:
+            assert math.isfinite(rho)
+
+
+def _series_root(table, i, t):
+    """u where piece i's forward series reaches t, bisected to the float."""
+    lo, hi = table.breaks[i], table.breaks[i + 1]
+    start, series = table.heights[i], table.pieces[i]
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if start + _series_at(series, mid) < t:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _ask_piece(table, i, n):
+    """n heights spread evenly inside piece i, asked in turn: (heights,
+    *_ask(table, heights))."""
+    a, b = table.heights[i], table.heights[i + 1]
+    ts = [a + (b - a) * (j + 0.5) / n for j in range(n)]
+    return (ts, *_ask(table, ts))
+
+
+def _ask(table, ts):
+    """The radii of the heights ts, asked in turn, and the reads an inverse
+    series certified: (radii, {t: (piece, u)})."""
+    from hcat import core
+
+    read, accepted = core.HeightTable._read_inverse, {}
+
+    def spy(self, i, inverse, t):
+        u = read(self, i, inverse, t)
+        if u is not None:
+            accepted[t] = i, u
+        return u
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core.HeightTable, "_read_inverse", spy)
+        radii = [table.radius(t) for t in ts]
+    return radii, accepted
+
+
+def _u_gap(params, rho1, rho2):
+    return abs(math.sqrt(rho1 - params.eta) - math.sqrt(rho2 - params.eta))
+
+
+class TestInverseReads:
+    # a piece builds its inverse series on its 65th distinct height
+    @given(H=st.floats(0.02, 0.4999), d=st.floats(0.0, 1e6), i=st.integers(1, 6))
+    @settings(max_examples=15, deadline=None)
+    def test_dense_grid_reads_within_root_tol(self, H, d, i):
+        p = CmcParams(H, d)
+        table = HeightTable(p)
+        table.integral(p.eta + 256.0)
+        ts, radii, accepted = _ask_piece(table, i, 144)
+        assert table.inverses[i] and accepted
+        for t, rho in zip(ts, radii):
+            assert _u_gap(p, rho, b_inverse(p, t)) <= ROOT_TOL
+        # each accepted read is within ROOT_TOL of the root it certifies
+        for t, (_, u) in accepted.items():
+            assert abs(u - _series_root(table, i, t)) <= ROOT_TOL
+
+    def test_headline_reads_are_certified(self):
+        # the certificate's coarse grid on the headline member: its three
+        # outer pieces, asked 139, 555 and 228 heights, read all but their
+        # first 64 from their inverse series
+        from hcat.disjoint import height_grid
+
+        table = HeightTable(CmcParams(0.25, 3.0))
+        _, accepted = _ask(table, height_grid(0.0, 50.0, 0.05))
+        assert len(accepted) == 139 + 555 + 228 - 3 * 64
+        assert {i for i, _ in accepted.values()} == {4, 5, 6}
+        for t, (i, u) in accepted.items():
+            assert abs(u - _series_root(table, i, t)) <= ROOT_TOL
+
+    @pytest.mark.parametrize("give_up", ["series", "residual"])
+    def test_reads_fall_back_to_brent(self, give_up, monkeypatch):
+        # at (.002, 10) the radius jumps across the piece u in [2, 4]: its
+        # inverse series' tail is 3.4e-6, and three halvings in t resolve it.
+        # Kept whole it is given up; with the residual's slack widened after
+        # the build no read passes.  Either way every height is Brent's
+        from hcat import core
+
+        H, d = 0.002, 10.0
+        p = CmcParams(H, d)
+        table = HeightTable(p)
+        table.integral(p.eta + 16.0)
+        i = table.breaks.index(2.0)
+        if give_up == "series":
+            monkeypatch.setattr(core, "_INVERSE_MAX_DEPTH", 0)
+        else:
+            _ask_piece(table, i, core._INVERSE_AFTER + 1)
+            monkeypatch.setattr(core, "_RESIDUAL_ULPS", 1e12)
+        ts, radii, accepted = _ask_piece(table, i, 100)
+        assert table.inverses[i] and not accepted
+        assert radii == [b_inverse(p, t) for t in ts]
+        for t, rho in zip(ts[::33], radii[::33]):
+            assert abs(_mp_lambda_split(H, d, rho) - t) <= ORACLE_TOL
+
+    def test_halved_inverse_resolves_the_jump(self):
+        p = CmcParams(0.002, 10.0)
+        table = HeightTable(p)
+        table.integral(p.eta + 16.0)
+        i = table.breaks.index(2.0)
+        ts, radii, accepted = _ask_piece(table, i, 200)
+        t_breaks, series, _ = table.inverses[i]
+        assert len(series) > 1 and None not in series
+        # the first 64 heights are Brent's, the rest read
+        assert len(accepted) == 200 - 64
+        for t, rho in zip(ts, radii):
+            assert _u_gap(p, rho, b_inverse(p, t)) <= ROOT_TOL
+
+    @pytest.mark.parametrize("H,d,i", [(0.25, 3.0, 0), (0.25, -0.2, 2), (0.1, -0.2 + 1e-9, 3)])
+    def test_no_inverse_on_the_neck_piece_or_below_d_zero(self, H, d, i):
+        p = CmcParams(H, d)
+        table = HeightTable(p)
+        table.integral(p.eta + 16.0)
+        ts, radii, accepted = _ask_piece(table, i, 150)
+        assert table.inverses[i] == () and not any(table.inverses) and not accepted
+        assert radii == [b_inverse(p, t) for t in ts]
 
 
 class TestHeightAccuracyAtThresholdMember:
@@ -588,14 +747,14 @@ class TestHeightAccuracyAtThresholdMember:
         split = _mp_lambda_split(DEFECT_H, d, DEFECT_RHO)
         assert split == pytest.approx(_mp_lambda(DEFECT_H, d, DEFECT_RHO), abs=1e-12)
 
-    def test_inversion_within_quad_tol(self):
+    def test_inversion_within_oracle_tol(self):
         # the table integrates doubling pieces, never the one wide panel
         # that QAGS accepts
         d = solve_d0(DEFECT_H, DEFECT_D1)
         rho = b_inverse(CmcParams(DEFECT_H, d), 25.65)
         assert _mp_lambda_split(DEFECT_H, d, rho) == pytest.approx(25.65, abs=ORACLE_TOL)
 
-    def test_height_within_quad_tol(self):
+    def test_height_within_oracle_tol(self):
         # one adaptive QAGS from the neck accepted a panel off by 7.06e-10
         # here; the table's series read the oracle value
         d = solve_d0(DEFECT_H, DEFECT_D1)
@@ -727,31 +886,44 @@ class TestEvaluationCounts:
         assert cli.run(["disjoint", "--H", ".25", "--d1", "3", "--d2", "30", "--t-max", "20",
                         "--step", ".5", "--out", str(tmp_path / "c.json")]) == 0
         assert inversion_counts.evaluations == 288
+        # no piece is asked for more than 64 heights, so no inverse series is
+        # built, and Brent solves every height: 98 solves of 535 evaluations,
+        # as before inverse series
+        assert inversion_counts.inverses == {}
+        assert sum(inversion_counts.solves.values()) == 98
+        assert inversion_counts.solve_evaluations == 535
 
     def test_headline_pipeline(self, inversion_counts, tmp_path):
         # 6 660 on fixed 1/4 panels, 1 260 on doubling pieces with a QAGS
         # total beside each series, and 672 on the series alone (28 pieces).
-        # Brent evaluates its excess 14 884 times over the 3 036 solves,
-        # the two tabulated ends of each bracket included: the traced
-        # `core.brentq.evals`
+        # Brent evaluates its excess 7 618 times over its 1 483 solves, the
+        # two tabulated ends of each bracket included: the traced
+        # `core.brentq.evals`.  It took 14 884 over 3 036 solves before the
+        # outer pieces read inverse series, and 14 822 with Brent in u on
+        # the neck piece alone
         _run_headline_pipeline(tmp_path)
         assert inversion_counts.evaluations == 672
-        assert inversion_counts.solve_evaluations == 14_884
+        assert inversion_counts.solve_evaluations == 7_618
 
     def test_headline_solves_read_few_series_terms(self, inversion_counts, tmp_path):
-        # series reads per Brent solve, heights at piece ends and forward
+        # series reads per height solved, heights at piece ends and forward
         # reads included: 4.34 on fixed 1/4 panels, 4.41 on doubling pieces
         # with a break every 1/4 in u, 5.69 with Brent in u across a whole
-        # piece, and 2.91 with Brent in v = rho - neck across it.  The strip
-        # grid, mirrored about t = 0, holds 500 distinct non-zero |t| per
-        # member; stepped from t = -50 it held 835 (3 708 solves).  The
-        # certificate's 10x refinement follows the scanned minimum, whose
-        # height moved 45.41 -> 31.4 with Brent in v.  Brent's own reads
-        # are its evaluations less the two tabulated ends of its bracket
+        # piece, 2.91 with Brent in v = rho - neck across it, and 2.88 with
+        # inverse series on the busy pieces: 3 038 non-zero heights, 3 036
+        # of them by Brent before, now 1 483 Brent solves with the 24 of each
+        # inverse series' fit, and 2 reads per inverse read.  The strip grid,
+        # mirrored about t = 0, holds 500 distinct non-zero |t| per member;
+        # stepped from t = -50 it held 835 (3 708 solves).  The certificate's
+        # 10x refinement follows the scanned minimum, whose height moved
+        # 45.41 -> 31.4 with Brent in v and -> 38.6 with Brent in u on the
+        # neck piece.  Brent's own reads are its evaluations less the two
+        # tabulated ends of its bracket
         _run_headline_pipeline(tmp_path)
-        solves = sum(inversion_counts.solves.values())
-        assert solves == 3_036
-        assert inversion_counts.series_reads <= 3.0 * solves
+        heights = sum(inversion_counts.radii.values())
+        assert heights == 3_038
+        assert sum(inversion_counts.solves.values()) == 1_483
+        assert inversion_counts.series_reads <= 2.9 * heights
 
     def test_one_off_far_read(self, inversion_counts):
         # a table built for one read at rho = 1e4: 400 fixed 1/4 panels

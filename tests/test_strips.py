@@ -176,7 +176,7 @@ class TestSharedRadii:
         cert.write_text(json.dumps(small_cert.to_json_dict(), indent=2, sort_keys=True))
         members = (small_cert.d1, small_cert.d2)
         for grid, distinct in self.GRIDS:
-            for counter in (counts.builds, counts.pieces, counts.solves):
+            for counter in (counts.builds, counts.pieces, counts.radii):
                 counter.clear()
             assert cli.run(["strips", "--cert", str(cert), *grid, "--d-points", "3",
                             "--out", str(tmp_path / "strips.json")]) == 0
@@ -184,7 +184,7 @@ class TestSharedRadii:
                 small_cert.d1: 1, small_cert.d2: 1}
             assert {d for d, *_ in counts.pieces} >= set(members)
             assert {k: n for k, n in counts.pieces.items() if n > 1} == {}
-            pair = {k: n for k, n in counts.solves.items() if k[0] in members}
+            pair = {k: n for k, n in counts.radii.items() if k[0] in members}
             assert len(pair) == 2 * distinct
             assert {k: n for k, n in pair.items() if n > 1} == {}
 
