@@ -42,6 +42,7 @@ from operator import mul
 
 from .errors import ConvergenceError, DomainError, PreconditionError
 from .numerics import _MAXITER, RootResult
+from .report import Table
 
 #: root-finding tolerance in the substituted variable u = sqrt(rho - neck);
 #: Brent solves in v = u^2 = rho - neck, to within 2u ROOT_TOL there, and
@@ -490,7 +491,7 @@ def verify_appendix(
                     )
                     max_deriv = max(max_deriv, abs(fd - target) / abs(target))
                 if rho - eta >= 1.0:
-                    g = abs(g_residual(params, rho))
+                    g = abs(fc - f_asymptote(params, rho))
                     if prev_g is not None and g > prev_g + 1e-12:
                         g_decays = False
                     prev_g = g
@@ -789,7 +790,8 @@ class ProfileCurve:
     def to_json_dict(self) -> dict:
         return {
             "params": {"H": self.params.H, "d": self.params.d},
-            "samples": [{"rho": s.rho, "t": s.t} for s in self.samples],
+            "samples": Table({"rho": [s.rho for s in self.samples],
+                              "t": [s.t for s in self.samples]}),
         }
 
 

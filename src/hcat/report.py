@@ -1,29 +1,37 @@
 """Deterministic JSON reports, streamed through templates.
 
-`write_json(doc, fh)` writes the text of
-``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, byte for
-byte.  json takes its pure-Python encoder whenever an indent is asked
-for; here the indented layout is written directly, and a list of flat
-records (dicts of scalars sharing one key set, such as the strip checks)
-is written through one ``%``-template per block of records, each
-column's values formatted as json formats them.  Any value whose exact
-type is not a dict, list, tuple, str, int, float, bool or None (a numpy
-scalar, a subclass, an unserialisable object) is handed to json itself,
-so it is written, or refused, exactly as json would.
+`write_json(doc, fh)` writes ``json.dumps(doc, indent=2, sort_keys=True)``
+and a newline, byte for byte, each `Table` in `doc` written as the list
+of records it holds.  json takes its pure-Python encoder whenever an
+indent is asked for; here the layout is written directly, and a table
+(the strip checks' records, a profile's samples) through one
+``%``-template per block of rows, each column's values formatted as json
+formats them.  Any value whose exact type is not a Table, dict, list,
+tuple, str, int, float, bool or None (a numpy scalar, a subclass, an
+unserialisable object) is handed to json itself, so it is written, or
+refused, exactly as json would.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
-from typing import Iterator, TextIO
+from typing import Iterator, Sequence, TextIO
 
 _INDENT = "  "
-# records formatted per write: bounds the strings alive at once
-_RECORDS_PER_WRITE = 512
+# rows formatted per write: bounds the strings alive at once
+_ROWS_PER_WRITE = 512
+
+
+@dataclass(frozen=True)
+class Table:
+    """Flat records held as columns, keyed by strings and of one length:
+    written as json writes ``[dict(zip(columns, r)) for r in zip(*columns.values())]``."""
+
+    columns: dict[str, Sequence]
 
 
 def _float(x: float) -> str:
@@ -62,6 +70,8 @@ def _chunks(value, level: int) -> Iterator[str]:
         yield from _dict_chunks(value, level)
     elif kind is list or kind is tuple:
         yield from _list_chunks(value, level)
+    elif kind is Table:
+        yield from _table_chunks(value, level)
     else:
         # json writes nested values at depth 0 plus the enclosing indent,
         # and its output has no newlines but the layout's own
@@ -88,55 +98,43 @@ def _list_chunks(value: list | tuple, level: int) -> Iterator[str]:
         return
     pad = "\n" + _INDENT * (level + 1)
     sep = "[" + pad
-    for lo in range(0, len(value), _RECORDS_PER_WRITE):
-        block = value[lo:lo + _RECORDS_PER_WRITE]
-        text = _records(block, level + 1, sep)
-        if text is not None:
-            yield text
-        else:
-            for item in block:
-                yield sep
-                yield from _chunks(item, level + 1)
-                sep = "," + pad
+    for item in value:
+        yield sep
+        yield from _chunks(item, level + 1)
         sep = "," + pad
     yield "\n" + _INDENT * level + "]"
 
 
-def _records(block: list | tuple, level: int, sep: str) -> str | None:
-    """The text of a block of flat records at depth `level`, the first
-    preceded by `sep` and the others by a comma and a newline; or None
-    unless every item is a non-empty dict of scalars keyed by the strings
-    that key the first."""
-    if set(map(type, block)) != {dict}:
-        return None
-    keys = block[0].keys()
-    if not keys or not all(map(keys.__eq__, map(dict.keys, block))):
-        return None
-    if not all(type(k) is str for k in keys):
-        return None
-    keys = sorted(keys)
-    columns = []
-    for key in keys:
-        column = _column(list(map(itemgetter(key), block)))
-        if column is None:
-            return None
-        columns.append(column)
-    pad = "\n" + _INDENT * level
+def _table_chunks(table: Table, level: int) -> Iterator[str]:
+    keys = sorted(table.columns)
+    columns = [table.columns[k] for k in keys]
+    rows = len(columns[0]) if columns else 0
+    if not rows:
+        yield "[]"
+        return
+    pad = "\n" + _INDENT * (level + 1)
     inner = pad + _INDENT
-    fields = ("," + inner).join(
-        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
-    record = "{" + inner + fields + pad + "}"
-    template = sep + record + ("," + pad + record) * (len(block) - 1)
-    return template % tuple(chain.from_iterable(zip(*columns)))
+    names = [encode_basestring_ascii(k).replace("%", "%%") + ": " for k in keys]
+    sep = "[" + pad
+    for lo in range(0, rows, _ROWS_PER_WRITE):
+        texts = [_texts(column[lo:lo + _ROWS_PER_WRITE], level + 2) for column in columns]
+        # a column with one text in the block is written into the template
+        record = "{" + inner + ("," + inner).join(
+            name + ("%s" if type(text) is list else text.replace("%", "%%"))
+            for name, text in zip(names, texts)) + pad + "}"
+        template = sep + record + ("," + pad + record) * (min(rows - lo, _ROWS_PER_WRITE) - 1)
+        yield template % tuple(chain.from_iterable(zip(*[t for t in texts if type(t) is list])))
+        sep = "," + pad
+    yield "\n" + _INDENT * level + "]"
 
 
-def _column(values: list) -> list[str] | None:
-    """`values` formatted as json formats them, or None if any is not a
-    scalar of one of the exact types json's layout is written for here.
-    A column of one type formats each of its distinct values once."""
+def _texts(values: Sequence, level: int) -> list[str] | str:
+    """`values` as json writes them at depth `level`, or their one text if
+    they all share it.  A column of one scalar type formats each of its
+    distinct values once."""
     kinds = set(map(type, values))
     if not kinds <= _SCALARS.keys():
-        return None
+        return ["".join(_chunks(v, level)) for v in values]
     if len(kinds) > 1:
         return [_SCALARS[type(v)](v) for v in values]
     kind = kinds.pop()
@@ -147,4 +145,6 @@ def _column(values: list) -> list[str] | None:
     # 0.0 and -0.0 are one member of a set but two texts
     if len(distinct) == len(values) or (kind is float and 0.0 in distinct):
         return list(map(text, values))
+    if len(distinct) == 1:
+        return text(values[0])
     return list(map(dict(zip(distinct, map(text, distinct))).__getitem__, values))

@@ -12,9 +12,8 @@ every intermediate family member meets one of the shifted barriers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from itertools import chain
-from operator import attrgetter
+from dataclasses import dataclass, field
+from itertools import chain, cycle, islice, repeat
 from typing import Iterable, TextIO
 
 from . import __version__
@@ -25,6 +24,7 @@ from .core import b_inverse as b_inverse
 from .disjoint import DisjointnessCertificate, height_grid
 from .errors import PreconditionError
 from .geom import ORIGIN, HypPoint, hyp_distance, margin_at_distance
+from .report import Table
 
 
 @dataclass(frozen=True)
@@ -41,33 +41,49 @@ class StripOffsets:
     delta2: float
 
 
-# not frozen: a frozen dataclass sets each field through object.__setattr__,
-# and the checks build one record per height and check
-@dataclass
-class StripCheck:
-    t: float
-    check_id: str
-    margin: float
-    passed: bool
-    witness: float | None = None
-
-
 @dataclass(frozen=True)
 class StripReport:
+    """One check's records, held as columns.
+
+    Record i is check `check_ids[i % len(check_ids)]` at height
+    `t[i // (len(margins) // len(t))]`, with margin `margins[i]` and
+    witness `witnesses[i]`: each grid height's checks in turn, or one
+    record per swept member with its own height and id.  A record passes
+    when its margin is > 0.0, the report when all do.  `min_margin` is
+    the least margin, the first in record order among ties, at height
+    `min_margin_t` in check `min_margin_check`; where the margins are
+    flat to round-off, that height is noise.
+    """
+
     kind: str
-    passed: bool
-    min_margin: float
-    min_margin_t: float
-    min_margin_check: str
-    records: tuple[StripCheck, ...]
-    version: str = __version__
+    t: list[float]
+    check_ids: tuple[str, ...]
+    margins: list[float]
+    witnesses: list[float | None]
+    passed: bool = field(init=False)
+    min_margin: float = field(init=False)
+    min_margin_t: float = field(init=False)
+    min_margin_check: str = field(init=False)
+
+    def __post_init__(self):
+        # the first least margin in record order, as min() over records takes it
+        i = self.margins.index(min(self.margins))
+        summary = {"passed": all(map((0.0).__lt__, self.margins)),
+                   "min_margin": self.margins[i],
+                   "min_margin_t": self.t[i // (len(self.margins) // len(self.t))],
+                   "min_margin_check": self.check_ids[i % len(self.check_ids)]}
+        for name, value in summary.items():
+            object.__setattr__(self, name, value)
 
     def to_json_dict(self) -> dict:
-        # shallow, unlike asdict: each record dict is the record's own, for
-        # serialising, not for editing
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc["records"] = [vars(r) for r in self.records]
-        return doc
+        per = len(self.margins) // len(self.t)
+        records = Table({"t": list(chain.from_iterable(map(repeat, self.t, repeat(per)))),
+                         "check_id": list(islice(cycle(self.check_ids), len(self.margins))),
+                         "margin": self.margins, "witness": self.witnesses,
+                         "passed": list(map((0.0).__lt__, self.margins))})
+        return {"kind": self.kind, "passed": self.passed, "min_margin": self.min_margin,
+                "min_margin_t": self.min_margin_t, "min_margin_check": self.min_margin_check,
+                "records": records, "version": __version__}
 
 
 # rows formatted per write: bounds the strings alive at once
@@ -78,25 +94,16 @@ def write_margin_csv(reports: Iterable[StripReport], fh: TextIO) -> None:
     """Write one margin table for `reports`: a `t,check_id,margin` header,
     then a row per record, floats with 17 significant digits."""
     fh.write("t,check_id,margin\n")
-    row = attrgetter("t", "check_id", "margin")
     for report in reports:
-        records = report.records
-        for lo in range(0, len(records), _ROWS_PER_WRITE):
-            block = records[lo:lo + _ROWS_PER_WRITE]
-            fh.write("%.17g,%s,%.17g\n" * len(block)
-                     % tuple(chain.from_iterable(map(row, block))))
-
-
-def _finish(kind: str, records: list[StripCheck]) -> StripReport:
-    worst = min(records, key=attrgetter("margin"))
-    return StripReport(
-        kind=kind,
-        passed=all(map(attrgetter("passed"), records)),
-        min_margin=worst.margin,
-        min_margin_t=worst.t,
-        min_margin_check=worst.check_id,
-        records=tuple(records),
-    )
+        per = len(report.margins) // len(report.t)
+        step = max(1, _ROWS_PER_WRITE // per)
+        for lo in range(0, len(report.t), step):
+            # each height formatted once, however many records share it
+            heights = map("%.17g".__mod__, report.t[lo:lo + step])
+            block = report.margins[lo * per:(lo + step) * per]
+            ids = islice(cycle(report.check_ids), lo * per % len(report.check_ids), None)
+            rows = zip(chain.from_iterable(map(repeat, heights, repeat(per))), ids, block)
+            fh.write("%s,%s,%.17g\n" * len(block) % tuple(chain.from_iterable(rows)))
 
 
 def compute_offsets(cert: DisjointnessCertificate) -> StripOffsets:
@@ -156,20 +163,13 @@ def verify_strip_claim(pair: PairRadii, offsets: StripOffsets) -> StripReport:
     dist1 = hyp_distance(ORIGIN, HypPoint(delta1, 0.0))
     dist2 = hyp_distance(ORIGIN, HypPoint(delta2, math.pi))
 
-    records: list[StripCheck] = []
+    margins: list[float] = []
     for t in pair.t_grid:
         r1, r2 = pair.h1.radius(t), pair.h2.radius(t)
-        margins = (
-            r1 - delta1,
-            margin_at_distance(dist1, r1, r1),
-            r2 - (r1 + delta1),
-            r2 - delta2,
-            margin_at_distance(dist2, r2, r2),
-            (r2 - delta2) - r1,
-        )
-        for check_id, margin in zip(_STRIP_CHECKS, margins):
-            records.append(StripCheck(t, check_id, margin, margin > 0.0))
-    return _finish("strip_claim", records)
+        margins.extend((r1 - delta1, margin_at_distance(dist1, r1, r1), r2 - (r1 + delta1),
+                        r2 - delta2, margin_at_distance(dist2, r2, r2), (r2 - delta2) - r1))
+    return StripReport("strip_claim", pair.t_grid, _STRIP_CHECKS, margins,
+                       [None] * len(margins))
 
 
 _C3_CHECKS = (
@@ -187,13 +187,11 @@ def verify_c3_lemma(pair: PairRadii) -> StripReport:
     eta2 = necksize(pair.h2.params)
     dist3 = hyp_distance(ORIGIN, HypPoint(eta2, 0.0))
 
-    records: list[StripCheck] = []
+    margins: list[float] = []
     for t in pair.t_grid:
         r1, r2 = pair.h1.radius(t), pair.h2.radius(t)
-        margins = (margin_at_distance(dist3, r2, r2), r1 - (eta2 - r2), eta2 - (r2 - r1))
-        for check_id, margin in zip(_C3_CHECKS, margins):
-            records.append(StripCheck(t, check_id, margin, margin > 0.0))
-    return _finish("c3_lemma", records)
+        margins.extend((margin_at_distance(dist3, r2, r2), r1 - (eta2 - r2), eta2 - (r2 - r1)))
+    return StripReport("c3_lemma", pair.t_grid, _C3_CHECKS, margins, [None] * len(margins))
 
 
 def remark_sweep(
@@ -219,7 +217,7 @@ def remark_sweep(
         bd, r1, r2 = hd.radius(t), pair.h1.radius(t), pair.h2.radius(t)
         return max(margin_at_distance(dist1, bd, r1), margin_at_distance(dist2, bd, r2))
 
-    records: list[StripCheck] = []
+    rows = []
     for d in d_grid:
         hd = HeightTable(CmcParams(p1.H, d))
         best_margin, best_t = -math.inf, None
@@ -240,13 +238,7 @@ def remark_sweep(
                     best_margin, best_t = m, t
                 if m > 0.0:
                     break
-        records.append(
-            StripCheck(
-                t=best_t if best_t is not None else 0.0,
-                check_id=f"remark_d={d:.17g}",
-                margin=best_margin,
-                passed=best_margin > 0.0,
-                witness=best_t,
-            )
-        )
-    return _finish("remark_sweep", records)
+        rows.append((best_t if best_t is not None else 0.0, f"remark_d={d:.17g}",
+                     best_margin, best_t))
+    ts, check_ids, margins, witnesses = map(list, zip(*rows))
+    return StripReport("remark_sweep", ts, tuple(check_ids), margins, witnesses)

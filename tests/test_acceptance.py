@@ -143,7 +143,7 @@ def test_c6_strip_claims(capsys, full_certificate):
     _report(capsys, 6, "strip claims", ok,
             f"strip min margin {strip.min_margin:.4f} ({strip.min_margin_check}), "
             f"second-barrier min margin {c3.min_margin:.4f}, sweep witnesses "
-            f"{sum(r.passed for r in remark.records)}/20 "
+            f"{sum(m > 0.0 for m in remark.margins)}/20 "
             f"(min margin {remark.min_margin:.4f})")
 
 

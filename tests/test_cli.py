@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 from hcat import report
 from hcat.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _build_parser, _emit,
                       _envelope, _UsageError, run)
-from hcat.strips import StripCheck, StripReport, write_margin_csv
+from hcat.report import Table
+from hcat.strips import StripReport, write_margin_csv
 
 from conftest import validate_against
 
@@ -502,6 +503,38 @@ _DOCUMENTS = st.recursive(
 )
 
 
+# columns of one scalar type, whose distinct values are formatted once,
+# and of mixed types, such as the sweep's witnesses: floats and None
+_COLUMNS = [
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1.5, math.nan, math.inf, -math.inf]),
+    st.one_of(st.none(), st.floats()),
+    st.one_of(st.none(), st.sampled_from([0.0, -0.0, 2.5])),
+    st.sampled_from(["center1_inside", "%s", "\u00e9"]),
+    st.booleans(),
+    _SCALARS,
+]
+
+
+@st.composite
+def _tables(draw):
+    keys = draw(st.lists(_TEXT, max_size=4, unique=True))
+    rows = draw(st.integers(0, 9))
+    return Table({k: draw(st.lists(draw(st.sampled_from(_COLUMNS)),
+                                   min_size=rows, max_size=rows)) for k in keys})
+
+
+def _expanded(doc):
+    """`doc` with each Table replaced by the list of records it holds."""
+    if type(doc) is Table:
+        return [dict(zip(doc.columns, row)) for row in zip(*doc.columns.values())]
+    if type(doc) is dict:
+        return {k: _expanded(v) for k, v in doc.items()}
+    if type(doc) in (list, tuple):
+        return [_expanded(v) for v in doc]
+    return doc
+
+
 class TestEmit:
     DOC = {"b": [1.5, {"z": None, "a": True}], "a": "\u00e9", "c": 1e-300}
 
@@ -515,34 +548,45 @@ class TestEmit:
         assert capsys.readouterr().out == json.dumps(self.DOC, indent=2, sort_keys=True) + "\n"
 
     @settings(max_examples=300, deadline=None)
-    @given(doc=_DOCUMENTS, block=st.sampled_from([1, 2, 3, report._RECORDS_PER_WRITE]))
-    def test_any_document_equals_dumps(self, tmp_path_factory, doc, block):
-        # small blocks split record lists, odd records included, across writes
+    @given(doc=_DOCUMENTS)
+    def test_any_document_equals_dumps(self, tmp_path_factory, doc):
         want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         out = tmp_path_factory.getbasetemp() / "emit.json"
         stdout = io.StringIO()
-        with mock.patch.object(report, "_RECORDS_PER_WRITE", block):
-            _emit(doc, str(out))
-            with contextlib.redirect_stdout(stdout):
-                _emit(doc, None)
+        _emit(doc, str(out))
+        with contextlib.redirect_stdout(stdout):
+            _emit(doc, None)
         assert out.read_text() == want
         assert stdout.getvalue() == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=_tables(), nested=st.booleans(),
+           block=st.sampled_from([1, 2, 3, report._ROWS_PER_WRITE]))
+    def test_any_table_equals_dumps_of_its_rows(self, tmp_path_factory, table, nested,
+                                                block):
+        # small blocks split a table across writes; nested, it is written
+        # at depths 1 and 3
+        doc = {"records": table, "runs": [{"records": table}]} if nested else table
+        want = json.dumps(_expanded(doc), indent=2, sort_keys=True) + "\n"
+        out = tmp_path_factory.getbasetemp() / "table.json"
+        with mock.patch.object(report, "_ROWS_PER_WRITE", block):
+            _emit(doc, str(out))
+        assert out.read_text() == want
 
     def test_signed_zeros_in_a_repeated_column(self, tmp_path):
         # 0.0 and -0.0 are one member of a set but two texts
         values = [0.0, -0.0, 1.5, -0.0, 0.0, 1.5, -0.0, 2.0, 0.0, -0.0]
-        doc = {"records": [{"t": v, "id": f"c{i % 3}"} for i, v in enumerate(values)]}
+        doc = {"records": Table({"t": values, "id": [f"c{i % 3}" for i in range(10)]})}
         out = tmp_path / "doc.json"
         _emit(doc, str(out))
-        assert out.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert out.read_text() == json.dumps(_expanded(doc), indent=2, sort_keys=True) + "\n"
 
     def test_large_report_streams(self, tmp_path):
         # joining the 9 000 records' text in memory, as the margins CSV
         # once did, peaks at more than 1 MB
-        records = tuple(
-            StripCheck(0.05 * i - 225.0, f"check_{i % 6}", math.sin(i), True, None)
-            for i in range(9000))
-        strips = StripReport("strip_claim", True, -0.9999, 11.0, "check_1", records)
+        strips = StripReport("strip_claim", [0.05 * i - 225.0 for i in range(1500)],
+                             tuple(f"check_{j}" for j in range(6)),
+                             [math.sin(i) for i in range(9000)], [None] * 9000)
         doc = _envelope("strips", {"step": 0.05}, {"strip_claim": strips.to_json_dict()})
         peaks = {}
         tracemalloc.start()
@@ -557,7 +601,7 @@ class TestEmit:
             tracemalloc.stop()
         assert peaks["json"] < 1e6 and peaks["csv"] < 1e6, peaks
         assert (tmp_path / "strips.json").read_text() == (
-            json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            json.dumps(_expanded(doc), indent=2, sort_keys=True) + "\n")
 
 
 class TestParser:

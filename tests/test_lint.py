@@ -1,5 +1,5 @@
 """Source hygiene: no module of the package imports a name it never uses,
-defines a private function or class that nothing in it references,
+defines a private function, class or constant that nothing in it reads,
 imports a third-party package that pyproject.toml does not declare, or
 writes indented JSON other than through the report writer."""
 
@@ -17,7 +17,8 @@ REPORT_WRITER = SRC_DIR / "report.py"
 
 
 def _names_read(tree: ast.Module) -> set[str]:
-    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -42,13 +43,19 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 
 
 def _unused_private_defs(tree: ast.Module) -> list[str]:
-    """Module-level `_name` functions and classes that no expression of
-    the module reads."""
-    defined = {
-        node.name: node.lineno for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_") and not node.name.endswith("__")
-    }
+    """Module-level `_name` functions, classes and constants that no
+    expression of the module reads."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        defined.update((name, node.lineno) for name in names
+                       if name.startswith("_") and not name.endswith("__"))
     used = _names_read(tree)
     return sorted(f"{name} (line {line})" for name, line in defined.items()
                   if name not in used)
@@ -69,6 +76,15 @@ def test_detects_unused_private_defs():
               "def public():\n    pass\n")
     assert _unused_private_defs(ast.parse(source)) == [
         "_Orphan (line 5)", "_unused (line 3)"]
+
+
+def test_detects_unused_private_constants():
+    # a constant only assigned, however often, is not read
+    source = ("_USED = 1\n_UNUSED = 2\n_ANNOTATED: int = 3\n__all__ = []\nPUBLIC = 4\n"
+              "_REBOUND = 5\n_REBOUND = 6\n_A = _B = 7\n"
+              "def f():\n    _LOCAL = 8\n    return _USED + _B\n")
+    assert _unused_private_defs(ast.parse(source)) == [
+        "_A (line 8)", "_ANNOTATED (line 3)", "_REBOUND (line 7)", "_UNUSED (line 2)"]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -3,15 +3,21 @@
 import io
 import json
 import math
+from itertools import product
+from operator import itemgetter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hcat import strips
 from hcat.core import CmcParams, necksize
 from hcat.disjoint import height_grid
 from hcat.errors import PreconditionError
+from hcat.report import write_json
 from hcat.strips import (
     StripOffsets,
+    StripReport,
     compute_offsets,
     pair_radii,
     remark_sweep,
@@ -21,6 +27,32 @@ from hcat.strips import (
 )
 
 T_GRID = [k * 0.5 - 2.0 for k in range(9)]  # [-2, 2] step 0.5
+
+_MARGINS = st.one_of(st.floats(), st.sampled_from([-1.0, 0.0, -0.0, 0.5, math.nan]))
+
+
+@st.composite
+def _reports(draw):
+    """Reports of both layouts: each height's checks in turn, or one
+    record per swept member with its own height and id; margins that tie,
+    fail and are NaN."""
+    n = draw(st.integers(1, 8))
+    t = draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        ids = tuple(f"c{j}%" for j in range(draw(st.integers(1, 6))))
+        size = n * len(ids)
+    else:
+        ids, size = tuple(f"remark_d={j}" for j in range(n)), n
+    margins = draw(st.lists(_MARGINS, min_size=size, max_size=size))
+    return StripReport("x", t, ids, margins, [None] * size)
+
+
+def _records(report):
+    """A report's (t, check_id, margin) records, expanded record by record."""
+    if len(report.margins) == len(report.t) == len(report.check_ids):
+        return list(zip(report.t, report.check_ids, report.margins))
+    return [(t, c, report.margins[i * len(report.check_ids) + j])
+            for i, t in enumerate(report.t) for j, c in enumerate(report.check_ids)]
 
 
 @pytest.fixture(scope="module")
@@ -64,9 +96,9 @@ class TestStripClaim:
         assert report.min_margin > 0.0
         assert report.kind == "strip_claim"
         # six named checks per height
-        assert len(report.records) == 6 * len(T_GRID)
-        ids = {r.check_id for r in report.records}
-        assert ids == {
+        assert report.t == T_GRID
+        assert len(report.margins) == 6 * len(T_GRID)
+        assert set(report.check_ids) == {
             "center1_inside",
             "shifted1_meets_inner",
             "shifted1_clears_outer",
@@ -78,7 +110,7 @@ class TestStripClaim:
     def test_min_margin_is_the_actual_minimum(self, small_cert, small_pair):
         offsets = compute_offsets(small_cert)
         report = verify_strip_claim(small_pair, offsets)
-        assert report.min_margin == min(r.margin for r in report.records)
+        assert report.min_margin == min(report.margins)
 
     def test_absurd_offsets_fail_cleanly(self, small_cert):
         # a shift larger than the whole gap cannot clear the outer circle
@@ -99,17 +131,15 @@ class TestC3Lemma:
         report = verify_c3_lemma(small_pair)
         assert report.passed
         assert report.min_margin > 0.0
-        assert len(report.records) == 3 * len(T_GRID)
+        assert len(report.margins) == 3 * len(T_GRID)
 
     def test_reach_margin_at_zero_height(self, small_cert):
         # at t = 0 the radii are the necks, so the reach margin is
         # exactly eta1: b1 - (eta2 - b2) = eta1
         report = verify_c3_lemma(pair_radii(small_cert, 0.0, 0.0, 1.0))
         eta1 = necksize(CmcParams(small_cert.H, small_cert.d1))
-        reach = next(
-            r for r in report.records if r.check_id == "shifted3_reaches_inner"
-        )
-        assert reach.margin == pytest.approx(eta1, abs=1e-12)
+        reach = report.margins[report.check_ids.index("shifted3_reaches_inner")]
+        assert reach == pytest.approx(eta1, abs=1e-12)
 
 
 class TestRemarkSweep:
@@ -118,11 +148,11 @@ class TestRemarkSweep:
         d_grid = [5.0, 10.0, 30.0, 60.0, 90.0]
         report = remark_sweep(small_pair, offsets, d_grid)
         assert report.passed
-        assert len(report.records) == len(d_grid)
-        for record in report.records:
-            assert record.margin > 0.0
-            assert record.witness is not None
-            assert abs(record.witness) <= max(abs(t) for t in T_GRID)
+        assert len(report.margins) == len(report.check_ids) == len(d_grid)
+        for margin, witness in zip(report.margins, report.witnesses):
+            assert margin > 0.0
+            assert witness is not None
+            assert abs(witness) <= max(abs(t) for t in T_GRID)
 
     def test_refinement_reads_the_pair_tables(self, small_cert, inversion_counts):
         # barriers shifted by 1e-3 reach no intermediate member, so the
@@ -146,9 +176,9 @@ class TestRemarkSweep:
         # heights from there used to reach |t| = 2.5
         pair = pair_radii(small_cert, -2.0, 2.0, 0.5)
         report = remark_sweep(pair, StripOffsets(2e-3, 1e-3, 1e-3), [30.0])
-        (record,) = report.records
-        assert not record.passed
-        assert record.t <= 2.0
+        (t,) = report.t
+        assert not report.passed
+        assert t <= 2.0
         assert max(pair.h1.radii) == max(pair.h2.radii) == 2.0
 
     def test_rejects_d_outside_open_interval(self, small_cert, small_pair):
@@ -207,7 +237,7 @@ class TestMirroredGrid:
         # t and -t read one solved radius, so each check's margin is even in t
         offsets = compute_offsets(small_cert)
         for report in (verify_strip_claim(pair, offsets), verify_c3_lemma(pair)):
-            margins = {(r.t, r.check_id): r.margin for r in report.records}
+            margins = dict(zip(product(report.t, report.check_ids), report.margins))
             assert all(margins[-t, c] == m for (t, c), m in margins.items() if t < 0.0
                        and (-t, c) in margins)
 
@@ -220,15 +250,57 @@ class TestReportOutput:
         write_margin_csv([report], out)
         lines = out.getvalue().splitlines()
         assert lines[0] == "t,check_id,margin"
-        assert len(lines) == 1 + len(report.records)
+        assert len(lines) == 1 + len(report.margins)
         t, check_id, margin = lines[1].split(",")
-        assert float(t) == report.records[0].t
-        assert check_id == report.records[0].check_id
-        assert float(margin) == report.records[0].margin
+        assert float(t) == report.t[0]
+        assert check_id == report.check_ids[0]
+        assert float(margin) == report.margins[0]
 
     def test_json_dict_round_trips_through_json(self, small_cert):
         report = verify_c3_lemma(pair_radii(small_cert, 0.0, 0.0, 1.0))
-        data = json.loads(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+        out = io.StringIO()
+        write_json(report.to_json_dict(), out)
+        data = json.loads(out.getvalue())
         assert data["passed"] is True
         assert data["min_margin"] == report.min_margin
-        assert len(data["records"]) == len(report.records)
+        assert data["records"] == [
+            {"t": 0.0, "check_id": c, "margin": m, "passed": True, "witness": None}
+            for c, m in zip(report.check_ids, report.margins)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(report=_reports(), block=st.sampled_from([1, 2, 3, strips._ROWS_PER_WRITE]))
+    def test_margin_csv_equals_a_record_scan(self, report, block):
+        # small blocks split a height's records across writes
+        out = io.StringIO()
+        with mock.patch.object(strips, "_ROWS_PER_WRITE", block):
+            write_margin_csv([report, report], out)
+        rows = "".join("%.17g,%s,%.17g\n" % r for r in _records(report))
+        assert out.getvalue() == "t,check_id,margin\n" + rows * 2
+
+
+class TestSummary:
+    @settings(max_examples=200, deadline=None)
+    @given(report=_reports())
+    def test_summary_equals_a_record_scan(self, report):
+        records = _records(report)
+        worst = min(records, key=itemgetter(2))
+        assert report.passed == all(m > 0.0 for _, _, m in records)
+        # the very margin object: tells -0.0 from 0.0, and matches a NaN
+        assert report.min_margin is worst[2]
+        assert (report.min_margin_t, report.min_margin_check) == worst[:2]
+
+    @pytest.mark.parametrize("margins,want", [
+        # tied minima: the first in grid order wins
+        ([1.0, 0.5, 2.0, 0.5], (True, 0.5, 0.0, "b")),
+        ([2.0, 3.0, 0.25, 0.25], (True, 0.25, 1.0, "a")),
+        ([1.0, 2.0, 3.0, 4.0], (True, 1.0, 0.0, "a")),
+        # a zero, a negative or a NaN margin fails
+        ([1.0, 0.0, 3.0, 4.0], (False, 0.0, 0.0, "b")),
+        ([1.0, 2.0, -3.0, 4.0], (False, -3.0, 1.0, "a")),
+        ([1.0, 2.0, math.nan, 4.0], (False, 1.0, 0.0, "a")),
+    ])
+    def test_ties_and_failures(self, margins, want):
+        report = StripReport("x", [0.0, 1.0], ("a", "b"), margins, [None] * 4)
+        passed, *worst = want
+        assert report.passed is passed
+        assert [report.min_margin, report.min_margin_t, report.min_margin_check] == worst
