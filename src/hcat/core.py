@@ -24,11 +24,13 @@ Brent is `brentq` here, a kernel for one piece: the iteration of
 `hcat.numerics.brentq` with the series summed inline, returning the same
 root after the same number of evaluations.
 
-A piece asked for many heights also gets an inverse series, u as a
-Chebyshev series in t (Chebfun's `inv`: Driscoll, Hale and Trefethen,
-*Chebfun Guide*, 2014).  A read from it is kept only when its residual
-on the forward series certifies it within ROOT_TOL in u; any other
-height is solved by Brent (see `HeightTable`).
+A caller that knows its grid of heights asks for it whole
+(`HeightTable.radii`); a piece that such a grid asks for many heights
+first gets an inverse series, u as a Chebyshev series in t (Chebfun's
+`inv`: Driscoll, Hale and Trefethen, *Chebfun Guide*, 2014).  A read
+from it is kept only when its residual on the forward series certifies
+it within ROOT_TOL in u; any other height is solved by Brent (see
+`HeightTable`).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import io
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 from operator import mul
 
@@ -63,14 +65,16 @@ _TAIL_TOL = 1e-13
 _MAX_DEPTH = 40
 # Brent's relative tolerance: 4 ulp(1)
 _RTOL = 4.0 * math.ulp(1.0)
-# a piece's inverse series (see HeightTable) is built once the piece has
-# been asked for more than _INVERSE_AFTER distinct heights, at the cost of
-# _CHEB_N Brent solves.  Demand per piece: over 200 drawn pairs of the
-# benchmark's pair scan (`disjoint --t-max 20 --step .5`) no piece was asked
-# for more than 45 heights, so none builds there; the headline `disjoint`
-# asks its three outer pieces 139, 555 and 228 heights per member on its
-# coarse grid, and `strips` 69, 278 and 114
-_INVERSE_AFTER = 64
+# a piece's inverse series (see HeightTable.radii) is fitted before any
+# Brent solve on it when one call asks the piece for more than this many
+# distinct unsolved heights.  Measured on the headline pair's six fitted
+# pieces (one core of a shared Intel Xeon host, Python 3.11): a fit takes
+# 0.33-0.89 ms, on average as long as 44 Brent solves (it makes 40: 24 per
+# whole series, 72 where the series is halved; no read was refused there),
+# and a read saves about 8 us against a solve (4.4 against 12.5 us,
+# weighted by the heights asked), so a fit pays for itself past about 69
+# reads
+_INVERSE_AFTER = 68
 # an inverse series is kept where its tail (the last two coefficients) is at
 # most ROOT_TOL in u, else halved in t, at most this many times; a part that
 # still fails is read by Brent
@@ -406,11 +410,6 @@ def f_asymptote(params: CmcParams, rho: float) -> float:
     return 2.0 * params.H / math.sqrt(q) * (rho + math.log(q / params.s))
 
 
-def g_residual(params: CmcParams, rho: float) -> float:
-    """Closed-form part minus its linear asymptote; decays to 0 at infinity."""
-    return f_closed(params, rho) - f_asymptote(params, rho)
-
-
 def j_remainder(params: CmcParams, rho: float, table: HeightTable | None = None) -> float:
     """Remainder integral of the height decomposition (numerator d + 2H e^{-r}).
 
@@ -457,8 +456,8 @@ def verify_appendix(
     On `grid_points` radii from the neck to 10 beyond it: height = f + J
     (scaled residual <= 1e-8), f' = 2H sinh(rho) / sqrt(radicand) by
     central differences (relative error <= 1e-6), sup J < 2 pi sqrt(1-2H)
-    for d > 2 with its root witness, and |g_residual| decaying from 1
-    beyond the neck.
+    for d > 2 with its root witness, and |f - f_asymptote| decaying from 1
+    beyond the neck on (`g_residual_decays`).
     """
     if grid_points < 2:
         raise PreconditionError(f"grid_points must be >= 2, got {grid_points}")
@@ -537,40 +536,43 @@ class HeightTable:
     the piece holding [breaks[i], breaks[i + 1]].  Every height the table
     holds reads "start + series", the start being `heights[i]`, the
     height at breaks[i]: `heights[i + 1]` at the piece's end,
-    `integral(rho)` inside it, and `radius(t)` runs Brent on it across
-    the piece whose end heights bracket t, in v = u^2 = rho - neck.  The
-    height is nearly linear in v over a piece, where in u it bends like
-    u^2.  On the piece from the neck it grows like u instead, so Brent
-    runs in u there, to within ROOT_TOL; in v, with a tolerance relative
-    to v = 0, its steps could creep past the iteration limit.  The table
-    grows lazily to the largest radius (`integral`) or height (`radius`)
-    asked for, at one piece per doubling of u; a piece whose total
-    overflows is halved too.  A forward read whose height overflows, and
+    `integral(rho)` inside it, and `radius(t)` and `radii(ts)` run Brent
+    on it across the piece whose end heights bracket t, in v = u^2 =
+    rho - neck.  The height is nearly linear in v over a piece, where in
+    u it bends like u^2.  On the piece from the neck it grows like u
+    instead, so Brent runs in u there, to within ROOT_TOL; in v, with a
+    tolerance relative to v = 0, its steps could creep past the iteration
+    limit.  The table grows lazily to the largest radius (`integral`) or
+    height (`radius`, `radii`) asked for, at one piece per doubling of u;
+    a piece whose total overflows is halved too.  A forward read whose height overflows, and
     a height that no finite radius reaches, are DomainErrors.
 
-    Inverse reads.  On a member with d >= 0, a piece away from the neck
-    (u_lo = breaks[i] > 0) that has been asked for more than
-    _INVERSE_AFTER = 64 distinct heights gets an inverse series: u as a
-    _CHEB_N-point Chebyshev series in t across [heights[i],
-    heights[i + 1]], from Brent solves at the Chebyshev points in t, kept
-    when its tail is at most ROOT_TOL and halved in t otherwise (see
-    `_INVERSE_AFTER` for the demand that sized it: the benchmark's pair
-    scan builds none).  A read sums that series at t to u~ and is kept
-    only when its residual certifies it.  The residual is r = heights[i] +
-    series_i(u~) - t.  For d >= 0, lambda' = N / sqrt(sinh^2 r - N^2) with
-    N = d + 2H cosh r falls with r, since sinh r / N rises (its slope is
-    (d cosh r + 2H) / N^2), toward 2H/sqrt(q).  So dt/du = 2u lambda' is at
-    least 2 u_lo lambda'(rho_hi) across the piece, rho_hi being its end
-    radius, and |u~ - u*| <= (|r| + 4 ulp(t)) / (2 u_lo lambda'(rho_hi)),
-    the ulps covering the rounding of r; u* is the root of the forward
-    series, the one Brent solves for.  The read is kept when that bound is
-    at most ROOT_TOL.  Every other height, and every height on the neck
-    piece or on a member with d < 0, is solved by Brent.
+    Inverse reads.  `radii(ts)` takes a caller's whole grid and counts,
+    per piece, the distinct |t| it asks that the table has not solved.  On
+    a member with d >= 0, a piece away from the neck (u_lo = breaks[i] > 0)
+    asked for more than _INVERSE_AFTER of them gets an inverse series
+    before any Brent solve on it: u as a _CHEB_N-point Chebyshev series in
+    t across [heights[i], heights[i + 1]], from Brent solves at the
+    Chebyshev points in t, kept where its tail is at most ROOT_TOL and
+    halved in t otherwise.  A read sums that series at t to u~.  Its
+    residual on the forward series is r = heights[i] + series_i(u~) - t.
+    For d >= 0, lambda' = N / sqrt(sinh^2 r - N^2) with N = d + 2H cosh r
+    falls with r, since sinh r / N rises (its slope is (d cosh r + 2H) /
+    N^2), toward 2H/sqrt(q).  So dt/du = 2u lambda' is at least 2 u_lo
+    lambda'(rho_hi) across the piece, rho_hi being its end radius, and
+    |u~ - u*| <= (|r| + 4 ulp(t)) / (2 u_lo lambda'(rho_hi)), the ulps
+    covering the rounding of r; u* is the root of the forward series, the
+    one Brent solves for.  The read is kept when that bound is at most
+    ROOT_TOL, and solved by Brent otherwise.  A fitted series serves later
+    `radii` calls too.  `radius(t)`, for a single height, never fits or
+    reads one: it returns the stored radius of |t| or Brent's.  Every
+    height on the neck piece or on a member with d < 0 is Brent's.
 
-    Every solved radius is kept in `radii`, keyed by |t|, so asking again
-    returns the stored bits; a radius depends only on the heights the
-    table was asked before it.  The table lives as long as its caller
-    keeps it; nothing outlives one call of a command.
+    Every radius is kept in `memo`, keyed by |t|, so asking again returns
+    the stored bits.  A radius depends only on the pieces fitted before it
+    was first asked, and `radii(ts)` on a fresh table only on the set of
+    |t| in ts.  The table lives as long as its caller keeps it; nothing
+    outlives one call of a command.
     """
 
     def __init__(self, params: CmcParams, remainder: bool = False):
@@ -582,11 +584,10 @@ class HeightTable:
         self.breaks = [0.0]
         self.heights = [0.0]
         self.pieces: list[tuple] = []
-        self.radii: dict[float, float] = {}
-        # per piece: the distinct heights solved on it, and its inverse
-        # series once built; () where none will be (the piece from the neck,
-        # a member with d < 0, or a piece where no read could be certified)
-        self.asked: list[int] = []
+        self.memo: dict[float, float] = {}
+        # per piece: its inverse series once fitted; () where none will be
+        # (the piece from the neck, a member with d < 0, or a piece where no
+        # read could be certified)
         self.inverses: list[tuple | None] = []
 
     def _add_panel(self) -> None:
@@ -601,7 +602,6 @@ class HeightTable:
             self.breaks.append(u_hi)
             self.heights.append(self.heights[-1] + total)
             self.pieces.append(series)
-            self.asked.append(0)
             self.inverses.append(None if u_lo > 0.0 and params.d >= 0.0 else ())
             return
         if depth == _MAX_DEPTH:
@@ -630,28 +630,75 @@ class HeightTable:
         return h
 
     def radius(self, t: float) -> float:
-        """Radius of the profile at height t (even in t)."""
+        """Radius of the profile at height t (even in t): the stored radius
+        of |t|, or Brent's, on the series of the piece holding |t|."""
         t = abs(t)
-        rho = self.radii.get(t)
+        rho = self.memo.get(t)
         if rho is None:
             if not self.invertible:
                 raise PreconditionError("profile inversion needs a height table with d > -2H")
-            rho = self.radii[t] = self._solve(t)
+            rho = self.memo[t] = self._solve(t)
         return rho
+
+    def radii(self, ts: list[float]) -> list[float]:
+        """Radii of the profile at the heights ts, in any order, with any
+        sign and with repeats, as `radius` gives them one by one, except on
+        the pieces with an inverse series: a piece asked for more than
+        _INVERSE_AFTER distinct unsolved |t| is fitted first, and the
+        heights on it are read, each by Brent where its read is refused.
+        The table grows once, past the largest |t|."""
+        if not self.invertible:
+            raise PreconditionError("profile inversion needs a height table with d > -2H")
+        memo, eta = self.memo, self.params.eta
+        todo = {abs(t) for t in ts}.difference(memo)
+        if not all(map(math.isfinite, todo)):
+            bad = next(t for t in ts if not math.isfinite(t))
+            raise DomainError(f"height must be finite, got {bad}")
+        todo = sorted(todo)
+        if todo and todo[0] == 0.0:
+            memo[todo.pop(0)] = eta
+        if todo:
+            self._grow_past(todo[-1])
+        heights, inverses = self.heights, self.inverses
+        j = 0
+        while j < len(todo):
+            # todo[j:k] are the heights on piece i, the ones it is asked for
+            i = self._piece(todo[j])
+            k = bisect_left(todo, heights[i + 1], j)
+            if inverses[i] is None and k - j > _INVERSE_AFTER:
+                inverses[i] = self._invert(i)
+            inverse = inverses[i]
+            for t in todo[j:k]:
+                u = self._read_inverse(i, inverse, t) if inverse else None
+                memo[t] = self._brent(i, t) if u is None else eta + u * u
+            j = k
+        return [memo[abs(t)] for t in ts]
+
+    def _grow_past(self, t: float) -> None:
+        # grow past t, so that the piece holding t has an end above it, as
+        # far as the float range allows
+        heights, breaks = self.heights, self.breaks
+        while heights[-1] <= t and breaks[-1] * breaks[-1] < math.inf:
+            self._add_panel()
+
+    def _piece(self, t: float) -> int:
+        """The piece holding height t, in a table grown past t."""
+        i = bisect_right(self.heights, t) - 1
+        if i == len(self.pieces):
+            raise DomainError(f"no finite radius reaches height t = {t}")
+        return i
 
     def _solve(self, t: float) -> float:
         if not math.isfinite(t):
             raise DomainError(f"height must be finite, got {t}")
-        eta = self.params.eta
         if t == 0.0:
-            return eta
-        heights, breaks = self.heights, self.breaks
-        # grow past t, so that the piece holding t has an end above it
-        while heights[-1] <= t:
-            if breaks[-1] * breaks[-1] == math.inf:
-                raise DomainError(f"no finite radius reaches height t = {t}")
-            self._add_panel()
-        i = bisect_right(heights, t) - 1
+            return self.params.eta
+        self._grow_past(t)
+        return self._brent(self._piece(t), t)
+
+    def _brent(self, i: int, t: float) -> float:
+        """Brent's radius at height t > 0 on piece i, the piece holding t."""
+        heights, breaks, eta = self.heights, self.breaks, self.params.eta
         lo = breaks[i]
         if heights[i] == t:
             return eta + lo * lo
@@ -662,15 +709,6 @@ class HeightTable:
             u = brentq(self.pieces[i], heights[i], t, 0.0, breaks[i + 1], heights[i] - t,
                        heights[i + 1] - t, xtol=ROOT_TOL, rtol=_RTOL, in_v=False)
             return eta + u * u
-        inverse = self.inverses[i]
-        if inverse is None:
-            asked = self.asked[i] = self.asked[i] + 1
-            if asked > _INVERSE_AFTER:
-                inverse = self.inverses[i] = self._invert(i)
-        if inverse:
-            u = self._read_inverse(i, inverse, t)
-            if u is not None:
-                return eta + u * u
         hi = breaks[i + 1]
         v_lo, v_hi = lo * lo, hi * hi
         start, series = heights[i], self.pieces[i]
@@ -703,9 +741,6 @@ class HeightTable:
         Chebyshev series in t on each [t_breaks[j], t_breaks[j + 1]] (None
         where halving gave up) and the largest du/dt across the piece; ()
         when no read could be certified."""
-        # no inverse while the piece is fitted: _solve answers its sample
-        # heights by Brent
-        self.inverses[i] = ()
         params = self.params
         t_lo, t_hi = self.heights[i], self.heights[i + 1]
         # dt/du = 2u lambda'(rho) is least at the piece's ends: u at its start,

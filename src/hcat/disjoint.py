@@ -174,7 +174,7 @@ def certify(
     # one table per member, read by the coarse scan and the refinement
     h1 = HeightTable(CmcParams(H, d1))
     h2 = HeightTable(CmcParams(H, d2))
-    gaps = [h2.radius(t) - h1.radius(t) for t in ts]
+    gaps = [r2 - r1 for r1, r2 in zip(h1.radii(ts), h2.radii(ts))]
 
     for t, g in zip(ts, gaps):
         if not g > 0.0:
@@ -194,7 +194,7 @@ def certify(
     lo = max(ts[i_min] - grid_step, 0.0)
     hi = min(ts[i_min] + grid_step, t_max)
     fine_ts = height_grid(lo, hi, grid_step / 10.0)
-    fine_gaps = [h2.radius(t) - h1.radius(t) for t in fine_ts]
+    fine_gaps = [r2 - r1 for r1, r2 in zip(h1.radii(fine_ts), h2.radii(fine_ts))]
     j_min = min(range(len(fine_gaps)), key=fine_gaps.__getitem__)
     if fine_gaps[j_min] < gaps[i_min]:
         min_gap, min_t = fine_gaps[j_min], fine_ts[j_min]

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 _INDENT = "  "
 # rows formatted per write: bounds the strings alive at once
@@ -128,10 +128,21 @@ def _table_chunks(table: Table, level: int) -> Iterator[str]:
     yield "\n" + _INDENT * level + "]"
 
 
+def text_map(text: Callable[[object], str], values: Sequence) -> dict | None:
+    """{value: text(value)} over the distinct `values`, or None where
+    formatting each value is about as cheap: when more than half of them
+    are distinct, or one is a zero, since 0.0 and -0.0 are one member of a
+    set but two texts.  A NaN is its own member, found again by identity."""
+    distinct = set(values)
+    if 2 * len(distinct) > len(values) or 0.0 in distinct:
+        return None
+    return dict(zip(distinct, map(text, distinct)))
+
+
 def _texts(values: Sequence, level: int) -> list[str] | str:
     """`values` as json writes them at depth `level`, or their one text if
-    they all share it.  A column of one scalar type formats each of its
-    distinct values once."""
+    they all share it.  A column of one scalar type whose values repeat
+    formats each of its distinct values once (`text_map`)."""
     kinds = set(map(type, values))
     if not kinds <= _SCALARS.keys():
         return ["".join(_chunks(v, level)) for v in values]
@@ -141,10 +152,6 @@ def _texts(values: Sequence, level: int) -> list[str] | str:
     # a finite sum has no NaN or infinity among its terms
     text = (float.__repr__ if kind is float and math.isfinite(sum(values))
             else _SCALARS[kind])
-    distinct = set(values)
-    # 0.0 and -0.0 are one member of a set but two texts
-    if len(distinct) == len(values) or (kind is float and 0.0 in distinct):
-        return list(map(text, values))
-    if len(distinct) == 1:
-        return text(values[0])
-    return list(map(dict(zip(distinct, map(text, distinct))).__getitem__, values))
+    known = text_map(text, values)
+    texts = list(map(known.__getitem__ if known else text, values))
+    return texts[0] if texts.count(texts[0]) == len(texts) else texts

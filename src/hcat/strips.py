@@ -24,7 +24,7 @@ from .core import b_inverse as b_inverse
 from .disjoint import DisjointnessCertificate, height_grid
 from .errors import PreconditionError
 from .geom import ORIGIN, HypPoint, hyp_distance, margin_at_distance
-from .report import Table
+from .report import Table, text_map
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,19 @@ def write_margin_csv(reports: Iterable[StripReport], fh: TextIO) -> None:
     for report in reports:
         per = len(report.margins) // len(report.t)
         step = max(1, _ROWS_PER_WRITE // per)
+        # each distinct margin formatted once where margins repeat: t and -t
+        # on a mirrored grid share their radii, so their margins are
+        # bit-equal.  The map holds at most one text per two records
+        texts = text_map("%.17g".__mod__, report.margins)
+        row = "%s,%s,%s\n" if texts else "%s,%s,%.17g\n"
         for lo in range(0, len(report.t), step):
             # each height formatted once, however many records share it
             heights = map("%.17g".__mod__, report.t[lo:lo + step])
             block = report.margins[lo * per:(lo + step) * per]
             ids = islice(cycle(report.check_ids), lo * per % len(report.check_ids), None)
-            rows = zip(chain.from_iterable(map(repeat, heights, repeat(per))), ids, block)
-            fh.write("%s,%s,%.17g\n" * len(block) % tuple(chain.from_iterable(rows)))
+            rows = zip(chain.from_iterable(map(repeat, heights, repeat(per))), ids,
+                       map(texts.__getitem__, block) if texts else block)
+            fh.write(row * len(block) % tuple(chain.from_iterable(rows)))
 
 
 def compute_offsets(cert: DisjointnessCertificate) -> StripOffsets:
@@ -124,29 +130,35 @@ def compute_offsets(cert: DisjointnessCertificate) -> StripOffsets:
 
 @dataclass(frozen=True)
 class PairRadii:
-    """The certified pair's height tables and the height grid they are checked on.
+    """The certified pair's height tables, the height grid they are
+    checked on and the pair's radii on it.
 
     t_grid is `height_grid(t_min, t_max, step)` and `step` its spacing,
     by which the sweep refines.  h1 and h2 are the tables of the members
-    d1 and d2.  The three checks read b_{d1}(t) and b_{d2}(t) from them,
-    so each distinct |t| is solved once however many checks ask for it.
-    A grid across t = 0 is mirrored about it, so t and -t are one |t|.
+    d1 and d2, and r1[k], r2[k] their radii at t_grid[k], from one
+    `HeightTable.radii` call each: each distinct |t| is solved or read
+    once, and a piece the grid asks for many heights reads them from its
+    inverse series.  The strip and c3 checks read r1 and r2; the sweep
+    reads the tables, whose memo holds the grid's radii.  A grid across
+    t = 0 is mirrored about it, so t and -t are one |t|.
     """
 
     t_grid: list[float]
     step: float
     h1: HeightTable
     h2: HeightTable
+    r1: list[float]
+    r2: list[float]
 
 
 def pair_radii(
     cert: DisjointnessCertificate, t_min: float, t_max: float, step: float,
 ) -> PairRadii:
-    """The height grid on [t_min, t_max] and one height table for each
-    member of the certified pair."""
-    return PairRadii(height_grid(t_min, t_max, step), step,
-                     HeightTable(CmcParams(cert.H, cert.d1)),
-                     HeightTable(CmcParams(cert.H, cert.d2)))
+    """The height grid on [t_min, t_max], one height table for each member
+    of the certified pair, and their radii on the grid."""
+    ts = height_grid(t_min, t_max, step)
+    h1, h2 = HeightTable(CmcParams(cert.H, cert.d1)), HeightTable(CmcParams(cert.H, cert.d2))
+    return PairRadii(ts, step, h1, h2, h1.radii(ts), h2.radii(ts))
 
 
 _STRIP_CHECKS = ("center1_inside", "shifted1_meets_inner", "shifted1_clears_outer",
@@ -164,8 +176,7 @@ def verify_strip_claim(pair: PairRadii, offsets: StripOffsets) -> StripReport:
     dist2 = hyp_distance(ORIGIN, HypPoint(delta2, math.pi))
 
     margins: list[float] = []
-    for t in pair.t_grid:
-        r1, r2 = pair.h1.radius(t), pair.h2.radius(t)
+    for r1, r2 in zip(pair.r1, pair.r2):
         margins.extend((r1 - delta1, margin_at_distance(dist1, r1, r1), r2 - (r1 + delta1),
                         r2 - delta2, margin_at_distance(dist2, r2, r2), (r2 - delta2) - r1))
     return StripReport("strip_claim", pair.t_grid, _STRIP_CHECKS, margins,
@@ -188,8 +199,7 @@ def verify_c3_lemma(pair: PairRadii) -> StripReport:
     dist3 = hyp_distance(ORIGIN, HypPoint(eta2, 0.0))
 
     margins: list[float] = []
-    for t in pair.t_grid:
-        r1, r2 = pair.h1.radius(t), pair.h2.radius(t)
+    for r1, r2 in zip(pair.r1, pair.r2):
         margins.extend((margin_at_distance(dist3, r2, r2), r1 - (eta2 - r2), eta2 - (r2 - r1)))
     return StripReport("c3_lemma", pair.t_grid, _C3_CHECKS, margins, [None] * len(margins))
 

@@ -29,25 +29,28 @@ def inversion_counts(monkeypatch):
     """Count, for every HeightTable, its builds per (H, d, remainder), its
     pieces per (d, remainder, u_lo, u_hi) as `_add_piece` tries them,
     split pieces included, the non-zero heights it was asked for the first
-    time per (d, |t|) (`radii`, solved by Brent or read from an inverse
-    series) and its Brent solves per (d, |t|), the solves that fit an
-    inverse series counted for the height that asked it; every evaluation
-    of the substituted integrand; every evaluation of Brent's excess
-    (`solve_evaluations`), the bracket's two ends included; and
-    every evaluation of a piece's series (`series_reads`): Brent's steps,
-    forward reads and the heights at the pieces' ends.  `core.brentq` sums
-    the series inline, so its reads are taken from its `RootResult`: its
-    evaluations less the two ends, which the table already holds.  Also
-    the inverse series built, per (d, u_lo) of their piece (`inverses`)."""
+    time per (d, |t|) (`radii`), through `radius` or `radii`, solved by
+    Brent or read from an inverse series; its Brent solves per (d, t) of
+    the height solved (`solves`), an inverse series' sample heights
+    included; and the inverse series it fitted, per (d, u_lo) of their
+    piece (`inverses`).  Also every evaluation of the substituted
+    integrand; every evaluation of Brent's excess (`solve_evaluations`),
+    the bracket's two ends included; and every evaluation of a piece's
+    series (`series_reads`): Brent's steps, forward reads and the heights
+    at the pieces' ends.  `core.brentq` sums the series inline, so its
+    reads are taken from its `RootResult`: its evaluations less the two
+    ends, which the table already holds."""
     from hcat import core
 
     counts = SimpleNamespace(builds=Counter(), pieces=Counter(), radii=Counter(),
                              solves=Counter(), inverses=Counter(), evaluations=0,
                              solve_evaluations=0, series_reads=0)
-    init, add_piece, substituted, series_at, radius, brentq, invert = (
-        core.HeightTable.__init__, core.HeightTable._add_piece, core._substituted,
-        core._series_at, core.HeightTable.radius, core.brentq, core.HeightTable._invert)
-    asking = []  # (d, |t|) of the radius call in progress
+    table = core.HeightTable
+    init, add_piece, radius, radii, brent, invert = (
+        table.__init__, table._add_piece, table.radius, table.radii, table._brent,
+        table._invert)
+    substituted, series_at, brentq = core._substituted, core._series_at, core.brentq
+    solving = []  # d of the table whose Brent solve is in progress
 
     def counting_init(self, params, remainder=False):
         counts.builds[params.H, params.d, remainder] += 1
@@ -65,32 +68,43 @@ def inversion_counts(monkeypatch):
         counts.series_reads += 1
         return series_at(series, u)
 
+    def count_asked(self, ts):
+        for t in {abs(t) for t in ts}.difference(self.memo):
+            if t:
+                counts.radii[self.params.d, t] += 1
+
+    def counting_radius(self, t):
+        count_asked(self, [t])
+        return radius(self, t)
+
+    def counting_radii(self, ts):
+        count_asked(self, ts)
+        return radii(self, ts)
+
     def counting_invert(self, i):
         counts.inverses[self.params.d, self.breaks[i]] += 1
         return invert(self, i)
 
-    def counting_radius(self, t):
-        if t and abs(t) not in self.radii:
-            counts.radii[self.params.d, abs(t)] += 1
-        asking.append((self.params.d, abs(t)))
+    def counting_brent(self, i, t):
+        solving.append(self.params.d)
         try:
-            return radius(self, t)
+            return brent(self, i, t)
         finally:
-            asking.pop()
+            solving.pop()
 
-    def counting_brentq(*args, full_output=False, **kwargs):
-        counts.solves[asking[-1]] += 1
-        root, result = brentq(*args, full_output=True, **kwargs)
+    def counting_brentq(series, start, t, *args, full_output=False, **kwargs):
+        counts.solves[solving[-1], t] += 1
+        root, result = brentq(series, start, t, *args, full_output=True, **kwargs)
         counts.solve_evaluations += result.function_calls
         counts.series_reads += result.function_calls - 2
         return (root, result) if full_output else root
 
-    monkeypatch.setattr(core.HeightTable, "__init__", counting_init)
-    monkeypatch.setattr(core.HeightTable, "_add_piece", counting_add_piece)
+    for name, counting in [("__init__", counting_init), ("_add_piece", counting_add_piece),
+                           ("radius", counting_radius), ("radii", counting_radii),
+                           ("_invert", counting_invert), ("_brent", counting_brent)]:
+        monkeypatch.setattr(table, name, counting)
     monkeypatch.setattr(core, "_substituted", counting_substituted)
     monkeypatch.setattr(core, "_series_at", counting_series_at)
-    monkeypatch.setattr(core.HeightTable, "radius", counting_radius)
-    monkeypatch.setattr(core.HeightTable, "_invert", counting_invert)
     monkeypatch.setattr(core, "brentq", counting_brentq)
     return counts
 

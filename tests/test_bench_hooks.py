@@ -65,10 +65,11 @@ def test_tracer_counts_every_integrand_sample(load_bench_module, monkeypatch, tm
 
 def test_tracer_counts_every_brent_solve(load_bench_module, tmp_path):
     # the height tables solve through `core.brentq` by that module name, so
-    # the traced headline pipeline sees all 1 483 solves and their 7 618
+    # the traced headline pipeline sees all 715 solves and their 3 822
     # evaluations (`TestEvaluationCounts` in test_core.py counts the same
     # untraced; 3 036 and 14 884 before the busy pieces read inverse
-    # series); a table that held the kernel under another name would read
+    # series, 1 483 and 7 618 while a piece was fitted on its 65th
+    # height); a table that held the kernel under another name would read
     # 0 here
     tracer = load_bench_module("hcat_bench_tracer", "tracer.py").Tracer()
     tracer.install()
@@ -80,4 +81,4 @@ def test_tracer_counts_every_brent_solve(load_bench_module, tmp_path):
     finally:
         tracer.uninstall()
     metrics = tracer.rep_metrics()
-    assert (metrics["core.brentq.calls"], metrics["core.brentq.evals"]) == (1_483, 7_618)
+    assert (metrics["core.brentq.calls"], metrics["core.brentq.evals"]) == (715, 3_822)

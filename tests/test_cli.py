@@ -364,11 +364,17 @@ _HEADLINE_COMMANDS = [
 # pieces began reading inverse series: radii moved by at most 2.2e-13 in
 # u, `min_gap_observed` by 2.5e-13 (its height 31.4 -> 38.6 on a gap flat
 # to round-off) and strip margins by at most 1.5e-12; `delta0` and
-# `sup_gap` are bit-equal
+# `sup_gap` are bit-equal.  Re-pinned again when a grid's busy pieces were
+# fitted before their first height rather than on their 65th: the strip
+# grid's first 64 heights on each fitted piece are read, each certified
+# within ROOT_TOL in u of Brent's root, so 380 and 382 of the members'
+# 1 001 radii moved by at most 1.6e-13 in u, and 2 156 of the 9 029 strip
+# margins by at most 1.8e-12 (the least strip margin's height
+# -38.8 -> -38.6 on margins flat to round-off); `cert.json` is bit-equal
 _HEADLINE_SHA256 = {
     "cert.json": "6053093a72ce9929c911708010200ffaab62af701d25b38cb1332ab11047cc30",
-    "strips.json": "58f0d2d2285a5856453faa0da3d5a17c52f61f1cb565bdd4bc2ff347767a20c9",
-    "margins.csv": "5e56427ec46e853fe7ad918d24b324c44a09a0bdf34ec3181c4a1a2ff34afc69",
+    "strips.json": "c185a25c5faccb1c37d4a94a7304f8e9df6ec3e7d7c2f01303eecfd481678ff3",
+    "margins.csv": "b9a500b97166642cc1e36e34c5d20892fd7431d6fce4c8ee901fcee99f0ff594",
 }
 # each check entry nests a `witness` dict: not a flat record
 _APPENDIX_COMMAND = ["verify-appendix", "--out", "appendix.json"]

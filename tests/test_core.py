@@ -23,7 +23,6 @@ from hcat.core import (
     entire_graph_profile,
     f_asymptote,
     f_closed,
-    g_residual,
     integrand,
     j_bound_witness,
     j_remainder,
@@ -295,13 +294,15 @@ class TestDecomposition:
 
     def test_residual_frozen_value_at_neck(self):
         p = CmcParams(0.25, 2.0)
-        assert g_residual(p, necksize(p)) == pytest.approx(
+        eta = necksize(p)
+        assert f_closed(p, eta) - f_asymptote(p, eta) == pytest.approx(
             G_AT_NECK_H25_D2, abs=1e-14
         )
 
     def test_residual_decays_to_zero(self):
         p = CmcParams(0.25, 2.0)
-        vals = [abs(g_residual(p, necksize(p) + 2.0**k)) for k in range(6)]
+        rhos = [necksize(p) + 2.0**k for k in range(6)]
+        vals = [abs(f_closed(p, rho) - f_asymptote(p, rho)) for rho in rhos]
         assert all(b < a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-12
 
@@ -380,9 +381,9 @@ class TestInversion:
         p = CmcParams(0.25, 3.0)
         table = HeightTable(p)
         radii = [table.radius(t) for t in (2.0, -1.0, 0.0, 1.0, -2.0)]
-        assert sorted(table.radii) == [0.0, 1.0, 2.0]
+        assert sorted(table.memo) == [0.0, 1.0, 2.0]
         assert radii[0] == radii[4] and radii[1] == radii[3]
-        for t, rho in table.radii.items():
+        for t, rho in table.memo.items():
             assert rho == pytest.approx(b_inverse(p, t), abs=1e-10)
 
 
@@ -635,16 +636,16 @@ def _series_root(table, i, t):
 
 
 def _ask_piece(table, i, n):
-    """n heights spread evenly inside piece i, asked in turn: (heights,
-    *_ask(table, heights))."""
+    """n heights spread evenly inside piece i, asked in one `radii` call:
+    (heights, *_ask(table, heights))."""
     a, b = table.heights[i], table.heights[i + 1]
     ts = [a + (b - a) * (j + 0.5) / n for j in range(n)]
     return (ts, *_ask(table, ts))
 
 
 def _ask(table, ts):
-    """The radii of the heights ts, asked in turn, and the reads an inverse
-    series certified: (radii, {t: (piece, u)})."""
+    """The radii of the heights ts, asked in one `radii` call, and the reads
+    an inverse series certified: (radii, {t: (piece, u)})."""
     from hcat import core
 
     read, accepted = core.HeightTable._read_inverse, {}
@@ -657,7 +658,7 @@ def _ask(table, ts):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(core.HeightTable, "_read_inverse", spy)
-        radii = [table.radius(t) for t in ts]
+        radii = table.radii(ts)
     return radii, accepted
 
 
@@ -666,7 +667,8 @@ def _u_gap(params, rho1, rho2):
 
 
 class TestInverseReads:
-    # a piece builds its inverse series on its 65th distinct height
+    # a piece gets its inverse series when one `radii` call asks it for more
+    # than _INVERSE_AFTER = 68 distinct unsolved heights, before any of them
     @given(H=st.floats(0.02, 0.4999), d=st.floats(0.0, 1e6), i=st.integers(1, 6))
     @settings(max_examples=15, deadline=None)
     def test_dense_grid_reads_within_root_tol(self, H, d, i):
@@ -681,25 +683,86 @@ class TestInverseReads:
         for t, (_, u) in accepted.items():
             assert abs(u - _series_root(table, i, t)) <= ROOT_TOL
 
+    @given(
+        H=st.floats(0.02, 0.4999),
+        d=st.floats(0.0, 1e6),
+        t_max=st.floats(1.0, 60.0),
+        n=st.integers(1, 300),
+        data=st.data(),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_radii_depend_only_on_the_set_of_heights(self, H, d, t_max, n, data):
+        # shuffled, with signs flipped and heights repeated, a grid reads the
+        # same bits on a fresh table, each within ROOT_TOL in u of Brent's
+        p = CmcParams(H, d)
+        ts = [t_max * j / n for j in range(n + 1)]
+        radii = HeightTable(p).radii(ts)
+        by_t = dict(zip(ts, radii))
+        asked = data.draw(st.permutations(ts + data.draw(
+            st.lists(st.sampled_from(ts), max_size=n))))
+        signs = data.draw(st.lists(st.booleans(), min_size=len(asked), max_size=len(asked)))
+        asked = [-t if flip else t for t, flip in zip(asked, signs)]
+        assert HeightTable(p).radii(asked) == [by_t[abs(t)] for t in asked]
+        for t, rho in zip(ts, radii):
+            assert _u_gap(p, rho, b_inverse(p, t)) <= ROOT_TOL
+
     def test_headline_reads_are_certified(self):
         # the certificate's coarse grid on the headline member: its three
-        # outer pieces, asked 139, 555 and 228 heights, read all but their
-        # first 64 from their inverse series
+        # outer pieces, asked 139, 555 and 228 heights, read every one of
+        # them from their inverse series
         from hcat.disjoint import height_grid
 
         table = HeightTable(CmcParams(0.25, 3.0))
         _, accepted = _ask(table, height_grid(0.0, 50.0, 0.05))
-        assert len(accepted) == 139 + 555 + 228 - 3 * 64
+        assert len(accepted) == 139 + 555 + 228
         assert {i for i, _ in accepted.values()} == {4, 5, 6}
         for t, (i, u) in accepted.items():
             assert abs(u - _series_root(table, i, t)) <= ROOT_TOL
+
+    def test_headline_grid_fits_before_it_solves(self):
+        # each of those pieces is fitted before any Brent solve on it
+        from hcat import core
+        from hcat.disjoint import height_grid
+
+        events = []
+        brent, invert = core.HeightTable._brent, core.HeightTable._invert
+
+        def spy_brent(self, i, t):
+            events.append(("solve", i))
+            return brent(self, i, t)
+
+        def spy_invert(self, i):
+            events.append(("fit", i))
+            with pytest.MonkeyPatch.context() as patch:
+                # the fit's own sample solves are not the grid's
+                patch.setattr(core.HeightTable, "_brent", brent)
+                return invert(self, i)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core.HeightTable, "_brent", spy_brent)
+            patch.setattr(core.HeightTable, "_invert", spy_invert)
+            HeightTable(CmcParams(0.25, 3.0)).radii(height_grid(0.0, 50.0, 0.05))
+        assert [i for kind, i in events if kind == "fit"] == [4, 5, 6]
+        # Brent solves the grid's heights on the inner pieces only
+        assert {i for kind, i in events if kind == "solve"} <= {0, 1, 2, 3}
+
+    def test_radius_never_fits(self):
+        # one height at a time: the memo or Brent, however many are asked
+        p = CmcParams(0.25, 3.0)
+        table = HeightTable(p)
+        table.integral(p.eta + 64.0)
+        a, b = table.heights[5], table.heights[6]
+        ts = [a + (b - a) * (j + 0.5) / 200 for j in range(200)]
+        radii = [table.radius(t) for t in ts]
+        assert not any(table.inverses)
+        assert radii == [b_inverse(p, t) for t in ts]
 
     @pytest.mark.parametrize("give_up", ["series", "residual"])
     def test_reads_fall_back_to_brent(self, give_up, monkeypatch):
         # at (.002, 10) the radius jumps across the piece u in [2, 4]: its
         # inverse series' tail is 3.4e-6, and three halvings in t resolve it.
         # Kept whole it is given up; with the residual's slack widened after
-        # the build no read passes.  Either way every height is Brent's
+        # the fit no read passes.  Either way every height is Brent's
         from hcat import core
 
         H, d = 0.002, 10.0
@@ -726,8 +789,8 @@ class TestInverseReads:
         ts, radii, accepted = _ask_piece(table, i, 200)
         t_breaks, series, _ = table.inverses[i]
         assert len(series) > 1 and None not in series
-        # the first 64 heights are Brent's, the rest read
-        assert len(accepted) == 200 - 64
+        # fitted before any of them is solved, so every height is read
+        assert len(accepted) == 200
         for t, rho in zip(ts, radii):
             assert _u_gap(p, rho, b_inverse(p, t)) <= ROOT_TOL
 
@@ -886,9 +949,9 @@ class TestEvaluationCounts:
         assert cli.run(["disjoint", "--H", ".25", "--d1", "3", "--d2", "30", "--t-max", "20",
                         "--step", ".5", "--out", str(tmp_path / "c.json")]) == 0
         assert inversion_counts.evaluations == 288
-        # no piece is asked for more than 64 heights, so no inverse series is
-        # built, and Brent solves every height: 98 solves of 535 evaluations,
-        # as before inverse series
+        # no piece is asked for more than _INVERSE_AFTER heights, so no
+        # inverse series is fitted, and Brent solves every height: 98 solves
+        # of 535 evaluations, as before inverse series
         assert inversion_counts.inverses == {}
         assert sum(inversion_counts.solves.values()) == 98
         assert inversion_counts.solve_evaluations == 535
@@ -896,34 +959,40 @@ class TestEvaluationCounts:
     def test_headline_pipeline(self, inversion_counts, tmp_path):
         # 6 660 on fixed 1/4 panels, 1 260 on doubling pieces with a QAGS
         # total beside each series, and 672 on the series alone (28 pieces).
-        # Brent evaluates its excess 7 618 times over its 1 483 solves, the
+        # Brent evaluates its excess 3 822 times over its 715 solves, the
         # two tabulated ends of each bracket included: the traced
         # `core.brentq.evals`.  It took 14 884 over 3 036 solves before the
-        # outer pieces read inverse series, and 14 822 with Brent in u on
-        # the neck piece alone
+        # outer pieces read inverse series, 14 822 with Brent in u on the
+        # neck piece alone, and 7 618 over 1 483 while a piece was fitted
+        # only on its 65th distinct height
         _run_headline_pipeline(tmp_path)
         assert inversion_counts.evaluations == 672
-        assert inversion_counts.solve_evaluations == 7_618
+        assert inversion_counts.solve_evaluations == 3_822
 
     def test_headline_solves_read_few_series_terms(self, inversion_counts, tmp_path):
         # series reads per height solved, heights at piece ends and forward
         # reads included: 4.34 on fixed 1/4 panels, 4.41 on doubling pieces
         # with a break every 1/4 in u, 5.69 with Brent in u across a whole
-        # piece, 2.91 with Brent in v = rho - neck across it, and 2.88 with
-        # inverse series on the busy pieces: 3 038 non-zero heights, 3 036
-        # of them by Brent before, now 1 483 Brent solves with the 24 of each
-        # inverse series' fit, and 2 reads per inverse read.  The strip grid,
-        # mirrored about t = 0, holds 500 distinct non-zero |t| per member;
-        # stepped from t = -50 it held 835 (3 708 solves).  The certificate's
-        # 10x refinement follows the scanned minimum, whose height moved
-        # 45.41 -> 31.4 with Brent in v and -> 38.6 with Brent in u on the
-        # neck piece.  Brent's own reads are its evaluations less the two
-        # tabulated ends of its bracket
+        # piece, 2.91 with Brent in v = rho - neck across it, 2.88 with
+        # inverse series fitted on a piece's 65th height, and 2.64 with the
+        # series fitted from the grid's demand: 3 038 non-zero heights,
+        # 3 036 of them by Brent before, 1 483 Brent solves with the fits'
+        # sample solves on the 65th height, and now 715, 480 of them the
+        # sample solves of the 12 fits (72 where the piece u in [8, 16] is
+        # halved in t, 24 elsewhere), and 2 reads per inverse read.  The
+        # strip grid, mirrored about t = 0, holds 500 distinct non-zero |t|
+        # per member; stepped from t = -50 it held 835 (3 708 solves).  The
+        # certificate's 10x refinement follows the scanned minimum, whose
+        # height moved 45.41 -> 31.4 with Brent in v and -> 38.6 with Brent
+        # in u on the neck piece.  Brent's own reads are its evaluations
+        # less the two tabulated ends of its bracket
         _run_headline_pipeline(tmp_path)
         heights = sum(inversion_counts.radii.values())
         assert heights == 3_038
-        assert sum(inversion_counts.solves.values()) == 1_483
-        assert inversion_counts.series_reads <= 2.9 * heights
+        assert sum(inversion_counts.solves.values()) == 715
+        assert len(inversion_counts.inverses) == 6
+        assert sum(inversion_counts.inverses.values()) == 12
+        assert inversion_counts.series_reads <= 2.7 * heights
 
     def test_one_off_far_read(self, inversion_counts):
         # a table built for one read at rho = 1e4: 400 fixed 1/4 panels

@@ -179,7 +179,7 @@ class TestRemarkSweep:
         (t,) = report.t
         assert not report.passed
         assert t <= 2.0
-        assert max(pair.h1.radii) == max(pair.h2.radii) == 2.0
+        assert max(pair.h1.memo) == max(pair.h2.memo) == 2.0
 
     def test_rejects_d_outside_open_interval(self, small_cert, small_pair):
         offsets = compute_offsets(small_cert)
