@@ -20,9 +20,9 @@ across it (`quad`, the package's one quadrature rule).  Forward reads
 evaluate that series; profile inversion runs Brent on it across one
 piece, in v = u^2 = rho - neck, where the height is nearly linear, and
 in u on the piece from the neck, where the height grows like u.  That
-Brent is `brentq` here, a kernel for one piece: the iteration of
-`hcat.numerics.brentq` with the series summed inline, returning the same
-root after the same number of evaluations.
+Brent is `brentq` here, a kernel for one piece: the iteration of SciPy's
+`brentq` with the series summed inline, returning the same root after the
+same number of evaluations.
 
 A caller that knows its grid of heights asks for it whole
 (`HeightTable.radii`); a piece that such a grid asks for many heights
@@ -43,7 +43,6 @@ from dataclasses import asdict, dataclass, field
 from operator import mul
 
 from .errors import ConvergenceError, DomainError, PreconditionError
-from .numerics import _MAXITER, RootResult
 from .report import Table
 
 #: root-finding tolerance in the substituted variable u = sqrt(rho - neck);
@@ -65,6 +64,8 @@ _TAIL_TOL = 1e-13
 _MAX_DEPTH = 40
 # Brent's relative tolerance: 4 ulp(1)
 _RTOL = 4.0 * math.ulp(1.0)
+# Brent's iterations before it gives up: SciPy's default maxiter
+_MAXITER = 100
 # a piece's inverse series (see HeightTable.radii) is fitted before any
 # Brent solve on it when one call asks the piece for more than this many
 # distinct unsolved heights.  Measured on the headline pair's six fitted
@@ -277,6 +278,13 @@ def _series_at(series: tuple, u: float) -> float:
     return c0 + x * b1 - b2
 
 
+@dataclass(frozen=True)
+class RootResult:
+    """How `brentq` found its root."""
+
+    function_calls: int
+
+
 def brentq(series: tuple, start: float, t: float, a: float, b: float, fa: float,
            fb: float, xtol: float, rtol: float, in_v: bool = True,
            full_output: bool = False):
@@ -285,10 +293,13 @@ def brentq(series: tuple, start: float, t: float, a: float, b: float, fa: float,
     v = u^2 = rho - neck with `in_v`, else u itself.
 
     fa and fb are that excess at a and b, of opposite signs, and are read
-    wherever an iterate lands on a or b.  This is `hcat.numerics.brentq` on
-    that excess operation for operation, the series summed inline, so it
-    returns the same root after the same number of evaluations (a and b
-    counted).  Returns the root, or (root, RootResult) with `full_output`.
+    wherever an iterate lands on a or b.  This is SciPy's `brentq` (Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, in the form of
+    SciPy's `brentq.c`) on that excess operation for operation, the series
+    summed inline, so it returns the same root after the same number of
+    evaluations (a and b counted).  Returns the root, or (root, RootResult)
+    with `full_output`.  Raises DomainError where the series is NaN, and
+    ConvergenceError after 100 iterations, SciPy's default maxiter.
     """
     mid, half, c0, rev = series
     calls = 2

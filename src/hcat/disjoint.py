@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass, asdict
 
 from . import __version__
-from .core import CmcParams, HeightTable, ROOT_TOL, b_inverse
+from .core import CmcParams, HeightTable, ROOT_TOL
 from .errors import CertificationFailure, PreconditionError
-from .numerics import brentq
 
 #: tolerance for the monotone-decrease finite-difference check
 MONOTONE_TOL = 1e-9
@@ -35,12 +34,14 @@ def separation_lower_bound(H: float, d1: float, d2: float) -> float:
                            - 2 pi sqrt(1-2H)).
     May be negative, in which case it certifies nothing by itself.  The
     threshold d0 for a given d1 > 2 is the unique d2 where it equals 1.
+    Finite for every finite d2: no d is squared.
     """
     _require_d1(d1)
     # 1 - 4H^2 as a product, as in CmcParams: the difference cancels as H -> 1/2
     q = (1.0 - 2.0 * H) * (1.0 + 2.0 * H)
-    ratio_log = 0.5 * (math.log(d2 * d2 + q) - math.log(d1 * d1 + q))
-    return math.sqrt(q) / (2.0 * H) * (
+    root_q = math.sqrt(q)
+    ratio_log = math.log(math.hypot(d2, root_q) / math.hypot(d1, root_q))
+    return root_q / (2.0 * H) * (
         0.5 * ratio_log - 2.0 * math.pi * math.sqrt(1.0 - 2.0 * H)
     )
 
@@ -48,35 +49,25 @@ def separation_lower_bound(H: float, d1: float, d2: float) -> float:
 def solve_d0(H: float, d1: float) -> float:
     """Unique d0 > d1 with separation_lower_bound(H, d1, d0) = 1.
 
-    Bracket-doubling then Brent; the closed-form rearrangement of the
-    equation exists but is kept out of the solver so it can serve as an
-    independent oracle.
+    In closed form, d0 = sqrt((d1^2 + q) e^{2k} - q) with q = 1 - 4H^2 and
+    k = 4H/sqrt(q) + 4 pi sqrt(1-2H), written as s sqrt(1 - q/s^2) with
+    s = sqrt(d1^2 + q) e^k so that nothing overflows before d0 does.
+    Within 2(k+1) eps relative of the exact root: rounding k alone moves
+    e^k by about k eps/2.
     """
     _require_d1(d1)
-    lo, hi = d1, 2.0 * d1
-    while separation_lower_bound(H, d1, hi) < 1.0:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e300:
-            raise PreconditionError("threshold equation has no finite root")
-    d0 = brentq(
-        lambda x: separation_lower_bound(H, d1, x) - 1.0,
-        lo,
-        hi,
-        xtol=1e-12,
-        rtol=4.0 * math.ulp(1.0),
-    )
+    q = (1.0 - 2.0 * H) * (1.0 + 2.0 * H)
+    k = 4.0 * H / math.sqrt(q) + 4.0 * math.pi * math.sqrt(1.0 - 2.0 * H)
+    try:
+        s = math.hypot(d1, math.sqrt(q)) * math.exp(k)
+    except OverflowError:
+        s = math.inf
+    if s == math.inf:
+        raise PreconditionError(f"the threshold d0 for d1 = {d1} overflows the float range")
+    d0 = s * math.sqrt(1.0 - q / (s * s))
     if abs(separation_lower_bound(H, d1, d0) - 1.0) > 1e-10:
         raise CertificationFailure("threshold equation residual above tolerance")
     return d0
-
-
-def gap(H: float, d1: float, d2: float, t: float) -> float:
-    """Radial gap b_{d2}(t) - b_{d1}(t); even in t."""
-    p1, p2 = CmcParams(H, d1), CmcParams(H, d2)
-    if not d1 < d2:
-        raise PreconditionError(f"need d1 < d2, got {d1} >= {d2}")
-    return b_inverse(p2, t) - b_inverse(p1, t)
 
 
 @dataclass(frozen=True)

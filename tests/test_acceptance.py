@@ -17,15 +17,7 @@ from hcat.core import (
     verify_appendix,
 )
 from hcat.disjoint import certify, separation_lower_bound, solve_d0
-from hcat.geom import (
-    HypCircle,
-    HypPoint,
-    IntersectionClass,
-    circle_point,
-    classify_circle_intersection,
-    hyp_distance,
-    translate_along_geodesic,
-)
+from hcat.geom import HypCircle, HypPoint, hyp_distance
 from hcat.mesh import EmbeddingMode, export_obj, revolve
 from hcat.strips import (
     compute_offsets,
@@ -36,6 +28,12 @@ from hcat.strips import (
 )
 
 from conftest import DATA_DIR
+from geom_oracles import (
+    IntersectionClass,
+    circle_point,
+    classify_circle_intersection,
+    translate_along_geodesic,
+)
 
 H_GRID = [0.1, 0.25, 0.4]
 D_GRID = [2.5, 3.0, 10.0, 100.0]

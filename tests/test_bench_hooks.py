@@ -65,12 +65,12 @@ def test_tracer_counts_every_integrand_sample(load_bench_module, monkeypatch, tm
 
 def test_tracer_counts_every_brent_solve(load_bench_module, tmp_path):
     # the height tables solve through `core.brentq` by that module name, so
-    # the traced headline pipeline sees all 715 solves and their 3 822
+    # the traced headline pipeline sees all 715 solves and their 3 824
     # evaluations (`TestEvaluationCounts` in test_core.py counts the same
     # untraced; 3 036 and 14 884 before the busy pieces read inverse
     # series, 1 483 and 7 618 while a piece was fitted on its 65th
-    # height); a table that held the kernel under another name would read
-    # 0 here
+    # height, 715 and 3 822 while d0 was solved by Brent, 1 ulp higher);
+    # a table that held the kernel under another name would read 0 here
     tracer = load_bench_module("hcat_bench_tracer", "tracer.py").Tracer()
     tracer.install()
     try:
@@ -81,4 +81,4 @@ def test_tracer_counts_every_brent_solve(load_bench_module, tmp_path):
     finally:
         tracer.uninstall()
     metrics = tracer.rep_metrics()
-    assert (metrics["core.brentq.calls"], metrics["core.brentq.evals"]) == (715, 3_822)
+    assert (metrics["core.brentq.calls"], metrics["core.brentq.evals"]) == (715, 3_824)

@@ -71,6 +71,14 @@ class TestExitCodes:
         args = _disjoint_args(tmp_path / "c.json", extra=["--solve-d0"])
         assert run(args) == EXIT_USAGE
 
+    def test_d0_member_past_the_float_range_is_usage(self, capsys, tmp_path):
+        # d0 = 2.3e154 is finite, but its member's neck squares it; the
+        # threshold's residual check once saw the bound overflow and exited 2
+        args = ["disjoint", "--H", ".25", "--d1", "1e150", "--solve-d0",
+                "--out", str(tmp_path / "c.json")]
+        assert run(args) == EXIT_USAGE
+        assert "finite neck radius, got 2.29" in capsys.readouterr().err
+
     def test_missing_cert_file_is_usage(self, capsys, tmp_path):
         assert run(["strips", "--cert", str(tmp_path / "missing.json")]) == EXIT_USAGE
 
@@ -370,11 +378,16 @@ _HEADLINE_COMMANDS = [
 # within ROOT_TOL in u of Brent's root, so 380 and 382 of the members'
 # 1 001 radii moved by at most 1.6e-13 in u, and 2 156 of the 9 029 strip
 # margins by at most 1.8e-12 (the least strip margin's height
-# -38.8 -> -38.6 on margins flat to round-off); `cert.json` is bit-equal
+# -38.8 -> -38.6 on margins flat to round-off); `cert.json` is bit-equal.
+# Re-pinned when d0 came from its closed form instead of Brent: it moved
+# 1 ulp, 71617.88105161113 -> 71617.88105161111, toward the 40-digit
+# 71617.881051611077; in `cert.json` only `d0` and `d2` moved, and 22 of
+# the 9 029 strip margins by at most 3.6e-15, with the remark sweep's
+# members spaced between d1 and the new d2
 _HEADLINE_SHA256 = {
-    "cert.json": "6053093a72ce9929c911708010200ffaab62af701d25b38cb1332ab11047cc30",
-    "strips.json": "c185a25c5faccb1c37d4a94a7304f8e9df6ec3e7d7c2f01303eecfd481678ff3",
-    "margins.csv": "b9a500b97166642cc1e36e34c5d20892fd7431d6fce4c8ee901fcee99f0ff594",
+    "cert.json": "4f31ecfa5a3e1f5e3141542c1ee24cb6108c7dfedcda9b362fdac589aff81d29",
+    "strips.json": "4bfeae33e620fadc4eef9fa7f059671a6dd3f8df28720e969d96c07a4f22a467",
+    "margins.csv": "eeb58cc64ed906a43fc93e9733747cd70c74ca50e70805e40192ce5c9dd3083a",
 }
 # each check entry nests a `witness` dict: not a flat record
 _APPENDIX_COMMAND = ["verify-appendix", "--out", "appendix.json"]

@@ -5,16 +5,18 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hcat.core import CmcParams, necksize
+from hcat.core import CmcParams, HeightTable, necksize
 from hcat.disjoint import (
     DisjointnessCertificate,
     certify,
-    gap,
     separation_lower_bound,
     solve_d0,
 )
 from hcat.errors import CertificationFailure, PreconditionError
+
+EPS = 2.0**-52
 
 # closed-form rearrangement of the threshold equation, 40-digit: for
 # H = 0.25, d1 = 3,
@@ -22,10 +24,33 @@ from hcat.errors import CertificationFailure, PreconditionError
 D0_H25_D1_3 = 71617.88105161107681734899
 
 
-def _d0_closed_form(H, d1):
-    q = 1.0 - 4.0 * H * H
-    rhs = 4.0 * math.pi * math.sqrt(1.0 - 2.0 * H) + 4.0 * H / math.sqrt(q)
-    return math.sqrt((d1 * d1 + q) * math.exp(2.0 * rhs) - q)
+def _k(H):
+    """k = 4H/sqrt(q) + 4 pi sqrt(1-2H), q = 1 - 4H^2: d0 = sqrt((d1^2+q) e^{2k} - q)."""
+    q = (1.0 - 2.0 * H) * (1.0 + 2.0 * H)
+    return 4.0 * H / math.sqrt(q) + 4.0 * math.pi * math.sqrt(1.0 - 2.0 * H)
+
+
+def _mp_d0(H, d1):
+    """The threshold equation's closed-form root, at 40 digits."""
+    with mp.workdps(40):
+        H, d1 = mp.mpf(H), mp.mpf(d1)
+        q = 1 - 4 * H**2
+        k = 4 * H / mp.sqrt(q) + 4 * mp.pi * mp.sqrt(1 - 2 * H)
+        return float(mp.sqrt((d1**2 + q) * mp.exp(2 * k) - q))
+
+
+def _mp_separation(H, d1, d2):
+    """`separation_lower_bound` at 40 digits."""
+    with mp.workdps(40):
+        H = mp.mpf(H)
+        q = 1 - 4 * H**2
+        ratio_log = (mp.log(mp.mpf(d2) ** 2 + q) - mp.log(mp.mpf(d1) ** 2 + q)) / 2
+        return float(mp.sqrt(q) / (2 * H) * (ratio_log / 2 - 2 * mp.pi * mp.sqrt(1 - 2 * H)))
+
+
+def _gap(H, d1, d2, t):
+    """Radial gap b_{d2}(t) - b_{d1}(t), from one height table per member."""
+    return HeightTable(CmcParams(H, d2)).radius(t) - HeightTable(CmcParams(H, d1)).radius(t)
 
 
 class TestThreshold:
@@ -38,12 +63,31 @@ class TestThreshold:
 
     def test_solver_matches_frozen_and_closed_form(self):
         d0 = solve_d0(0.25, 3.0)
-        assert d0 == pytest.approx(D0_H25_D1_3, rel=1e-11)
-        assert d0 == pytest.approx(_d0_closed_form(0.25, 3.0), rel=1e-11)
+        bound = 2.0 * (_k(0.25) + 1.0) * EPS
+        assert d0 == pytest.approx(D0_H25_D1_3, rel=bound, abs=0.0)
+        assert d0 == pytest.approx(_mp_d0(0.25, 3.0), rel=bound, abs=0.0)
 
     @pytest.mark.parametrize("H,d1", [(0.1, 2.5), (0.25, 10.0), (0.4, 3.0)])
     def test_solver_against_closed_form(self, H, d1):
-        assert solve_d0(H, d1) == pytest.approx(_d0_closed_form(H, d1), rel=1e-10)
+        assert solve_d0(H, d1) == pytest.approx(_mp_d0(H, d1), rel=2.0 * (_k(H) + 1.0) * EPS,
+                                                abs=0.0)
+
+    @given(H=st.floats(1e-4, 0.4999), log_d1=st.floats(math.log10(2.0), 150.0))
+    @settings(max_examples=200, deadline=None)
+    def test_solver_within_2_k_plus_1_eps_of_mpmath(self, H, log_d1):
+        # rounding k alone moves e^k by about k eps / 2
+        d1 = max(10.0**log_d1, math.nextafter(2.0, 3.0))
+        assert solve_d0(H, d1) == pytest.approx(_mp_d0(H, d1), rel=2.0 * (_k(H) + 1.0) * EPS,
+                                                abs=0.0)
+
+    def test_solver_reaches_large_d1(self):
+        # d0 = 2.29e294: bracket doubling on the bound with d squared met a NaN
+        assert solve_d0(0.25, 1e290) == pytest.approx(_mp_d0(0.25, 1e290),
+                                                      rel=2.0 * (_k(0.25) + 1.0) * EPS, abs=0.0)
+
+    def test_overflowing_threshold_names_d1(self):
+        with pytest.raises(PreconditionError, match=r"d1 = 1e\+305 overflows"):
+            solve_d0(0.25, 1e305)
 
     def test_requires_d1_above_2(self):
         with pytest.raises(PreconditionError):
@@ -63,39 +107,39 @@ class TestThreshold:
     def test_separation_bound_near_h_one_half(self, H, d1, d2):
         # q = 1 - 4H^2 formed as a difference is off by 2.6e-14 relative at
         # H = .4999, and the bound with it
-        mp.mp.dps = 40
-        Hm = mp.mpf(H)
-        q = 1 - 4 * Hm**2
-        ratio_log = (mp.log(mp.mpf(d2) ** 2 + q) - mp.log(mp.mpf(d1) ** 2 + q)) / 2
-        want = mp.sqrt(q) / (2 * Hm) * (ratio_log / 2 - 2 * mp.pi * mp.sqrt(1 - 2 * Hm))
-        assert separation_lower_bound(H, d1, d2) == pytest.approx(float(want), rel=1e-15, abs=0.0)
+        assert separation_lower_bound(H, d1, d2) == pytest.approx(
+            _mp_separation(H, d1, d2), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("H", [0.1, 0.25, 0.4999])
+    @pytest.mark.parametrize("d1, d2", [(3.0, 1e10), (3.0, 1e155), (2.5, 1e300),
+                                        (1e155, 1e156), (1e150, 1e300)])
+    def test_separation_bound_finite_for_large_d(self, H, d1, d2):
+        # squared, d2 = 1e155 overflowed to inf, and d1 = 1e155 to NaN
+        assert separation_lower_bound(H, d1, d2) == pytest.approx(
+            _mp_separation(H, d1, d2), rel=1e-15, abs=0.0)
 
     def test_solver_near_h_one_half(self):
         # the 40-digit closed form; d0 = 2.7e14 here, and a difference-formed
         # q moved it by 1.8e-14 relative
-        mp.mp.dps = 40
-        H, d1 = mp.mpf(0.499), mp.mpf(3.0)
-        q = 1 - 4 * H**2
-        rhs = 4 * mp.pi * mp.sqrt(1 - 2 * H) + 4 * H / mp.sqrt(q)
-        want = mp.sqrt((d1**2 + q) * mp.exp(2 * rhs) - q)
-        assert solve_d0(0.499, 3.0) == pytest.approx(float(want), rel=2e-15, abs=0.0)
+        assert solve_d0(0.499, 3.0) == pytest.approx(_mp_d0(0.499, 3.0), rel=2e-15, abs=0.0)
 
 
 class TestGap:
     def test_even_in_t(self):
-        assert gap(0.25, 3.0, 6.0, -2.0) == gap(0.25, 3.0, 6.0, 2.0)
+        assert _gap(0.25, 3.0, 6.0, -2.0) == _gap(0.25, 3.0, 6.0, 2.0)
 
     def test_value_at_zero_is_necksize_difference(self):
-        g0 = gap(0.25, 3.0, 6.0, 0.0)
+        g0 = _gap(0.25, 3.0, 6.0, 0.0)
         want = necksize(CmcParams(0.25, 6.0)) - necksize(CmcParams(0.25, 3.0))
         assert g0 == pytest.approx(want, abs=1e-14)
 
     def test_rejects_unordered_pair(self):
-        with pytest.raises(PreconditionError):
-            gap(0.25, 6.0, 3.0, 1.0)
+        # the gap is scanned by `certify`, which takes d1 < d2 only
+        with pytest.raises(PreconditionError, match="need d1 < d2"):
+            certify(0.25, 6.0, 3.0, t_max=1.0)
 
     def test_decreasing_in_t(self):
-        gaps = [gap(0.25, 3.0, 6.0, t) for t in (0.0, 1.0, 3.0, 8.0)]
+        gaps = [_gap(0.25, 3.0, 6.0, t) for t in (0.0, 1.0, 3.0, 8.0)]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
 
@@ -114,7 +158,7 @@ class TestCertify:
         assert cert.beyond_lemma
 
     def test_scan_minimum_verified_pointwise(self, small_cert):
-        g = gap(small_cert.H, small_cert.d1, small_cert.d2, small_cert.min_gap_t)
+        g = _gap(small_cert.H, small_cert.d1, small_cert.d2, small_cert.min_gap_t)
         assert g == pytest.approx(small_cert.min_gap_observed, abs=1e-10)
 
     def test_negative_asymptotic_bound_ignored(self):

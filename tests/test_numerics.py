@@ -1,52 +1,27 @@
-"""The package's two numerical primitives: the Chebyshev rule `core.quad`,
-and Brent's method, checked bit for bit against SciPy's; and their named
-errors."""
+"""The package's two numerical primitives, the Chebyshev rule `core.quad`
+and the Brent kernel `core.brentq`, and their named errors.  The kernel is
+checked bit for bit against SciPy's `brentq` in test_core.py."""
 
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.optimize import brentq as scipy_brentq
 
-from hcat.core import ROOT_TOL, _series_at, quad
+from hcat import core
+from hcat.core import _series_at, brentq, quad
 from hcat.errors import ConvergenceError, DomainError, PreconditionError
-from hcat import numerics
-from hcat.numerics import brentq
 
 EPS = 2.0**-52
+# the running integral of 3 (w - 1/3)^2 from 0 on [0, 1]: (u - 1/3)^3 + 1/27
+CUBIC, _ = quad(lambda w: 3.0 * (w - 1.0 / 3.0) ** 2, 0.0, 1.0)
+# a series that is NaN everywhere
+NAN_SERIES = (0.5, 0.5, math.nan, ())
 
 
-@settings(max_examples=400, deadline=None)
-@given(
-    root=st.floats(-5.0, 5.0),
-    lo=st.floats(0.0, 3.0),
-    hi=st.floats(0.0, 3.0),
-    kind=st.sampled_from(["linear", "tanh", "cubic", "step", "tiny"]),
-    xtol=st.sampled_from([ROOT_TOL, 1e-12, 1e-6]),
-)
-def test_brentq_matches_scipy_bit_for_bit(root, lo, hi, kind, xtol):
-    # hcat passes xtol 1e-12 and rtol 4 eps; "tiny" values have products
-    # that underflow, so the sign tests must not multiply
-    f = {
-        "linear": lambda x: x - root,
-        "tanh": lambda x: math.tanh(3.0 * (x - root)) + 0.01,
-        "cubic": lambda x: (x - root) ** 3,
-        "step": lambda x: 1.0 if x > root else -1.0,
-        "tiny": lambda x: 1e-200 * (x - root),
-    }[kind]
-    a, b = root - 1.0 - lo, root + 1.0 + hi
-    rtol = 4.0 * EPS
-    try:
-        x, r = scipy_brentq(f, a, b, xtol=xtol, rtol=rtol, full_output=True)
-        expected = (x.hex(), r.function_calls)
-    except RuntimeError:
-        expected = "no convergence"
-    try:
-        x, r = brentq(f, a, b, xtol, rtol, full_output=True)
-        got = (x.hex(), r.function_calls)
-    except ConvergenceError:
-        got = "no convergence"
-    assert got == expected
+def _solve(series, t, a, b, **kwargs):
+    """`core.brentq` in u on series(u) - t over [a, b], given that excess at
+    both ends."""
+    return brentq(series, 0.0, t, a, b, _series_at(series, a) - t, _series_at(series, b) - t,
+                  1e-12, 4 * EPS, in_v=False, **kwargs)
 
 
 class TestQuad:
@@ -75,34 +50,27 @@ class TestQuad:
 
 class TestBrentq:
     def test_full_output(self):
-        root, result = brentq(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12, 4 * EPS,
-                              full_output=True)
-        assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
-        assert brentq(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12, 4 * EPS) == root
+        # (u - 1/3)^3 + 1/27 = 2/27 at u = 1/3 + 1/27^(1/3) = 2/3
+        root, result = _solve(CUBIC, 2.0 / 27.0, 0.0, 1.0, full_output=True)
+        assert root == pytest.approx(2.0 / 3.0, abs=1e-10)
+        assert result.function_calls > 2
+        assert _solve(CUBIC, 2.0 / 27.0, 0.0, 1.0) == root
 
     def test_root_at_an_end_costs_two_calls(self):
-        root, result = brentq(lambda x: x - 1.0, 1.0, 3.0, 1e-12, 4 * EPS, full_output=True)
-        assert (root, result.function_calls) == (1.0, 2)
+        # the height at u = 0 is 0: the bracket's first end is the root
+        root, result = _solve(CUBIC, 0.0, 0.0, 1.0, full_output=True)
+        assert (root, result.function_calls) == (0.0, 2)
 
     def test_nan_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="NaN"):
-            brentq(lambda x: math.nan, 0.0, 1.0, 1e-12, 4 * EPS)
+        with pytest.raises(DomainError, match=r"NaN at u = "):
+            brentq(NAN_SERIES, 0.0, 0.5, 0.0, 1.0, -0.5, 0.5, 1e-12, 4 * EPS, in_v=False)
 
     def test_nan_inside_the_bracket_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="NaN"):
-            brentq(lambda x: x - 0.3 if x in (0.0, 1.0) else math.nan, 0.0, 1.0,
-                   1e-12, 4 * EPS)
-
-    def test_no_sign_change_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="same sign"):
-            brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12, 4 * EPS)
+        # the bracket's ends are tabulated and finite; the first step inside is NaN
+        with pytest.raises(DomainError, match=r"NaN at v = "):
+            brentq(NAN_SERIES, 0.0, 0.5, 0.0, 1.0, -0.5, 0.5, 1e-12, 4 * EPS)
 
     def test_maxiter_is_a_convergence_error(self, monkeypatch):
-        monkeypatch.setattr(numerics, "_MAXITER", 3)
+        monkeypatch.setattr(core, "_MAXITER", 3)
         with pytest.raises(ConvergenceError, match="3 iterations"):
-            brentq(lambda x: (x - 1 / 3) ** 3, 0.0, 1.0, 1e-12, 4 * EPS)
-
-    @pytest.mark.parametrize("xtol,rtol", [(0.0, 4 * EPS), (1e-12, EPS)])
-    def test_tolerances_below_the_floor_are_precondition_errors(self, xtol, rtol):
-        with pytest.raises(PreconditionError):
-            brentq(lambda x: x, -1.0, 1.0, xtol, rtol)
+            _solve(CUBIC, 1.0 / 27.0, 0.0, 1.0)
