@@ -96,6 +96,14 @@ _CHEB_DCT = tuple(
 _LARGE_R = 350.0
 
 
+def curvature_q(H: float) -> float:
+    """q = 1 - 4H^2 for a mean curvature H in (0, 1/2), formed as the
+    product (1 - 2H)(1 + 2H): the difference cancels as H -> 1/2."""
+    if not 0.0 < H < 0.5:
+        raise PreconditionError(f"H must lie in (0, 1/2), got {H}")
+    return (1.0 - 2.0 * H) * (1.0 + 2.0 * H)
+
+
 @dataclass(frozen=True)
 class CmcParams:
     """One member of the rotational family: mean curvature H and parameter d.
@@ -115,12 +123,9 @@ class CmcParams:
 
     def __post_init__(self):
         H, d = self.H, self.d
-        if not (0.0 < H < 0.5):
-            raise PreconditionError(f"H must lie in (0, 1/2), got {H}")
+        q = curvature_q(H)
         if d + 2.0 * H < 0.0:
             raise PreconditionError(f"d must be >= -2H = {-2.0 * H}, got {d}")
-        # 1 - 4H^2 as a product: the difference cancels as H -> 1/2
-        q = (1.0 - 2.0 * H) * (1.0 + 2.0 * H)
         s = math.sqrt(q + d * d)
         # cosh(eta) = alpha = 1 + y with y = (d + 2H)^2 / (s + q - 2dH), and
         # beta = (2dH - s) / q.  For d >= 0, s - 2dH = q (1 + d^2) / (s + 2dH)
@@ -574,9 +579,13 @@ class HeightTable:
     |u~ - u*| <= (|r| + 4 ulp(t)) / (2 u_lo lambda'(rho_hi)), the ulps
     covering the rounding of r; u* is the root of the forward series, the
     one Brent solves for.  The read is kept when that bound is at most
-    ROOT_TOL, and solved by Brent otherwise.  A fitted series serves later
-    `radii` calls too.  `radius(t)`, for a single height, never fits or
-    reads one: it returns the stored radius of |t| or Brent's.  Every
+    ROOT_TOL, and solved by Brent otherwise.  That is the one rule for
+    every radius the table returns, `radius(t)` being `radii` of the one
+    height: a piece is fitted when one call asks it for more than
+    _INVERSE_AFTER unsolved heights, and a height on a fitted piece is
+    read where its bound certifies the read, Brent's otherwise.  A fitted
+    series serves every later call, so heights asked one at a time never
+    fit a series but do read one that an earlier call fitted.  Every
     height on the neck piece or on a member with d < 0 is Brent's.
 
     Every radius is kept in `memo`, keyed by |t|, so asking again returns
@@ -641,23 +650,19 @@ class HeightTable:
         return h
 
     def radius(self, t: float) -> float:
-        """Radius of the profile at height t (even in t): the stored radius
-        of |t|, or Brent's, on the series of the piece holding |t|."""
-        t = abs(t)
-        rho = self.memo.get(t)
-        if rho is None:
-            if not self.invertible:
-                raise PreconditionError("profile inversion needs a height table with d > -2H")
-            rho = self.memo[t] = self._solve(t)
-        return rho
+        """Radius of the profile at height t (even in t): `radii` of the one
+        height, so the stored radius of |t|, a certified read where its
+        piece has an inverse series, or Brent's.  One height never fits a
+        series."""
+        return self.radii((t,))[0]
 
     def radii(self, ts: list[float]) -> list[float]:
         """Radii of the profile at the heights ts, in any order, with any
-        sign and with repeats, as `radius` gives them one by one, except on
-        the pieces with an inverse series: a piece asked for more than
-        _INVERSE_AFTER distinct unsolved |t| is fitted first, and the
-        heights on it are read, each by Brent where its read is refused.
-        The table grows once, past the largest |t|."""
+        sign and with repeats: the table's one inversion path.  A piece
+        asked for more than _INVERSE_AFTER distinct unsolved |t| is fitted
+        first; a height on a fitted piece is read where its read is
+        certified, and every other height is Brent's.  The table grows
+        once, past the largest |t|."""
         if not self.invertible:
             raise PreconditionError("profile inversion needs a height table with d > -2H")
         memo, eta = self.memo, self.params.eta
@@ -698,14 +703,6 @@ class HeightTable:
         if i == len(self.pieces):
             raise DomainError(f"no finite radius reaches height t = {t}")
         return i
-
-    def _solve(self, t: float) -> float:
-        if not math.isfinite(t):
-            raise DomainError(f"height must be finite, got {t}")
-        if t == 0.0:
-            return self.params.eta
-        self._grow_past(t)
-        return self._brent(self._piece(t), t)
 
     def _brent(self, i: int, t: float) -> float:
         """Brent's radius at height t > 0 on piece i, the piece holding t."""
@@ -771,7 +768,7 @@ class HeightTable:
         piece i: one series from Brent at its _CHEB_N Chebyshev points,
         halved where its tail exceeds ROOT_TOL."""
         mid, half, eta = 0.5 * (a + b), 0.5 * (b - a), self.params.eta
-        us = [math.sqrt(self._solve(mid + half * x) - eta) for x in _CHEB_X]
+        us = [math.sqrt(self._brent(i, mid + half * x) - eta) for x in _CHEB_X]
         ak = [sum(map(mul, row, us)) for row in _CHEB_DCT]
         tail = abs(ak[-1]) + abs(ak[-2])
         if tail <= ROOT_TOL or depth == _INVERSE_MAX_DEPTH:

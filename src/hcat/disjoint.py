@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, asdict
 
 from . import __version__
-from .core import CmcParams, HeightTable, ROOT_TOL
+from .core import CmcParams, HeightTable, ROOT_TOL, curvature_q
 from .errors import CertificationFailure, PreconditionError
 
 #: tolerance for the monotone-decrease finite-difference check
@@ -37,9 +37,7 @@ def separation_lower_bound(H: float, d1: float, d2: float) -> float:
     Finite for every finite d2: no d is squared.
     """
     _require_d1(d1)
-    # 1 - 4H^2 as a product, as in CmcParams: the difference cancels as H -> 1/2
-    q = (1.0 - 2.0 * H) * (1.0 + 2.0 * H)
-    root_q = math.sqrt(q)
+    root_q = math.sqrt(curvature_q(H))
     ratio_log = math.log(math.hypot(d2, root_q) / math.hypot(d1, root_q))
     return root_q / (2.0 * H) * (
         0.5 * ratio_log - 2.0 * math.pi * math.sqrt(1.0 - 2.0 * H)
@@ -56,7 +54,7 @@ def solve_d0(H: float, d1: float) -> float:
     e^k by about k eps/2.
     """
     _require_d1(d1)
-    q = (1.0 - 2.0 * H) * (1.0 + 2.0 * H)
+    q = curvature_q(H)
     k = 4.0 * H / math.sqrt(q) + 4.0 * math.pi * math.sqrt(1.0 - 2.0 * H)
     try:
         s = math.hypot(d1, math.sqrt(q)) * math.exp(k)
@@ -144,13 +142,12 @@ def certify(
     d2: float,
     t_max: float,
     grid_step: float = GRID_STEP_DEFAULT,
-    monotone_tol: float = MONOTONE_TOL,
     d0: float | None = None,
 ) -> DisjointnessCertificate:
     """Scan the radial gap on [0, t_max] and assemble a certificate.
 
     Fails (raises CertificationFailure) if any scanned gap is <= 0 or
-    the gap increases beyond `monotone_tol` somewhere on t > 0.  The
+    the gap increases beyond MONOTONE_TOL somewhere on t > 0.  The
     certified infimum combines the scanned minimum with the asymptotic
     bound when the latter is positive; the observed minimum region gets
     one 10x grid refinement.
@@ -173,7 +170,7 @@ def certify(
                 f"gap non-positive at t = {t}", t=t, values={"gap": g}
             )
     for (ta, ga), (tb, gb) in zip(zip(ts, gaps), zip(ts[1:], gaps[1:])):
-        if gb - ga > monotone_tol:
+        if gb - ga > MONOTONE_TOL:
             raise CertificationFailure(
                 f"gap increased between t = {ta} and t = {tb}",
                 t=tb,
@@ -214,5 +211,5 @@ def certify(
         monotone_decreasing=True,
         beyond_lemma=d2 < threshold,
         d0=d0,
-        monotone_tol=monotone_tol,
+        monotone_tol=MONOTONE_TOL,
     )

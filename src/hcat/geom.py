@@ -42,18 +42,6 @@ class HypPoint:
 ORIGIN = HypPoint(0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class HypCircle:
-    """Metric circle: locus at hyperbolic distance `radius` from `center`."""
-
-    center: HypPoint
-    radius: float
-
-    def __post_init__(self):
-        if not (self.radius > 0.0):
-            raise PreconditionError(f"circle radius must be > 0, got {self.radius}")
-
-
 def hyp_distance(p: HypPoint, q: HypPoint) -> float:
     """Hyperbolic distance between two points.
 
@@ -74,9 +62,3 @@ def margin_at_distance(distance: float, r1: float, r2: float) -> float:
     if not (r1 > 0.0 and r2 > 0.0):
         raise PreconditionError(f"circle radii must be > 0, got {r1} and {r2}")
     return min(distance - abs(r1 - r2), r1 + r2 - distance)
-
-
-def two_point_margin(c1: HypCircle, c2: HypCircle) -> float:
-    """`margin_at_distance` of two circles: positive iff they meet in two
-    points."""
-    return margin_at_distance(hyp_distance(c1.center, c2.center), c1.radius, c2.radius)

@@ -29,7 +29,7 @@ def inversion_counts(monkeypatch):
     """Count, for every HeightTable, its builds per (H, d, remainder), its
     pieces per (d, remainder, u_lo, u_hi) as `_add_piece` tries them,
     split pieces included, the non-zero heights it was asked for the first
-    time per (d, |t|) (`radii`), through `radius` or `radii`, solved by
+    time per (d, |t|) (`radii`, which `radius` calls too), solved by
     Brent or read from an inverse series; its Brent solves per (d, t) of
     the height solved (`solves`), an inverse series' sample heights
     included; and the inverse series it fitted, per (d, u_lo) of their
@@ -46,9 +46,8 @@ def inversion_counts(monkeypatch):
                              solves=Counter(), inverses=Counter(), evaluations=0,
                              solve_evaluations=0, series_reads=0)
     table = core.HeightTable
-    init, add_piece, radius, radii, brent, invert = (
-        table.__init__, table._add_piece, table.radius, table.radii, table._brent,
-        table._invert)
+    init, add_piece, radii, brent, invert = (
+        table.__init__, table._add_piece, table.radii, table._brent, table._invert)
     substituted, series_at, brentq = core._substituted, core._series_at, core.brentq
     solving = []  # d of the table whose Brent solve is in progress
 
@@ -68,17 +67,10 @@ def inversion_counts(monkeypatch):
         counts.series_reads += 1
         return series_at(series, u)
 
-    def count_asked(self, ts):
+    def counting_radii(self, ts):
         for t in {abs(t) for t in ts}.difference(self.memo):
             if t:
                 counts.radii[self.params.d, t] += 1
-
-    def counting_radius(self, t):
-        count_asked(self, [t])
-        return radius(self, t)
-
-    def counting_radii(self, ts):
-        count_asked(self, ts)
         return radii(self, ts)
 
     def counting_invert(self, i):
@@ -100,7 +92,7 @@ def inversion_counts(monkeypatch):
         return (root, result) if full_output else root
 
     for name, counting in [("__init__", counting_init), ("_add_piece", counting_add_piece),
-                           ("radius", counting_radius), ("radii", counting_radii),
+                           ("radii", counting_radii),
                            ("_invert", counting_invert), ("_brent", counting_brent)]:
         monkeypatch.setattr(table, name, counting)
     monkeypatch.setattr(core, "_substituted", counting_substituted)

@@ -1,14 +1,17 @@
-"""Circle geometry that only the tests use: isometries through the
-hyperboloid model, and the classification of how two metric circles meet.
-`hcat.geom` keeps points, circles, the distance and the two-point margin;
-these oracles are built on them and checked against them."""
+"""Circle geometry that only the tests use: metric circles, their
+two-point margin, isometries through the hyperboloid model, and the
+classification of how two circles meet.  `hcat.geom` keeps points, the
+distance and the margin at a distance; these oracles are built on them
+and checked against them."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from enum import Enum
 
-from hcat.geom import HypCircle, HypPoint, hyp_distance
+from hcat.errors import PreconditionError
+from hcat.geom import HypPoint, hyp_distance, margin_at_distance
 
 #: default absolute tolerance for tangency/coincidence ties
 TANGENCY_TOL = 1e-12
@@ -18,6 +21,24 @@ def hyperboloid(p: HypPoint) -> tuple[float, float, float]:
     """(x0, x1, x2) = (cosh rho, sinh rho cos theta, sinh rho sin theta)."""
     sr = math.sinh(p.rho)
     return (math.cosh(p.rho), sr * math.cos(p.theta), sr * math.sin(p.theta))
+
+
+@dataclass(frozen=True)
+class HypCircle:
+    """Metric circle: locus at hyperbolic distance `radius` from `center`."""
+
+    center: HypPoint
+    radius: float
+
+    def __post_init__(self):
+        if not (self.radius > 0.0):
+            raise PreconditionError(f"circle radius must be > 0, got {self.radius}")
+
+
+def two_point_margin(c1: HypCircle, c2: HypCircle) -> float:
+    """`margin_at_distance` of two circles: positive iff they meet in two
+    points."""
+    return margin_at_distance(hyp_distance(c1.center, c2.center), c1.radius, c2.radius)
 
 
 class IntersectionClass(Enum):

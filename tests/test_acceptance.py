@@ -17,7 +17,7 @@ from hcat.core import (
     verify_appendix,
 )
 from hcat.disjoint import certify, separation_lower_bound, solve_d0
-from hcat.geom import HypCircle, HypPoint, hyp_distance
+from hcat.geom import HypPoint, hyp_distance
 from hcat.mesh import EmbeddingMode, export_obj, revolve
 from hcat.strips import (
     compute_offsets,
@@ -29,6 +29,7 @@ from hcat.strips import (
 
 from conftest import DATA_DIR
 from geom_oracles import (
+    HypCircle,
     IntersectionClass,
     circle_point,
     classify_circle_intersection,

@@ -79,6 +79,17 @@ class TestExitCodes:
         assert run(args) == EXIT_USAGE
         assert "finite neck radius, got 2.29" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("H", [".6", "inf", "0", ".5", "nan"])
+    def test_threshold_out_of_family_h_is_usage(self, capsys, tmp_path, H):
+        # the threshold's closed form once raised ValueError or
+        # ZeroDivisionError here, and at H = nan got as far as certify
+        args = ["disjoint", "--H", H, "--d1", "3", "--solve-d0",
+                "--out", str(tmp_path / "c.json")]
+        assert run(args) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: H must lie in (0, 1/2)" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_cert_file_is_usage(self, capsys, tmp_path):
         assert run(["strips", "--cert", str(tmp_path / "missing.json")]) == EXIT_USAGE
 

@@ -754,7 +754,8 @@ class TestInverseReads:
         assert {i for kind, i in events if kind == "solve"} <= {0, 1, 2, 3}
 
     def test_radius_never_fits(self):
-        # one height at a time: the memo or Brent, however many are asked
+        # one height at a time never fits a series, however many are asked,
+        # so on a fresh table every radius is the memo's or Brent's
         p = CmcParams(0.25, 3.0)
         table = HeightTable(p)
         table.integral(p.eta + 64.0)
@@ -763,6 +764,23 @@ class TestInverseReads:
         radii = [table.radius(t) for t in ts]
         assert not any(table.inverses)
         assert radii == [b_inverse(p, t) for t in ts]
+
+    def test_radius_reads_a_fitted_piece(self):
+        # a series an earlier call fitted serves one-height asks too: on two
+        # tables with the piece u in [4, 8] fitted, `radius` one height at a
+        # time returns the bits that `radii` reads for the same heights
+        p = CmcParams(0.25, 3.0)
+        one, many = HeightTable(p), HeightTable(p)
+        for table in (one, many):
+            table.integral(p.eta + 64.0)
+            _ask_piece(table, table.breaks.index(4.0), 100)
+        i = one.breaks.index(4.0)
+        assert one.inverses[i] and many.inverses[i]
+        a, b = one.heights[i], one.heights[i + 1]
+        ts = [a + (b - a) * (j + 1 / 3) / 50 for j in range(50)]
+        radii, accepted = _ask(many, ts)
+        assert len(accepted) == len(ts)
+        assert [one.radius(t) for t in ts] == radii
 
     @pytest.mark.parametrize("give_up", ["series", "residual"])
     def test_reads_fall_back_to_brent(self, give_up, monkeypatch):

@@ -93,6 +93,15 @@ class TestThreshold:
         with pytest.raises(PreconditionError):
             solve_d0(0.25, 2.0)
 
+    @pytest.mark.parametrize("H", [0.6, math.inf, 0.0, 0.5, math.nan])
+    def test_h_outside_the_family_is_refused(self, H):
+        # NaN once passed through the bound silently, and the threshold's
+        # residual check with it
+        with pytest.raises(PreconditionError, match=r"H must lie in \(0, 1/2\)"):
+            separation_lower_bound(H, 3.0, 5.0)
+        with pytest.raises(PreconditionError, match=r"H must lie in \(0, 1/2\)"):
+            solve_d0(H, 3.0)
+
     def test_separation_bound_is_one_at_threshold(self):
         # the solver's equation is this bound at value 1
         H, d1 = 0.25, 3.0
@@ -195,10 +204,13 @@ class TestCertify:
         certify(0.25, 3.0, solve_d0(0.25, 3.0), t_max=50.0, grid_step=0.05)
         assert 5 * inversion_counts.evaluations <= 187_110
 
-    def test_failure_carries_location(self):
+    def test_failure_carries_location(self, monkeypatch):
         # an impossible monotone tolerance forces a certification failure
+        from hcat import disjoint
+
+        monkeypatch.setattr(disjoint, "MONOTONE_TOL", -1.0)
         with pytest.raises(CertificationFailure) as exc_info:
-            certify(0.25, 3.0, 6.0, t_max=1.0, grid_step=0.5, monotone_tol=-1.0)
+            certify(0.25, 3.0, 6.0, t_max=1.0, grid_step=0.5)
         assert exc_info.value.t is not None
 
 

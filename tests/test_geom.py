@@ -8,15 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hcat.errors import PreconditionError
-from hcat.geom import ORIGIN, HypCircle, HypPoint, hyp_distance, two_point_margin
+from hcat.geom import ORIGIN, HypPoint, hyp_distance
 
 from geom_oracles import (
     TANGENCY_TOL,
+    HypCircle,
     IntersectionClass,
     circle_point,
     classify_circle_intersection,
     hyperboloid,
     translate_along_geodesic,
+    two_point_margin,
 )
 
 # acosh(cosh(1)^2): distance between (1, 0) and (1, pi/2), frozen from a
