@@ -31,6 +31,13 @@ first gets an inverse series, u as a Chebyshev series in t (Chebfun's
 from it is kept only when its residual on the forward series certifies
 it within ROOT_TOL in u; any other height is solved by Brent (see
 `HeightTable`).
+
+Far out no table is needed.  The height is f(rho) + J(rho), f in closed
+form (`f_closed`) and J the remainder (`j_remainder`), whose tail
+J(inf) - J(rho) has a closed-form bound tau_b (`_tail_bound`) for d >= 0.
+Once tau_b is small enough that it moves u by at most ROOT_TOL / 2, from
+a height t_far on, a radius is f inverted by one acosh at t - J(inf), with
+J(inf) read from the table once (`FarField`).
 """
 
 from __future__ import annotations
@@ -110,7 +117,8 @@ class CmcParams:
 
     The member's derived constants are computed once, on construction:
     q = 1 - 4H^2, s = sqrt(d^2 + q), the roots alpha > 0 > beta of
-    c^2 - 1 - (d + 2Hc)^2 in c = cosh r, and the neck radius eta.
+    c^2 - 1 - (d + 2Hc)^2 in c = cosh r, the neck radius eta, and
+    kappa = 2H / sqrt(q), the slope that the height approaches far out.
     """
 
     H: float
@@ -120,6 +128,7 @@ class CmcParams:
     alpha: float = field(init=False, repr=False, compare=False)
     beta: float = field(init=False, repr=False, compare=False)
     eta: float = field(init=False, repr=False, compare=False)
+    kappa: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         H, d = self.H, self.d
@@ -148,6 +157,7 @@ class CmcParams:
             ("alpha", 1.0 + y),
             ("beta", beta),
             ("eta", eta),
+            ("kappa", 2.0 * H / math.sqrt(q)),
         ):
             object.__setattr__(self, name, value)
 
@@ -406,8 +416,7 @@ def f_closed(params: CmcParams, rho: float) -> float:
     """
     if params.is_entire_graph:
         raise PreconditionError("closed-form decomposition needs d > -2H")
-    eta, q, s = params.eta, params.q, params.s
-    scale = 2.0 * params.H / math.sqrt(q)
+    eta, q, s, scale = params.eta, params.q, params.s, params.kappa
     if rho >= _LARGE_R:
         # acosh(x) = log(2x) up to O(x^-2); x ~ q e^rho / (2 s)
         z = math.exp(-rho)
@@ -422,8 +431,7 @@ def f_closed(params: CmcParams, rho: float) -> float:
 
 def f_asymptote(params: CmcParams, rho: float) -> float:
     """Linear large-rho asymptote of the closed-form part."""
-    q = params.q
-    return 2.0 * params.H / math.sqrt(q) * (rho + math.log(q / params.s))
+    return params.kappa * (rho + math.log(params.q / params.s))
 
 
 def j_remainder(params: CmcParams, rho: float, table: HeightTable | None = None) -> float:
@@ -433,6 +441,47 @@ def j_remainder(params: CmcParams, rho: float, table: HeightTable | None = None)
     built for this read alone, at the cost given in `lambda_height`.
     """
     return _table_read(params, rho, table, remainder=True)
+
+
+def _tail_bound(params: CmcParams, rho: float) -> float:
+    """tau_b(rho) = 2 (d + 2H) e^{-rho} / (sqrt(q) sqrt(1 - alpha / cosh rho)),
+    for d >= 0 a bound on the remainder integral's tail J(inf) - J(rho)
+    (inf where 1 - alpha / cosh rho rounds to 0 or below).
+
+    The remainder integrand is (d + 2H e^{-r}) / sqrt(q (c - alpha)(c - beta))
+    with c = cosh r.  Since beta < 0, (c - alpha)(c - beta) >= c^2 (1 -
+    alpha / c); the numerator is at most d + 2H, 1/c at most 2 e^{-r}, and
+    1 - alpha / c rises with r, so the tail is at most the bound's integral
+    of e^{-r} from rho.
+    """
+    z = math.exp(-rho)
+    # 1 / cosh rho = 2z / (1 + z^2), finite at every rho
+    a1 = 1.0 - params.alpha * (2.0 * z / (1.0 + z * z))
+    if not a1 > 0.0:
+        return math.inf
+    return 2.0 * (params.d + 2.0 * params.H) * z / math.sqrt(params.q * a1)
+
+
+@dataclass(frozen=True)
+class FarField:
+    """Where a table's integral is a closed form plus a constant, to within
+    ROOT_TOL / 2 in u: the height f(rho) + J(inf), or the remainder J(inf).
+
+    `limit` estimates J(inf) from the end of the first panel whose end
+    passes the tail test (see HeightTable): the table's integral there,
+    less f there on a height table, plus half of tau_b there.  It lies
+    within `error`, that half, of J(inf), so `limit + error` bounds the
+    remainder from above for d >= 0.  The far field starts inside that
+    panel at `rho`, rho_far, where the closed form takes the value `t`
+    (t_far on a height table), and `pieces` is the table's piece count
+    once that panel was added.
+    """
+
+    pieces: int
+    rho: float
+    t: float
+    limit: float
+    error: float
 
 
 @dataclass(frozen=True)
@@ -473,7 +522,11 @@ def verify_appendix(
     (scaled residual <= 1e-8), f' = 2H sinh(rho) / sqrt(radicand) by
     central differences (relative error <= 1e-6), sup J < 2 pi sqrt(1-2H)
     for d > 2 with its root witness, and |f - f_asymptote| decaying from 1
-    beyond the neck on (`g_residual_decays`).
+    beyond the neck on (`g_residual_decays`).  For d >= 0 the remainder
+    integrand is positive, so sup J = J(inf), and `j_sup` is the far
+    field's upper bound on it, J + tau_b at the end of the remainder
+    table's far panel (see `FarField`); for d < 0 it is the largest J on
+    the grid.
     """
     if grid_points < 2:
         raise PreconditionError(f"grid_points must be >= 2, got {grid_points}")
@@ -510,6 +563,9 @@ def verify_appendix(
                     if prev_g is not None and g > prev_g + 1e-12:
                         g_decays = False
                     prev_g = g
+            if d >= 0.0:
+                far = remainders.far_field()
+                sup_j = far.limit + far.error
             bound = 2.0 * math.pi * math.sqrt(1.0 - 2.0 * H)
             entry = {
                 "H": H,
@@ -588,10 +644,25 @@ class HeightTable:
     fit a series but do read one that an earlier call fitted.  Every
     height on the neck piece or on a member with d < 0 is Brent's.
 
+    The far field.  On a member with d >= 0 the table tests each panel's
+    end, as it grows, for tau_b(rho) <= ROOT_TOL kappa u, kappa = 2H /
+    sqrt(q): the remainder's tail beyond rho then moves u by at most
+    ROOT_TOL / 2, since dt/du = 2u lambda' >= 2u kappa.  The first panel
+    that passes gives the table its `far` (`FarField`): J(inf) from the
+    panel's end height, and rho_far, from which the test holds inside the
+    panel, with t_far = f(rho_far) + J(inf).  Inversion never grows the
+    table past that panel, and `radii` takes every |t| >= t_far in closed
+    form: rho = acosh((s cosh x + 2dH) / q), x = (t - J(inf)) / kappa, or
+    x + log(s / q) from x = _LARGE_R on.  Only the heights below t_far are
+    fitted, read or solved as above, and only they count toward a piece's
+    _INVERSE_AFTER.  A table that a forward read grew past its far panel
+    inverts every height on its own pieces instead.
+
     Every radius is kept in `memo`, keyed by |t|, so asking again returns
     the stored bits.  A radius depends only on the pieces fitted before it
-    was first asked, and `radii(ts)` on a fresh table only on the set of
-    |t| in ts.  The table lives as long as its caller keeps it; nothing
+    was first asked and on whether a forward read had grown the table past
+    its far panel, and `radii(ts)` on a fresh table only on the set of |t|
+    in ts.  The table lives as long as its caller keeps it; nothing
     outlives one call of a command.
     """
 
@@ -609,10 +680,51 @@ class HeightTable:
         # (the piece from the neck, a member with d < 0, or a piece where no
         # read could be certified)
         self.inverses: list[tuple | None] = []
+        # the far field, once a panel reaches it (members with d >= 0)
+        self.far: FarField | None = None
 
     def _add_panel(self) -> None:
         u_lo = self.breaks[-1]
-        self._add_piece(u_lo, u_lo + max(_PANEL_U, u_lo), 0)
+        u_hi = u_lo + max(_PANEL_U, u_lo)
+        self._add_piece(u_lo, u_hi, 0)
+        if self.far is None and self.params.d >= 0.0:
+            self.far = self._far_at(u_lo, u_hi)
+
+    def _far_at(self, u_lo: float, u_hi: float) -> FarField | None:
+        """The far field, if the panel [u_lo, u_hi] just added is the first
+        whose end passes the tail test tau_b(rho) <= ROOT_TOL kappa u.
+
+        Inside the panel, u >= u_lo and 1 - alpha / cosh rho rises with rho,
+        so tau_b(rho) <= tau_b(rho_lo) e^{rho_lo - rho}, and the test holds
+        from rho_lo + log(tau_b(rho_lo) / (ROOT_TOL kappa u_lo)) on, rho_lo
+        being the panel's start: rho_far is that radius, or the panel's end
+        if that is less.  (The first panel, u_lo = 0, never passes.)"""
+        params = self.params
+        eta, kappa = params.eta, params.kappa
+        rho_hi = eta + u_hi * u_hi
+        tail_hi = _tail_bound(params, rho_hi)
+        if not tail_hi <= ROOT_TOL * kappa * u_hi:
+            return None
+        rho_lo = eta + u_lo * u_lo
+        rho = rho_lo + math.log(_tail_bound(params, rho_lo) / (ROOT_TOL * kappa * u_lo))
+        rho = max(rho_lo, min(rho, rho_hi))
+        limit = self.heights[-1] + 0.5 * tail_hi
+        if self.remainder:
+            return FarField(len(self.pieces), rho, limit, limit, 0.5 * tail_hi)
+        limit -= f_closed(params, rho_hi)
+        # at most the panel's end height, so the table holds every height
+        # below t_far (the closed form exceeds it by tail_hi / 2 at rho_hi)
+        t = min(f_closed(params, rho) + limit, self.heights[-1])
+        return FarField(len(self.pieces), rho, t, limit, 0.5 * tail_hi)
+
+    def far_field(self) -> FarField:
+        """The table's far field, growing the table to the panel that holds
+        rho_far; for a member with d >= 0."""
+        if self.params.d < 0.0:
+            raise PreconditionError("the far field needs d >= 0")
+        while self.far is None:
+            self._add_panel()
+        return self.far
 
     def _add_piece(self, u_lo: float, u_hi: float, depth: int) -> None:
         params, remainder = self.params, self.remainder
@@ -651,18 +763,19 @@ class HeightTable:
 
     def radius(self, t: float) -> float:
         """Radius of the profile at height t (even in t): `radii` of the one
-        height, so the stored radius of |t|, a certified read where its
-        piece has an inverse series, or Brent's.  One height never fits a
-        series."""
+        height, so the stored radius of |t|, the far field's from t_far on,
+        a certified read where its piece has an inverse series, or Brent's.
+        One height never fits a series."""
         return self.radii((t,))[0]
 
     def radii(self, ts: list[float]) -> list[float]:
         """Radii of the profile at the heights ts, in any order, with any
-        sign and with repeats: the table's one inversion path.  A piece
+        sign and with repeats: the table's one inversion path.  Every |t|
+        from t_far on is the far field's closed form.  Below it, a piece
         asked for more than _INVERSE_AFTER distinct unsolved |t| is fitted
         first; a height on a fitted piece is read where its read is
         certified, and every other height is Brent's.  The table grows
-        once, past the largest |t|."""
+        once, past the largest |t| or to the panel that holds rho_far."""
         if not self.invertible:
             raise PreconditionError("profile inversion needs a height table with d > -2H")
         memo, eta = self.memo, self.params.eta
@@ -675,6 +788,11 @@ class HeightTable:
             memo[todo.pop(0)] = eta
         if todo:
             self._grow_past(todo[-1])
+        # heights from t_far on are the far field's, in closed form
+        k = bisect_left(todo, self._far_start())
+        for t in todo[k:]:
+            memo[t] = self._far_radius(t)
+        del todo[k:]
         heights, inverses = self.heights, self.inverses
         j = 0
         while j < len(todo):
@@ -692,10 +810,32 @@ class HeightTable:
 
     def _grow_past(self, t: float) -> None:
         # grow past t, so that the piece holding t has an end above it, as
-        # far as the float range allows
+        # far as the float range allows, or until t lies in the far field
         heights, breaks = self.heights, self.breaks
-        while heights[-1] <= t and breaks[-1] * breaks[-1] < math.inf:
+        while heights[-1] <= t < self._far_start() and breaks[-1] * breaks[-1] < math.inf:
             self._add_panel()
+
+    def _far_start(self) -> float:
+        """t_far while the table ends at the panel holding rho_far, which
+        inversion never grows past; inf otherwise (no far field, or a
+        table that forward reads grew further, whose pieces invert)."""
+        far = self.far
+        return far.t if far is not None and far.pieces == len(self.pieces) else math.inf
+
+    def _far_radius(self, t: float) -> float:
+        """The radius at a height t >= t_far, where t = f(rho) + J(inf) to
+        within ROOT_TOL / 2 in u: acosh((s cosh x + 2dH) / q) with
+        x = (t - J(inf)) / kappa, and x + log(s / q) from x = _LARGE_R on,
+        where cosh x would soon overflow and the two agree to rounding."""
+        params = self.params
+        x = (t - self.far.limit) / params.kappa
+        if x >= _LARGE_R:
+            rho = x + math.log(params.s / params.q)
+        else:
+            rho = math.acosh((params.s * math.cosh(x) + 2.0 * params.d * params.H) / params.q)
+        if not rho < math.inf:
+            raise DomainError(f"no finite radius reaches height t = {t}")
+        return rho
 
     def _piece(self, t: float) -> int:
         """The piece holding height t, in a table grown past t."""

@@ -73,8 +73,12 @@ class DisjointnessCertificate:
     """Full numeric record certifying a positive radial gap for one pair.
 
     `min_gap_t` is the height of `min_gap_observed`, the least scanned gap.
-    Where the gap is flat to round-off (the headline pair's beyond t ~ 30)
-    it is noise: radii moving by 2.5e-13 moved it from 31.4 to 38.6.
+    Where the gap is flat to round-off it is noise.  Past both members'
+    t_far the gap is a difference of closed forms (see `core.HeightTable`),
+    flat to 8.2e-14 on the headline pair over t in [16.9, 50].  Between the
+    two t_far one radius is the far field's, up to ROOT_TOL / 2 in u below
+    the exact one there, and the gap dips by 3.9e-12: on the headline pair
+    the least gap falls in that seam, at t = 16.835 (38.6 before).
     """
 
     H: float

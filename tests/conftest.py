@@ -30,11 +30,12 @@ def inversion_counts(monkeypatch):
     pieces per (d, remainder, u_lo, u_hi) as `_add_piece` tries them,
     split pieces included, the non-zero heights it was asked for the first
     time per (d, |t|) (`radii`, which `radius` calls too), solved by
-    Brent or read from an inverse series; its Brent solves per (d, t) of
-    the height solved (`solves`), an inverse series' sample heights
-    included; and the inverse series it fitted, per (d, u_lo) of their
-    piece (`inverses`).  Also every evaluation of the substituted
-    integrand; every evaluation of Brent's excess (`solve_evaluations`),
+    Brent, read from an inverse series or taken in closed form past t_far;
+    its Brent solves per (d, t) of the height solved (`solves`), an
+    inverse series' sample heights included; its closed-form far-field
+    radii per (d, t) (`far`); and the inverse series it fitted, per
+    (d, u_lo) of their piece (`inverses`).  Also every evaluation of the
+    substituted integrand; every evaluation of Brent's excess (`solve_evaluations`),
     the bracket's two ends included; and every evaluation of a piece's
     series (`series_reads`): Brent's steps, forward reads and the heights
     at the pieces' ends.  `core.brentq` sums the series inline, so its
@@ -43,11 +44,12 @@ def inversion_counts(monkeypatch):
     from hcat import core
 
     counts = SimpleNamespace(builds=Counter(), pieces=Counter(), radii=Counter(),
-                             solves=Counter(), inverses=Counter(), evaluations=0,
-                             solve_evaluations=0, series_reads=0)
+                             solves=Counter(), far=Counter(), inverses=Counter(),
+                             evaluations=0, solve_evaluations=0, series_reads=0)
     table = core.HeightTable
-    init, add_piece, radii, brent, invert = (
-        table.__init__, table._add_piece, table.radii, table._brent, table._invert)
+    init, add_piece, radii, brent, far_radius, invert = (
+        table.__init__, table._add_piece, table.radii, table._brent, table._far_radius,
+        table._invert)
     substituted, series_at, brentq = core._substituted, core._series_at, core.brentq
     solving = []  # d of the table whose Brent solve is in progress
 
@@ -77,6 +79,10 @@ def inversion_counts(monkeypatch):
         counts.inverses[self.params.d, self.breaks[i]] += 1
         return invert(self, i)
 
+    def counting_far_radius(self, t):
+        counts.far[self.params.d, t] += 1
+        return far_radius(self, t)
+
     def counting_brent(self, i, t):
         solving.append(self.params.d)
         try:
@@ -93,7 +99,8 @@ def inversion_counts(monkeypatch):
 
     for name, counting in [("__init__", counting_init), ("_add_piece", counting_add_piece),
                            ("radii", counting_radii),
-                           ("_invert", counting_invert), ("_brent", counting_brent)]:
+                           ("_invert", counting_invert), ("_brent", counting_brent),
+                           ("_far_radius", counting_far_radius)]:
         monkeypatch.setattr(table, name, counting)
     monkeypatch.setattr(core, "_substituted", counting_substituted)
     monkeypatch.setattr(core, "_series_at", counting_series_at)

@@ -41,8 +41,9 @@ def test_forward_commands_read_heights_through_the_hooks(load_bench_module, tmp_
 
 def test_tracer_counts_every_integrand_sample(load_bench_module, monkeypatch, tmp_path):
     # `core.quad` is the height tables' one integration rule, so the traced
-    # evaluations are all the samples of the substituted integrand: 14
-    # pieces of 24 on the headline pair
+    # evaluations are all the samples of the substituted integrand: 12
+    # pieces of 24 on the headline pair (14 before the far field, when each
+    # table grew to the piece u in [8, 16])
     counted = 0
     substituted = core._substituted
 
@@ -60,16 +61,17 @@ def test_tracer_counts_every_integrand_sample(load_bench_module, monkeypatch, tm
     finally:
         tracer.uninstall()
     metrics = tracer.rep_metrics()
-    assert metrics["core.quad.evals"] == 24 * metrics["core.quad.calls"] == counted == 336
+    assert metrics["core.quad.evals"] == 24 * metrics["core.quad.calls"] == counted == 288
 
 
 def test_tracer_counts_every_brent_solve(load_bench_module, tmp_path):
     # the height tables solve through `core.brentq` by that module name, so
-    # the traced headline pipeline sees all 715 solves and their 3 824
+    # the traced headline pipeline sees all 498 solves and their 3 103
     # evaluations (`TestEvaluationCounts` in test_core.py counts the same
     # untraced; 3 036 and 14 884 before the busy pieces read inverse
     # series, 1 483 and 7 618 while a piece was fitted on its 65th
-    # height, 715 and 3 822 while d0 was solved by Brent, 1 ulp higher);
+    # height, 715 and 3 822 while d0 was solved by Brent, 1 ulp higher,
+    # and 715 and 3 824 before heights past t_far came in closed form);
     # a table that held the kernel under another name would read 0 here
     tracer = load_bench_module("hcat_bench_tracer", "tracer.py").Tracer()
     tracer.install()
@@ -81,4 +83,4 @@ def test_tracer_counts_every_brent_solve(load_bench_module, tmp_path):
     finally:
         tracer.uninstall()
     metrics = tracer.rep_metrics()
-    assert (metrics["core.brentq.calls"], metrics["core.brentq.evals"]) == (715, 3_824)
+    assert (metrics["core.brentq.calls"], metrics["core.brentq.evals"]) == (498, 3_103)

@@ -394,16 +394,34 @@ _HEADLINE_COMMANDS = [
 # 1 ulp, 71617.88105161113 -> 71617.88105161111, toward the 40-digit
 # 71617.881051611077; in `cert.json` only `d0` and `d2` moved, and 22 of
 # the 9 029 strip margins by at most 3.6e-15, with the remark sweep's
-# members spaced between d1 and the new d2
+# members spaced between d1 and the new d2.  Re-pinned when radii from
+# t_far on (16.88 for d1, 16.83 for d0) came from the far field's closed
+# form: 650 and 656 of the members' 1 001 certificate radii moved, by at
+# most 3.7e-13 in u, the rest are bit-equal.  The least scanned gap moved
+# to the far field's seam, t = 16.835, where d0's radius is the closed
+# form's and d1's not yet: `min_gap_observed` 10.012284523627741 ->
+# 10.012284523624452, `min_gap_t` 38.6 -> 16.835; `delta0`, `sup_gap`,
+# `d0` and `asymptotic_bound` are bit-equal.  The strip offsets follow
+# `min_gap_observed`, so 4 471 of 6 006 strip margins moved by at most
+# 4.0e-12, 1 466 of 3 003 c3 margins by at most 6.9e-12 and 18 of 20
+# sweep margins by at most 3.3e-12; the least strip margin's height moved
+# -38.6 -> -49.9 on margins flat to round-off.  On the strip grid, the
+# piece u in [4, 8] is now asked 60 and 59 heights below t_far, too few to
+# fit, so 120 and 118 strip radii there are Brent's roots instead of
+# certified reads, within 6.3e-14 in u of them
 _HEADLINE_SHA256 = {
-    "cert.json": "4f31ecfa5a3e1f5e3141542c1ee24cb6108c7dfedcda9b362fdac589aff81d29",
-    "strips.json": "4bfeae33e620fadc4eef9fa7f059671a6dd3f8df28720e969d96c07a4f22a467",
-    "margins.csv": "eeb58cc64ed906a43fc93e9733747cd70c74ca50e70805e40192ce5c9dd3083a",
+    "cert.json": "b3877fb69494bf91f98f9a0b2954cffb4e9733b4f68ce074774fcabf1b549d97",
+    "strips.json": "a625f5848e84aaf50316873479a08e643bdb202df341eb19099688bade04e4d1",
+    "margins.csv": "9a786beaee09255c81fc76a124995a1eb3f4a2cb161cf55938bd854b6d7ee06e",
 }
-# each check entry nests a `witness` dict: not a flat record
+# each check entry nests a `witness` dict: not a flat record.  Re-pinned
+# when `j_sup` became the far field's bound on sup J = J(inf), J + tau_b
+# at the end of the remainder table's far panel, instead of the largest J
+# on rho <= neck + 10: `j_sup` rose by 1.5e-5 to 3.7e-5 on the 12 members
+# and `j_bound_margin` fell by as much; every other field is bit-equal
 _APPENDIX_COMMAND = ["verify-appendix", "--out", "appendix.json"]
 _APPENDIX_SHA256 = {
-    "appendix.json": "d834fa13420c0182ee48218f496113bf553cd8d09c10c29ce566ca08e08096ec",
+    "appendix.json": "8de15cdd704a12d8bbfb411422e150c685482b01c1ee70ffb62fd171a65851f4",
 }
 # `samples` is a list of flat records
 _CURVE_COMMAND = ["curve", "--H", ".27", "--d", "2.6", "--rho-max", "6", "--n", "64",

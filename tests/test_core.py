@@ -15,6 +15,7 @@ from scipy.special import roots_jacobi
 
 from hcat.core import (
     _LARGE_R,
+    _RTOL,
     ROOT_TOL,
     CmcParams,
     HeightTable,
@@ -33,6 +34,7 @@ from hcat.core import (
     verify_appendix,
     _series_at,
     _substituted,
+    _tail_bound,
 )
 from hcat.disjoint import solve_d0
 from hcat.errors import ConvergenceError, DomainError, PreconditionError
@@ -524,6 +526,127 @@ class TestHeightTable:
             table.radius(sys.float_info.max)
 
 
+def _mp_far_field(H, d):
+    """40-digit J(inf) of the remainder, its tail tau(rho) = J(inf) - J(rho)
+    and the closed-form part f(rho): (J(inf), tau, f).  J(inf) is the split
+    oracle's J(neck + 16) plus the tail from there, which integrates the
+    unsubstituted integrand, smooth and decaying like e^{-r} past the neck."""
+    mp.mp.dps = 40
+    Hm, dm = mp.mpf(H), mp.mpf(d)
+    q = 1 - 4 * Hm * Hm
+    s = mp.sqrt(q + dm * dm)
+    beta = (2 * dm * Hm - s) / q
+    eta = _mp_eta(H, d)
+    alpha = mp.cosh(eta)
+
+    def remainder(r):
+        c = mp.cosh(r)
+        return (dm + 2 * Hm * mp.exp(-r)) / mp.sqrt(q * (c - alpha) * (c - beta))
+
+    def tail(rho):
+        rho = mp.mpf(rho)
+        return mp.quad(remainder, [rho, rho + 1, rho + 10, mp.inf])
+
+    def f(rho):
+        return 2 * Hm / mp.sqrt(q) * mp.acosh((q * mp.cosh(mp.mpf(rho)) - 2 * dm * Hm) / s)
+
+    j_inf = mp.mpf(_mp_lambda_split(H, d, eta + 16, remainder=True)) + tail(eta + 16)
+    return j_inf, tail, f
+
+
+class TestFarField:
+    # from t_far on, a radius is acosh((s cosh x + 2dH) / q), x = (t - J(inf))
+    # / kappa: the table's far field, for members with d >= 0
+    @pytest.mark.parametrize("H,d,ts", [
+        (0.25, 3.0, (25.0, 50.0)),
+        (0.25, solve_d0(0.25, 3.0), (25.0, 50.0)),
+        (0.0025, 3.0, (10.0, 50.0)),
+        (0.4999, 3.0, (1000.0,)),
+    ])
+    def test_radii_and_tail_bound_against_40_digits(self, H, d, ts):
+        # the tail test puts rho_far where tau_b <= ROOT_TOL kappa u, so the
+        # closed form's height is within that of the 40-digit height f + J(inf)
+        # - tau at its radius: ROOT_TOL / 2 in u, as dt/du >= 2u kappa
+        p = CmcParams(H, d)
+        table = HeightTable(p)
+        far = table.far_field()
+        j_inf, tail, f = _mp_far_field(H, d)
+        # the limit is the table's height at the far panel's end, less f
+        assert abs(far.limit - j_inf) <= far.error + ORACLE_TOL
+        for t in (far.t, *ts):
+            rho = table.radius(t)
+            u = math.sqrt(rho - p.eta)
+            resolution = integrand(p, rho) * math.ulp(rho)
+            tau = tail(rho)
+            assert abs(f(rho) + j_inf - tau - t) <= ROOT_TOL * u * p.kappa + resolution
+            # in floats: both underflow to 0 far out
+            assert float(tau) <= _tail_bound(p, rho)
+        assert tail(far.rho) <= _tail_bound(p, far.rho) <= ROOT_TOL * p.kappa * math.sqrt(
+            far.rho - p.eta)
+
+    @given(
+        H=st.floats(1e-4, 0.4999),
+        d=st.floats(0.0, 1e12),
+        frac=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_closed_form_matches_brent_on_the_same_table(self, H, d, frac):
+        # t in [t_far, 1e6], log-spaced; the table is grown past t by hand,
+        # since inversion never grows it past the far panel, and Brent runs
+        # on the piece holding t.  Brent stops within ROOT_TOL in u, or its
+        # relative tolerance _RTOL in v = u^2, which is larger from u ~ 2 250
+        p = CmcParams(H, d)
+        table = HeightTable(p)
+        far = table.far_field()
+        t = far.t * (1e6 / far.t) ** frac
+        rho = table.radius(t)
+        assert table.pieces == table.pieces[:far.pieces]
+        while table.heights[-1] <= t:
+            table._add_panel()
+        u = math.sqrt(rho - p.eta)
+        brent = math.sqrt(table._brent(table._piece(t), t) - p.eta)
+        assert abs(u - brent) <= max(2.0 * ROOT_TOL, _RTOL * u)
+
+    def test_inversion_stops_at_the_far_panel(self, inversion_counts):
+        # the certificate's grid on the headline member: the table ends at
+        # u = 8, the panel holding rho_far (it grew to u = 16 before), and
+        # every height from t_far = 16.88 on is the far field's.  Brent
+        # solves none of them; the inverse series of the piece u in [4, 8],
+        # which holds t_far, is still fitted across the whole piece
+        from hcat.disjoint import height_grid
+
+        table = HeightTable(CmcParams(0.25, 3.0))
+        ts = height_grid(0.0, 50.0, 0.05)
+        table.radii(ts)
+        assert table.breaks[-1] == 8.0 and len(table.pieces) == table.far.pieces
+        assert table.far.t == pytest.approx(16.8835, abs=1e-4)
+        far = [t for t in ts if t >= table.far.t]
+        assert sorted(t for _, t in inversion_counts.far) == far
+        assert not set(far) & {t for _, t in inversion_counts.solves}
+
+    @pytest.mark.parametrize("d", [-0.2, -0.5 + 1e-12])
+    def test_no_far_field_below_d_zero(self, d):
+        p = CmcParams(0.25, d)
+        table = HeightTable(p)
+        table.radius(50.0)
+        assert table.far is None
+        with pytest.raises(PreconditionError):
+            table.far_field()
+
+    def test_a_table_grown_past_its_far_panel_inverts_on_its_pieces(self, inversion_counts):
+        # a forward read past the far panel: the table's own pieces serve
+        # every radius, as before the far field (this keeps the top of the
+        # float range as it was: see TestHeightTable)
+        p = CmcParams(0.25, 3.0)
+        grown = HeightTable(p)
+        grown.integral(p.eta + 256.0)
+        assert grown.far.pieces < len(grown.pieces)
+        rho = grown.radius(50.0)
+        assert not inversion_counts.far and inversion_counts.solves
+        # both within ROOT_TOL in u of the root, at u ~ 9.2: 2u 2 ROOT_TOL in rho
+        assert rho == pytest.approx(HeightTable(p).radius(50.0), abs=4.0 * ROOT_TOL * 9.2)
+
+
 def _brent_outcome(solve, *args, **kwargs):
     """The root's bits and the function calls of a Brent solve, or the type
     of the error it raised; SciPy's RuntimeError is its ConvergenceError."""
@@ -714,15 +837,17 @@ class TestInverseReads:
             assert _u_gap(p, rho, b_inverse(p, t)) <= ROOT_TOL
 
     def test_headline_reads_are_certified(self):
-        # the certificate's coarse grid on the headline member: its three
-        # outer pieces, asked 139, 555 and 228 heights, read every one of
-        # them from their inverse series
+        # the certificate's coarse grid on the headline member: its two
+        # outer pieces below t_far = 16.88, asked 139 and 120 heights, read
+        # every one of them from their inverse series.  Before the far field
+        # the pieces u in [4, 8] and [8, 16] were asked 555 and 228 heights
+        # up to t = 50, and read them all
         from hcat.disjoint import height_grid
 
         table = HeightTable(CmcParams(0.25, 3.0))
         _, accepted = _ask(table, height_grid(0.0, 50.0, 0.05))
-        assert len(accepted) == 139 + 555 + 228
-        assert {i for i, _ in accepted.values()} == {4, 5, 6}
+        assert len(accepted) == 139 + 120
+        assert {i for i, _ in accepted.values()} == {4, 5}
         for t, (i, u) in accepted.items():
             assert abs(u - _series_root(table, i, t)) <= ROOT_TOL
 
@@ -749,7 +874,8 @@ class TestInverseReads:
             patch.setattr(core.HeightTable, "_brent", spy_brent)
             patch.setattr(core.HeightTable, "_invert", spy_invert)
             HeightTable(CmcParams(0.25, 3.0)).radii(height_grid(0.0, 50.0, 0.05))
-        assert [i for kind, i in events if kind == "fit"] == [4, 5, 6]
+        # the piece u in [8, 16], fitted before the far field, is never built
+        assert [i for kind, i in events if kind == "fit"] == [4, 5]
         # Brent solves the grid's heights on the inner pieces only
         assert {i for kind, i in events if kind == "solve"} <= {0, 1, 2, 3}
 
@@ -767,14 +893,16 @@ class TestInverseReads:
 
     def test_radius_reads_a_fitted_piece(self):
         # a series an earlier call fitted serves one-height asks too: on two
-        # tables with the piece u in [4, 8] fitted, `radius` one height at a
-        # time returns the bits that `radii` reads for the same heights
+        # tables with the piece u in [2, 4] fitted, `radius` one height at a
+        # time returns the bits that `radii` reads for the same heights.
+        # (The piece u in [4, 8], used here before the far field, holds
+        # t_far = 16.88, and only 22 of those 100 heights lie below it)
         p = CmcParams(0.25, 3.0)
         one, many = HeightTable(p), HeightTable(p)
         for table in (one, many):
             table.integral(p.eta + 64.0)
-            _ask_piece(table, table.breaks.index(4.0), 100)
-        i = one.breaks.index(4.0)
+            _ask_piece(table, table.breaks.index(2.0), 100)
+        i = one.breaks.index(2.0)
         assert one.inverses[i] and many.inverses[i]
         a, b = one.heights[i], one.heights[i + 1]
         ts = [a + (b - a) * (j + 1 / 3) / 50 for j in range(50)]
@@ -953,17 +1081,20 @@ class TestEvaluationCounts:
     def test_appendix_defaults(self, inversion_counts, tmp_path):
         # one adaptive QAGS from the neck per radius and integrand took
         # 40 614 here, and a QAGS total beside each series 5 400; two tables
-        # of 5 pieces (u up to sqrt(10)) for each of 12 members take 2 880
+        # of 5 pieces (u up to sqrt(10)) for each of 12 members took 2 880,
+        # and `j_sup`'s far-field bound adds the remainder table's piece
+        # u in [4, 8], which holds rho_far, for each member: 3 168
         from hcat import cli
 
         assert cli.run(["verify-appendix", "--out", str(tmp_path / "a.json")]) == 0
-        assert inversion_counts.evaluations == 2_880
+        assert inversion_counts.evaluations == 3_168
 
     def test_appendix_at_800_radii(self, inversion_counts):
         # the benchmark's forward sweep: 643 692 with one QAGS per radius;
-        # the radii reach no further than at the defaults, so 2 880
+        # the radii reach no further than at the defaults, so 3 168 (2 880
+        # before the far-field bound on `j_sup`)
         verify_appendix([0.1, 0.25, 0.4], [2.5, 3.0, 10.0, 100.0], grid_points=800)
-        assert inversion_counts.evaluations == 2_880
+        assert inversion_counts.evaluations == 3_168
 
     def test_pair_of_the_cold_scan(self, inversion_counts, tmp_path):
         # one pair of the benchmark's pair scan: 2 070 on fixed 1/4 panels,
@@ -975,11 +1106,15 @@ class TestEvaluationCounts:
                         "--step", ".5", "--out", str(tmp_path / "c.json")]) == 0
         assert inversion_counts.evaluations == 288
         # no piece is asked for more than _INVERSE_AFTER heights, so no
-        # inverse series is fitted, and Brent solves every height: 98 solves
-        # of 535 evaluations, as before inverse series
+        # inverse series is fitted.  Brent solved every height, 98 solves of
+        # 535 evaluations, until the heights from t_far = 16.88 (d1) and
+        # 16.84 (d2) on came in closed form: per member 7 grid heights and
+        # the 18 new heights of the refinement about the least gap (t = 19.5),
+        # 50 in all; Brent solves the other 66, in 387 evaluations
         assert inversion_counts.inverses == {}
-        assert sum(inversion_counts.solves.values()) == 98
-        assert inversion_counts.solve_evaluations == 535
+        assert sum(inversion_counts.far.values()) == 50
+        assert sum(inversion_counts.solves.values()) == 66
+        assert inversion_counts.solve_evaluations == 387
 
     def test_headline_pipeline(self, inversion_counts, tmp_path):
         # 6 660 on fixed 1/4 panels, 1 260 on doubling pieces with a QAGS
@@ -990,10 +1125,12 @@ class TestEvaluationCounts:
         # outer pieces read inverse series, 14 822 with Brent in u on the
         # neck piece alone, 7 618 over 1 483 while a piece was fitted only
         # on its 65th distinct height, and 3 822 while d0 was solved by
-        # Brent rather than in closed form, 1 ulp higher
+        # Brent rather than in closed form, 1 ulp higher.  With the far field
+        # no table grows past u = 8, so the four pieces u in [8, 16] (96) go,
+        # and Brent evaluates 3 103 times over 498 solves
         _run_headline_pipeline(tmp_path)
-        assert inversion_counts.evaluations == 672
-        assert inversion_counts.solve_evaluations == 3_824
+        assert inversion_counts.evaluations == 576
+        assert inversion_counts.solve_evaluations == 3_103
 
     def test_headline_solves_read_few_series_terms(self, inversion_counts, tmp_path):
         # series reads per height solved, heights at piece ends and forward
@@ -1011,13 +1148,21 @@ class TestEvaluationCounts:
         # certificate's 10x refinement follows the scanned minimum, whose
         # height moved 45.41 -> 31.4 with Brent in v and -> 38.6 with Brent
         # in u on the neck piece.  Brent's own reads are its evaluations
-        # less the two tabulated ends of its bracket
+        # less the two tabulated ends of its bracket.  With the far field,
+        # heights from t_far = 16.88 (d1) and 16.83 (d0) on are in closed
+        # form: 2 006 of 3 036 (the refinement now follows the least gap to
+        # t = 16.835, where d0's radii are the far field's and d1's not yet).
+        # No piece u in [8, 16] is built or fitted, and the strip grid asks
+        # u in [4, 8] for 60 and 59 heights below t_far, too few to fit: 498
+        # solves, 144 of them the sample solves of 6 fits, and 1.15 reads per
+        # height
         _run_headline_pipeline(tmp_path)
         heights = sum(inversion_counts.radii.values())
-        assert heights == 3_038
-        assert sum(inversion_counts.solves.values()) == 715
-        assert len(inversion_counts.inverses) == 6
-        assert sum(inversion_counts.inverses.values()) == 12
+        assert heights == 3_036
+        assert sum(inversion_counts.far.values()) == 2_006
+        assert sum(inversion_counts.solves.values()) == 498
+        assert len(inversion_counts.inverses) == 4
+        assert sum(inversion_counts.inverses.values()) == 6
         assert inversion_counts.series_reads <= 2.7 * heights
 
     def test_one_off_far_read(self, inversion_counts):
