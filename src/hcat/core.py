@@ -33,11 +33,13 @@ it within ROOT_TOL in u; any other height is solved by Brent (see
 `HeightTable`).
 
 Far out no table is needed.  The height is f(rho) + J(rho), f in closed
-form (`f_closed`) and J the remainder (`j_remainder`), whose tail
-J(inf) - J(rho) has a closed-form bound tau_b (`_tail_bound`) for d >= 0.
-Once tau_b is small enough that it moves u by at most ROOT_TOL / 2, from
-a height t_far on, a radius is f inverted by one acosh at t - J(inf), with
-J(inf) read from the table once (`FarField`).
+form (`f_closed`) and J the remainder (`j_remainder`).  For d >= 0 the
+remainder's tail J(inf) - J(rho) is A e^{-rho} + R(rho), A = 2d / sqrt(q),
+and |R| has a closed-form bound tau_2 (`_tail_rest_bound`) that falls like
+e^{-2 rho}.  Once tau_2 is small enough that it moves u by at most
+ROOT_TOL / 4, from a height t_far on, a radius solves f(rho) - A e^{-rho}
+= t - J(inf): one acosh, iterated on the small term, with J(inf) read
+from the table once (`FarField`).
 """
 
 from __future__ import annotations
@@ -57,8 +59,11 @@ from .report import Table
 #: in u on the piece from the neck; an inverse-series read is certified
 #: within it
 ROOT_TOL = 1e-12
-# width of the height table's first pieces, in u = sqrt(rho - neck)
-_PANEL_U = 0.25
+# width of the height table's first piece, in u = sqrt(rho - neck): one
+# series spans [0, 1] (24 points pass the _TAIL_TOL rule there at H = .25
+# for every d >= -0.2 tried, and at (1e-4, 3), (.4999, 3) and (.49999,
+# 2.0001)); near the floor d = -2H that rule halves it
+_PANEL_U = 1.0
 # Chebyshev points sampled on each piece
 _CHEB_N = 24
 # the height table's accuracy rule: a piece is kept when its tail (the last
@@ -75,13 +80,15 @@ _RTOL = 4.0 * math.ulp(1.0)
 _MAXITER = 100
 # a piece's inverse series (see HeightTable.radii) is fitted before any
 # Brent solve on it when one call asks the piece for more than this many
-# distinct unsolved heights.  Measured on the headline pair's six fitted
-# pieces (one core of a shared Intel Xeon host, Python 3.11): a fit takes
-# 0.33-0.89 ms, on average as long as 44 Brent solves (it makes 40: 24 per
-# whole series, 72 where the series is halved; no read was refused there),
-# and a read saves about 8 us against a solve (4.4 against 12.5 us,
-# weighted by the heights asked), so a fit pays for itself past about 69
-# reads
+# distinct unsolved heights.  Measured on the six pieces that the headline
+# pair fitted before the far field, when each table grew to u = 16 (one
+# core of a shared Intel Xeon host, Python 3.11): a fit takes 0.33-0.89 ms,
+# on average as long as 44 Brent solves (it makes 40: 24 per whole series,
+# 72 where the series is halved; no read was refused there), and a read
+# saves about 8 us against a solve (4.4 against 12.5 us, weighted by the
+# heights asked), so a fit pays for itself past about 69 reads.  The
+# headline pipeline now fits two pieces, u in [2, 4] of each member, which
+# the certificate's grid asks 109 heights below t_far
 _INVERSE_AFTER = 68
 # an inverse series is kept where its tail (the last two coefficients) is at
 # most ROOT_TOL in u, else halved in t, at most this many times; a part that
@@ -401,8 +408,8 @@ def lambda_height(params: CmcParams, rho: float, table: HeightTable | None = Non
     Read from `table`, a HeightTable(params) that the caller keeps across
     reads.  Without one, a table is built for this read alone: one `quad`
     of _CHEB_N samples for each piece below rho, whose widths double in u
-    (10 pieces and about 0.7 ms at rho = 1e4, against about 2 us for a
-    read from a kept table).
+    (8 pieces and about 0.7 ms at rho = 1e4, against a few us for a read
+    from a kept table).
     """
     return _table_read(params, rho, table, remainder=False)
 
@@ -443,34 +450,43 @@ def j_remainder(params: CmcParams, rho: float, table: HeightTable | None = None)
     return _table_read(params, rho, table, remainder=True)
 
 
-def _tail_bound(params: CmcParams, rho: float) -> float:
-    """tau_b(rho) = 2 (d + 2H) e^{-rho} / (sqrt(q) sqrt(1 - alpha / cosh rho)),
-    for d >= 0 a bound on the remainder integral's tail J(inf) - J(rho)
-    (inf where 1 - alpha / cosh rho rounds to 0 or below).
+def _tail_rest_bound(params: CmcParams, rho: float) -> float:
+    """tau_2(rho), for d >= 0 a bound on |R(rho)|, R = tau - A e^{-rho} the
+    remainder integral's tail tau(rho) = J(inf) - J(rho) less its leading
+    term, A = 2d / sqrt(q); inf where 2 alpha e^{-rho} exceeds a_max = 1/2.
 
-    The remainder integrand is (d + 2H e^{-r}) / sqrt(q (c - alpha)(c - beta))
-    with c = cosh r.  Since beta < 0, (c - alpha)(c - beta) >= c^2 (1 -
-    alpha / c); the numerator is at most d + 2H, 1/c at most 2 e^{-r}, and
-    1 - alpha / c rises with r, so the tail is at most the bound's integral
-    of e^{-r} from rho.
+    The remainder integrand is g(r) = (d + 2H z) / (sqrt(q) c sqrt((1 -
+    alpha / c)(1 + |beta| / c))), z = e^{-r}, c = cosh r.  For r >= rho,
+    1/c <= 2z and alpha / c <= 2 alpha z <= a_max.  (1 - x)^{-1/2} is convex,
+    so on [0, a_max] it is at most the chord 1 + k x, k = (sqrt 2 - 1) /
+    a_max; (1 + y)^{-1/2} >= 1 - y/2 and 1/c >= 2z - 2z^3.  Then g - A z is
+    at most 4 (d alpha k + H (1 + a_max k)) z^2 / sqrt(q), and A z - g at
+    most 2d (e^{-rho} + |beta|) z^2 / sqrt(q): |g - A z| <= D z^2, D the
+    larger of the two, and |R(rho)| <= D e^{-2 rho} / 2.  Formed as
+    products of d z, alpha z and |beta| z, none of which overflows.
     """
+    a_max = 0.5
     z = math.exp(-rho)
-    # 1 / cosh rho = 2z / (1 + z^2), finite at every rho
-    a1 = 1.0 - params.alpha * (2.0 * z / (1.0 + z * z))
-    if not a1 > 0.0:
+    alpha_z = params.alpha * z
+    if not 2.0 * alpha_z <= a_max:
         return math.inf
-    return 2.0 * (params.d + 2.0 * params.H) * z / math.sqrt(params.q * a1)
+    k = (math.sqrt(2.0) - 1.0) / a_max
+    H, dz = params.H, params.d * z
+    above = 2.0 * (k * dz * alpha_z + H * (1.0 + a_max * k) * z * z)
+    below = dz * z * (z - params.beta)
+    return max(above, below) / math.sqrt(params.q)
 
 
 @dataclass(frozen=True)
 class FarField:
     """Where a table's integral is a closed form plus a constant, to within
-    ROOT_TOL / 2 in u: the height f(rho) + J(inf), or the remainder J(inf).
+    ROOT_TOL / 2 in u: the height f(rho) + J(inf) - A e^{-rho}, or the
+    remainder J(inf) - A e^{-rho}, with A = 2d / sqrt(q), `lead`.
 
-    `limit` estimates J(inf) from the end of the first panel whose end
-    passes the tail test (see HeightTable): the table's integral there,
-    less f there on a height table, plus half of tau_b there.  It lies
-    within `error`, that half, of J(inf), so `limit + error` bounds the
+    `limit` estimates J(inf) from the end rho_e of the first panel whose
+    end passes the tail test (see HeightTable): the table's integral there,
+    less f there on a height table, plus A e^{-rho_e}.  It lies within
+    `error` = tau_2(rho_e) of J(inf), so `limit + error` bounds the
     remainder from above for d >= 0.  The far field starts inside that
     panel at `rho`, rho_far, where the closed form takes the value `t`
     (t_far on a height table), and `pieces` is the table's piece count
@@ -482,6 +498,7 @@ class FarField:
     t: float
     limit: float
     error: float
+    lead: float
 
 
 @dataclass(frozen=True)
@@ -524,9 +541,9 @@ def verify_appendix(
     for d > 2 with its root witness, and |f - f_asymptote| decaying from 1
     beyond the neck on (`g_residual_decays`).  For d >= 0 the remainder
     integrand is positive, so sup J = J(inf), and `j_sup` is the far
-    field's upper bound on it, J + tau_b at the end of the remainder
-    table's far panel (see `FarField`); for d < 0 it is the largest J on
-    the grid.
+    field's upper bound on it, J + A e^{-rho} + tau_2 at the end of the
+    remainder table's far panel (see `FarField`); for d < 0 it is the
+    largest J on the grid.
     """
     if grid_points < 2:
         raise PreconditionError(f"grid_points must be >= 2, got {grid_points}")
@@ -593,16 +610,18 @@ class HeightTable:
     """Cumulative integral of one member's height (or remainder) integrand.
 
     The piece starting at u_lo in u = sqrt(rho - neck) spans
-    [u_lo, u_lo + max(_PANEL_U, u_lo)]: [0, 1/4], [1/4, 1/2], [1/2, 1],
-    [1, 2], [2, 4] and so on.  The integrand's complex singularities lie
-    about u away from the real axis, so one series resolves a piece as
-    wide as its start (Trefethen, ATAP, Thm 8.1).  Each piece gets one
+    [u_lo, u_lo + max(_PANEL_U, u_lo)]: [0, 1], [1, 2], [2, 4] and so on.
+    The integrand's complex singularities lie about u away from the real
+    axis, so one series resolves a piece as wide as its start (Trefethen,
+    ATAP, Thm 8.1), and near the neck one series resolves [0, 1].  Each
+    piece gets one
     `quad`: a Chebyshev series of the cumulative integral across it, and
     the series' tail.  A piece is kept whole when its tail is at most
     _TAIL_TOL * max(1, |piece total|), on no other test; otherwise it is
     halved, and each half tested the same way, down to _MAX_DEPTH
     halvings.  Near the family floor d = -2H this splits piece 0 toward
-    u = 0, where the integrand turns on a scale of (d + 2H)^(1/4).
+    u = 0, where the integrand turns on a scale of (d + 2H)^(1/4) (from
+    about d = -0.3 at H = .25).
 
     `breaks` are the pieces' ends in u, and `pieces[i]` is the series of
     the piece holding [breaks[i], breaks[i + 1]].  Every height the table
@@ -644,19 +663,25 @@ class HeightTable:
     fit a series but do read one that an earlier call fitted.  Every
     height on the neck piece or on a member with d < 0 is Brent's.
 
-    The far field.  On a member with d >= 0 the table tests each panel's
-    end, as it grows, for tau_b(rho) <= ROOT_TOL kappa u, kappa = 2H /
-    sqrt(q): the remainder's tail beyond rho then moves u by at most
-    ROOT_TOL / 2, since dt/du = 2u lambda' >= 2u kappa.  The first panel
-    that passes gives the table its `far` (`FarField`): J(inf) from the
-    panel's end height, and rho_far, from which the test holds inside the
-    panel, with t_far = f(rho_far) + J(inf).  Inversion never grows the
-    table past that panel, and `radii` takes every |t| >= t_far in closed
-    form: rho = acosh((s cosh x + 2dH) / q), x = (t - J(inf)) / kappa, or
-    x + log(s / q) from x = _LARGE_R on.  Only the heights below t_far are
-    fitted, read or solved as above, and only they count toward a piece's
-    _INVERSE_AFTER.  A table that a forward read grew past its far panel
-    inverts every height on its own pieces instead.
+    The far field.  For d >= 0 the remainder's tail is J(inf) - J(rho) =
+    A e^{-rho} + R(rho), A = 2d / sqrt(q), and |R| <= tau_2(rho), a closed
+    form that falls like e^{-2 rho} (`_tail_rest_bound`).  As the table
+    grows it tests each panel's end for tau_2(rho) <= ROOT_TOL kappa u / 2,
+    kappa = 2H / sqrt(q): R then moves u by at most ROOT_TOL / 4, since
+    dt/du = 2u lambda' >= 2u kappa, and so does the error of J(inf), read at
+    the panel's end as J + A e^{-rho} there.  The first panel that passes
+    gives the table its `far` (`FarField`): J(inf), and rho_far, from which
+    the test holds inside the panel, with t_far = f(rho_far) + J(inf) -
+    A e^{-rho_far}.  Every member tried with H >= 1e-4 passes on u in
+    [2, 4] or [4, 8], with rho_far - neck from 9.1 (H = .4999) to 17.3
+    (H = 1e-4); t_far is 9.378 and 9.403 on the headline pair, d1 = 3 and
+    d0.  Inversion never grows the table past that panel, and `radii`
+    takes every |t| >= t_far in closed form: f(rho) - A e^{-rho} =
+    t - J(inf), solved by acosh iterated on the small term (`_far_radius`).
+    Only the heights below t_far are fitted, read or solved as above, and
+    only they count toward a piece's _INVERSE_AFTER.  A table that a
+    forward read grew past its far panel inverts every height on its own
+    pieces instead.
 
     Every radius is kept in `memo`, keyed by |t|, so asking again returns
     the stored bits.  A radius depends only on the pieces fitted before it
@@ -692,30 +717,45 @@ class HeightTable:
 
     def _far_at(self, u_lo: float, u_hi: float) -> FarField | None:
         """The far field, if the panel [u_lo, u_hi] just added is the first
-        whose end passes the tail test tau_b(rho) <= ROOT_TOL kappa u.
+        whose end passes the tail test tau_2(rho) <= ROOT_TOL kappa u / 2
+        and lies where `_far_radius` settles.
 
-        Inside the panel, u >= u_lo and 1 - alpha / cosh rho rises with rho,
-        so tau_b(rho) <= tau_b(rho_lo) e^{rho_lo - rho}, and the test holds
-        from rho_lo + log(tau_b(rho_lo) / (ROOT_TOL kappa u_lo)) on, rho_lo
-        being the panel's start: rho_far is that radius, or the panel's end
-        if that is less.  (The first panel, u_lo = 0, never passes.)"""
+        The closed form's height is off by at most |R(rho)| + |R(rho_e)|: the
+        tail's rest at the radius, and in the estimate of J(inf), rho_e being
+        the panel's end.  Each gets half of ROOT_TOL kappa u, which moves u
+        by ROOT_TOL / 4 since dt/du = 2u lambda' >= 2u kappa; tau_2 falls
+        with rho, so the test at rho <= rho_e covers both.  Inside the panel,
+        u >= u_lo and tau_2(rho) <= tau_2(rho_lo) e^{2 (rho_lo - rho)}, so the
+        test holds from rho_lo + log(tau_2(rho_lo) / (ROOT_TOL kappa u_lo /
+        2)) / 2 on, rho_lo being the panel's start; where that bound is
+        infinite or the budget 0, from the panel's end.  `_far_radius`'s
+        iteration contracts by at most A e^{-rho} / kappa = d e^{-rho} / H,
+        at most 1/4 from log(4d / H) on.  That binds only where H is below
+        about 1e-11: at d = 3 the contraction at rho_far is 1.5e-6 at H =
+        .25, 1.5e-4 at H = 1e-4 and 0.048 at H = 1e-9.  rho_far is the
+        larger radius, or the panel's end if that is less."""
         params = self.params
-        eta, kappa = params.eta, params.kappa
+        eta, d, H = params.eta, params.d, params.H
+        budget = 0.5 * ROOT_TOL * params.kappa
         rho_hi = eta + u_hi * u_hi
-        tail_hi = _tail_bound(params, rho_hi)
-        if not tail_hi <= ROOT_TOL * kappa * u_hi:
+        tail_hi = _tail_rest_bound(params, rho_hi)
+        settled = math.log(4.0 * d) - math.log(H) if d > 0.0 else -math.inf
+        if not (tail_hi <= budget * u_hi and settled <= rho_hi):
             return None
         rho_lo = eta + u_lo * u_lo
-        rho = rho_lo + math.log(_tail_bound(params, rho_lo) / (ROOT_TOL * kappa * u_lo))
-        rho = max(rho_lo, min(rho, rho_hi))
-        limit = self.heights[-1] + 0.5 * tail_hi
-        if self.remainder:
-            return FarField(len(self.pieces), rho, limit, limit, 0.5 * tail_hi)
-        limit -= f_closed(params, rho_hi)
-        # at most the panel's end height, so the table holds every height
-        # below t_far (the closed form exceeds it by tail_hi / 2 at rho_hi)
-        t = min(f_closed(params, rho) + limit, self.heights[-1])
-        return FarField(len(self.pieces), rho, t, limit, 0.5 * tail_hi)
+        bound_lo = budget * u_lo
+        ratio = _tail_rest_bound(params, rho_lo) / bound_lo if bound_lo > 0.0 else math.inf
+        rho = min(max(rho_lo + 0.5 * math.log(max(ratio, 1.0)), settled), rho_hi)
+        lead = 2.0 * d / math.sqrt(params.q)
+        limit = self.heights[-1] + lead * math.exp(-rho_hi)
+        if not self.remainder:
+            limit -= f_closed(params, rho_hi)
+        t = limit - lead * math.exp(-rho)
+        if not self.remainder:
+            # at most the panel's end height, so the table holds every
+            # height below t_far (the closed form meets it at rho_hi)
+            t = min(t + f_closed(params, rho), self.heights[-1])
+        return FarField(len(self.pieces), rho, t, limit, tail_hi, lead)
 
     def far_field(self) -> FarField:
         """The table's far field, growing the table to the panel that holds
@@ -823,19 +863,34 @@ class HeightTable:
         return far.t if far is not None and far.pieces == len(self.pieces) else math.inf
 
     def _far_radius(self, t: float) -> float:
-        """The radius at a height t >= t_far, where t = f(rho) + J(inf) to
-        within ROOT_TOL / 2 in u: acosh((s cosh x + 2dH) / q) with
-        x = (t - J(inf)) / kappa, and x + log(s / q) from x = _LARGE_R on,
-        where cosh x would soon overflow and the two agree to rounding."""
-        params = self.params
-        x = (t - self.far.limit) / params.kappa
-        if x >= _LARGE_R:
-            rho = x + math.log(params.s / params.q)
-        else:
-            rho = math.acosh((params.s * math.cosh(x) + 2.0 * params.d * params.H) / params.q)
-        if not rho < math.inf:
-            raise DomainError(f"no finite radius reaches height t = {t}")
-        return rho
+        """The radius at a height t >= t_far, where t = f(rho) + J(inf) -
+        A e^{-rho} to within ROOT_TOL / 2 in u.  f inverts in closed form:
+        rho = acosh((s cosh x + 2dH) / q) with x = y / kappa, and x + log(s /
+        q) from x = _LARGE_R on, where cosh x would soon overflow and the two
+        agree to rounding.  Starting from y = t - J(inf), each step takes
+        y = t - J(inf) + A e^{-rho} at the last rho, rho taken no nearer
+        than rho_far, since the root lies past it.  There the map falls with
+        rho and contracts by at most A e^{-rho} / kappa (1.5e-6 at rho_far
+        on the headline pair, and at most 1/4; see `_far_at`), so its
+        iterates close in on the root from both sides; they stop as soon as
+        a y repeats, which is as soon as a radius does."""
+        params, far = self.params, self.far
+        s, q, dh, kappa = params.s, params.q, 2.0 * params.d * params.H, params.kappa
+        base = t - far.limit
+        y = older = base
+        for _ in range(_MAXITER):
+            x = y / kappa
+            rho = x + math.log(s / q) if x >= _LARGE_R else math.acosh((s * math.cosh(x) + dh) / q)
+            if not rho < math.inf:
+                raise DomainError(f"no finite radius reaches height t = {t}")
+            # the root lies past rho_far, where the map contracts
+            rho = max(rho, far.rho)
+            y_next = base + far.lead * math.exp(-rho)
+            if y_next == y or y_next == older:
+                return rho
+            older, y = y, y_next
+        raise ConvergenceError(f"the far field's radius at height t = {t} did not settle in "
+                               f"{_MAXITER} steps")
 
     def _piece(self, t: float) -> int:
         """The piece holding height t, in a table grown past t."""

@@ -27,6 +27,15 @@ def _require_d1(d1: float) -> None:
         raise PreconditionError(f"d1 must be finite and exceed 2, got {d1}")
 
 
+def _bound_terms(H: float, d1: float, d2: float) -> tuple[float, float, float]:
+    """The separation bound's terms: (1/2 ln(s2/s1), 2 pi sqrt(1-2H),
+    sqrt(q)), s = sqrt(d^2 + q) formed without squaring d."""
+    _require_d1(d1)
+    root_q = math.sqrt(curvature_q(H))
+    ratio_log = math.log(math.hypot(d2, root_q) / math.hypot(d1, root_q))
+    return 0.5 * ratio_log, 2.0 * math.pi * math.sqrt(1.0 - 2.0 * H), root_q
+
+
 def separation_lower_bound(H: float, d1: float, d2: float) -> float:
     """Asymptotic (large t) lower bound for the radial gap.
 
@@ -36,12 +45,8 @@ def separation_lower_bound(H: float, d1: float, d2: float) -> float:
     threshold d0 for a given d1 > 2 is the unique d2 where it equals 1.
     Finite for every finite d2: no d is squared.
     """
-    _require_d1(d1)
-    root_q = math.sqrt(curvature_q(H))
-    ratio_log = math.log(math.hypot(d2, root_q) / math.hypot(d1, root_q))
-    return root_q / (2.0 * H) * (
-        0.5 * ratio_log - 2.0 * math.pi * math.sqrt(1.0 - 2.0 * H)
-    )
+    half_log, two_pi_root, root_q = _bound_terms(H, d1, d2)
+    return root_q / (2.0 * H) * (half_log - two_pi_root)
 
 
 def solve_d0(H: float, d1: float) -> float:
@@ -52,6 +57,14 @@ def solve_d0(H: float, d1: float) -> float:
     s = sqrt(d1^2 + q) e^k so that nothing overflows before d0 does.
     Within 2(k+1) eps relative of the exact root: rounding k alone moves
     e^k by about k eps/2.
+
+    The root is checked on the bound's bracket, 1/2 ln(s2/s1) - 2 pi
+    sqrt(1-2H) = 2H/sqrt(q), to within 8 times the sum of its three terms'
+    ulps: d0's rounding moves the log term, about k/2, by up to (k+1) eps,
+    at most 4 of its ulps (measured: within half the summed ulps over
+    200 000 draws of H in (0, 1/2) and d1 up to 1e150).  The bound itself
+    multiplies the bracket's rounding by sqrt(q)/(2H): its residual is
+    1.4e-10 at H = 1e-6 and NaN at H = 5e-324.
     """
     _require_d1(d1)
     q = curvature_q(H)
@@ -63,7 +76,12 @@ def solve_d0(H: float, d1: float) -> float:
     if s == math.inf:
         raise PreconditionError(f"the threshold d0 for d1 = {d1} overflows the float range")
     d0 = s * math.sqrt(1.0 - q / (s * s))
-    if abs(separation_lower_bound(H, d1, d0) - 1.0) > 1e-10:
+    half_log, two_pi_root, root_q = _bound_terms(H, d1, d0)
+    target = 2.0 * H / root_q
+    residual = half_log - two_pi_root - target
+    # written so that a NaN residual fails
+    if not abs(residual) <= 8.0 * (math.ulp(half_log) + math.ulp(two_pi_root)
+                                   + math.ulp(target)):
         raise CertificationFailure("threshold equation residual above tolerance")
     return d0
 
@@ -74,11 +92,13 @@ class DisjointnessCertificate:
 
     `min_gap_t` is the height of `min_gap_observed`, the least scanned gap.
     Where the gap is flat to round-off it is noise.  Past both members'
-    t_far the gap is a difference of closed forms (see `core.HeightTable`),
-    flat to 8.2e-14 on the headline pair over t in [16.9, 50].  Between the
-    two t_far one radius is the far field's, up to ROOT_TOL / 2 in u below
-    the exact one there, and the gap dips by 3.9e-12: on the headline pair
-    the least gap falls in that seam, at t = 16.835 (38.6 before).
+    t_far (9.378 and 9.403 on the headline pair) the gap is a difference of
+    closed forms (see `core.HeightTable`).  On the headline pair it still
+    falls there, by 8.4e-12 over t in [15, 50], and is flat to 2.8e-14 over
+    [20, 50], where the least gap lies (t = 31.45).  Between the two t_far
+    one radius is the far field's and the other the table's, each within
+    ROOT_TOL in u of the exact one, and the gap falls smoothly through
+    them.
     """
 
     H: float

@@ -52,9 +52,10 @@ class StripReport:
     when its margin is > 0.0, the report when all do.  `min_margin` is
     the least margin, the first in record order among ties, at height
     `min_margin_t` in check `min_margin_check`; where the margins are
-    flat to round-off, that height is noise: past both members' t_far,
-    where the radii are closed forms, the headline's strip margins spread
-    by 8.2e-14, and its least strip margin lies at t = -49.9.
+    flat to round-off, that height is noise: past |t| = 20, where both
+    members' radii are closed forms (from t_far = 9.378 and 9.403 on), the
+    headline's strip margins that follow the gap spread by 2.8e-14, and its
+    least strip margin lies at t = -49.8.
     """
 
     kind: str

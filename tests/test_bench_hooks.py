@@ -41,9 +41,11 @@ def test_forward_commands_read_heights_through_the_hooks(load_bench_module, tmp_
 
 def test_tracer_counts_every_integrand_sample(load_bench_module, monkeypatch, tmp_path):
     # `core.quad` is the height tables' one integration rule, so the traced
-    # evaluations are all the samples of the substituted integrand: 12
-    # pieces of 24 on the headline pair (14 before the far field, when each
-    # table grew to the piece u in [8, 16])
+    # evaluations are all the samples of the substituted integrand: 6
+    # pieces of 24 on the headline pair, each table ending at the far panel
+    # u in [2, 4] with one piece u in [0, 1] (12 while the first pieces were
+    # 1/4 wide and the far panel u in [4, 8], and 14 before the far field,
+    # when each table grew to the piece u in [8, 16])
     counted = 0
     substituted = core._substituted
 
@@ -61,17 +63,19 @@ def test_tracer_counts_every_integrand_sample(load_bench_module, monkeypatch, tm
     finally:
         tracer.uninstall()
     metrics = tracer.rep_metrics()
-    assert metrics["core.quad.evals"] == 24 * metrics["core.quad.calls"] == counted == 288
+    assert metrics["core.quad.evals"] == 24 * metrics["core.quad.calls"] == counted == 144
 
 
 def test_tracer_counts_every_brent_solve(load_bench_module, tmp_path):
     # the height tables solve through `core.brentq` by that module name, so
-    # the traced headline pipeline sees all 498 solves and their 3 103
+    # the traced headline pipeline sees all 392 solves and their 2 680
     # evaluations (`TestEvaluationCounts` in test_core.py counts the same
     # untraced; 3 036 and 14 884 before the busy pieces read inverse
     # series, 1 483 and 7 618 while a piece was fitted on its 65th
     # height, 715 and 3 822 while d0 was solved by Brent, 1 ulp higher,
-    # and 715 and 3 824 before heights past t_far came in closed form);
+    # 715 and 3 824 before heights past t_far came in closed form, and 498
+    # and 3 103 while t_far came from the whole tail's bound, 16.88, rather
+    # than from the tail less its leading term, 9.38);
     # a table that held the kernel under another name would read 0 here
     tracer = load_bench_module("hcat_bench_tracer", "tracer.py").Tracer()
     tracer.install()
@@ -83,4 +87,4 @@ def test_tracer_counts_every_brent_solve(load_bench_module, tmp_path):
     finally:
         tracer.uninstall()
     metrics = tracer.rep_metrics()
-    assert (metrics["core.brentq.calls"], metrics["core.brentq.evals"]) == (498, 3_103)
+    assert (metrics["core.brentq.calls"], metrics["core.brentq.evals"]) == (392, 2_680)

@@ -138,6 +138,10 @@ class TestExitCodes:
          "--out-dir", "{tmp}/frames"],
         ["family", "--H", "0.25", "--d-list", "2", "0", "2", "--rho-max", "3",
          "--out-dir", "{tmp}/frames"],
+        # a denormal H: "no finite radius reaches height", as at H = 1e-310.
+        # ROOT_TOL kappa u underflows to 0 here, and the far field's start
+        # once divided by it (ZeroDivisionError)
+        ["disjoint", "--H", "5e-324", "--d1", "3", "--d2", "10"],
     ])
     def test_bad_input_is_named_usage_error(self, capsys, tmp_path, cert_file, report_file,
                                             args):
@@ -408,27 +412,48 @@ _HEADLINE_COMMANDS = [
 # -38.6 -> -49.9 on margins flat to round-off.  On the strip grid, the
 # piece u in [4, 8] is now asked 60 and 59 heights below t_far, too few to
 # fit, so 120 and 118 strip radii there are Brent's roots instead of
-# certified reads, within 6.3e-14 in u of them
+# certified reads, within 6.3e-14 in u of them.  Re-pinned when the far
+# field took the tail's leading term A e^{-rho} in closed form (t_far
+# 16.88 -> 9.378 for d1, 16.83 -> 9.403 for d0) and the table's first
+# piece became u in [0, 1]: the new piece layout moves heights at
+# rounding level, and 860 and 404 of the members' 1 001 certificate radii
+# moved, by at most 3.8e-13 in u.  The seam's dip is gone:
+# `min_gap_observed` 10.012284523624452 -> 10.012284523628026, `min_gap_t`
+# 16.835 -> 31.45, in the flat far field; `delta0`, `sup_gap`, `d0` and
+# `asymptotic_bound` are bit-equal.  The strip offsets `delta` and
+# `delta2` follow `min_gap_observed` and moved by 3.6e-12, so 4 921 of
+# 6 006 strip margins moved by at most 4.8e-12, 1 878 of 3 003 c3 margins
+# by at most 6.9e-12 and 18 of 20 sweep margins by at most 3.6e-12; the
+# least strip margin's height moved -49.9 -> -49.8 on margins flat to
+# round-off
 _HEADLINE_SHA256 = {
-    "cert.json": "b3877fb69494bf91f98f9a0b2954cffb4e9733b4f68ce074774fcabf1b549d97",
-    "strips.json": "a625f5848e84aaf50316873479a08e643bdb202df341eb19099688bade04e4d1",
-    "margins.csv": "9a786beaee09255c81fc76a124995a1eb3f4a2cb161cf55938bd854b6d7ee06e",
+    "cert.json": "684508854bcaa1e96b556ca949c836c8dc56998662211336564f37d539bfda12",
+    "strips.json": "dadfbde7404263e5af9ee46a1cd2c56b567e1cd134cae4c67258cafa9c0f67f3",
+    "margins.csv": "d67cbb167938e3ab16c435100695630afca2859eb14ab3b32c284c68a48a03f8",
 }
 # each check entry nests a `witness` dict: not a flat record.  Re-pinned
 # when `j_sup` became the far field's bound on sup J = J(inf), J + tau_b
 # at the end of the remainder table's far panel, instead of the largest J
 # on rho <= neck + 10: `j_sup` rose by 1.5e-5 to 3.7e-5 on the 12 members
-# and `j_bound_margin` fell by as much; every other field is bit-equal
+# and `j_bound_margin` fell by as much; every other field is bit-equal.
+# Re-pinned when the far field took the tail's leading term in closed form
+# and the first piece became u in [0, 1]: `j_sup` is now J + A e^{-rho} +
+# tau_2 at the end of the far panel u in [2, 4] (J + tau_b at u = 8
+# before), and rose by at most 3.8e-15 on the 12 members, `j_bound_margin`
+# falling by as much; 9 `decomposition_max_scaled_residual` moved by at
+# most 1.4e-16, heights moving at rounding level with the piece layout
 _APPENDIX_COMMAND = ["verify-appendix", "--out", "appendix.json"]
 _APPENDIX_SHA256 = {
-    "appendix.json": "8de15cdd704a12d8bbfb411422e150c685482b01c1ee70ffb62fd171a65851f4",
+    "appendix.json": "2d44d6a6bb9faa56aca53123465d6f082fbf36f6b118463f54fc95eede1ca0f1",
 }
-# `samples` is a list of flat records
+# `samples` is a list of flat records.  Re-pinned when the table's first
+# piece became u in [0, 1]: 63 of the 64 heights moved at rounding level,
+# by at most 1.8e-15 (the radii are the grid's, bit-equal)
 _CURVE_COMMAND = ["curve", "--H", ".27", "--d", "2.6", "--rho-max", "6", "--n", "64",
                   "--out", "curve.csv", "--json", "curve.json"]
 _CURVE_SHA256 = {
-    "curve.csv": "91c674465badd4c86c3ef0f5881d104e5ad0a999fb03c6ecbb8017ba86406f01",
-    "curve.json": "c95647603b8c9fe371a993778bbd3ce35ae50173ac01daeed1246de41820b3f8",
+    "curve.csv": "f021ee515d07cd1c2f68cbdfea0c0bd8f162583fba21d58bf4f3585c20c0e924",
+    "curve.json": "57bfb51c9acacf0322144378c6866ec632b317bc19d007e1a508b369afb18060",
 }
 
 
@@ -464,10 +489,13 @@ class TestPinnedReports:
         args = ["strips", "--cert", "tampered.json", "--t-min", "-2", "--t-max", "2",
                 "--step", "0.5", "--d-points", "3", "--out", "r.json", "--csv", "r.csv"]
         assert run(args) == EXIT_CHECK_FAILED
+        # re-pinned when the table's first piece became u in [0, 1]: radii
+        # near the neck moved at rounding level, so 45 of the 84 margins of
+        # `r.csv` moved, by at most 4.0e-14
         assert _sha256(tmp_path / "r.json") == (
-            "2037c98bb7518ada6fa758f9c3473a4b7382fd9135db8c38e83ab9b91d7879fc")
+            "89e41b5bcf721702ebae2cc52acbc895f3d9b80b68059d39f74860b0c0ba6f79")
         assert _sha256(tmp_path / "r.csv") == (
-            "78103db3be1743576166b33144c78790c211c1af305cde4e95274f5f41654620")
+            "068baf4c2a0cf0ae19ceca74592972dd596b4a35643d9b1077e423038abe44fc")
 
     def test_verify_appendix(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -34,7 +34,7 @@ from hcat.core import (
     verify_appendix,
     _series_at,
     _substituted,
-    _tail_bound,
+    _tail_rest_bound,
 )
 from hcat.disjoint import solve_d0
 from hcat.errors import ConvergenceError, DomainError, PreconditionError
@@ -436,11 +436,12 @@ class TestHeightTable:
             assert b_inverse(p, t) == rho
 
     def test_one_break_and_one_series_per_doubling_piece(self):
-        # one series spans [u, 2u] from u = 1/4 on, and the breaks are the
-        # pieces' ends; fixed 1/4 panels held 32 series up to u = 8
+        # one series spans [0, 1] and then [u, 2u] from u = 1 on, and the
+        # breaks are the pieces' ends; fixed 1/4 panels held 32 series up to
+        # u = 8, and first pieces 1/4 wide [0, 1/4, 1/2, 1, 2, 4, 8]
         table = HeightTable(CmcParams(0.25, 3.0))
         table.integral(table.params.eta + 64.0)
-        assert table.breaks == [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
+        assert table.breaks == [0.0, 1.0, 2.0, 4.0, 8.0]
         assert len(table.pieces) == len(table.breaks) - 1
         spans = [(mid - half, mid + half) for mid, half, *_ in table.pieces]
         assert spans == list(zip(table.breaks, table.breaks[1:]))
@@ -456,12 +457,14 @@ class TestHeightTable:
                     table.heights[i + 1])
 
     def test_floor_member_splits_panel_zero(self):
-        # the integrand turns on a scale of (d + 2H)^(1/4) in u near the floor
+        # the integrand turns on a scale of (d + 2H)^(1/4) in u near the
+        # floor.  Panel zero is u in [0, 1] (it was [0, 1/4], with at most
+        # 14 breaks); halved, it keeps the breaks it had then, and two more
         table = HeightTable(CmcParams(0.25, -0.5 + 1e-12))
         table.radius(1.0)
-        panel0 = [u for u in table.breaks if 0.0 < u <= 0.25]
-        assert panel0[-1] == 0.25
-        assert 1 < len(panel0) <= 14
+        panel0 = [u for u in table.breaks if 0.0 < u <= 1.0]
+        assert panel0[-2:] == [0.5, 1.0]
+        assert 1 < len(panel0) <= 16
         assert min(table.breaks[1:]) >= 0.25 * 2.0**-13
 
     def test_depth_cap_raises(self, monkeypatch):
@@ -562,26 +565,33 @@ class TestFarField:
         (0.25, solve_d0(0.25, 3.0), (25.0, 50.0)),
         (0.0025, 3.0, (10.0, 50.0)),
         (0.4999, 3.0, (1000.0,)),
+        (0.25, 0.0, (25.0, 50.0)),
     ])
     def test_radii_and_tail_bound_against_40_digits(self, H, d, ts):
-        # the tail test puts rho_far where tau_b <= ROOT_TOL kappa u, so the
-        # closed form's height is within that of the 40-digit height f + J(inf)
-        # - tau at its radius: ROOT_TOL / 2 in u, as dt/du >= 2u kappa
+        # the tail test puts rho_far where tau_2 <= ROOT_TOL kappa u / 2, and
+        # the estimate of J(inf) is within tau_2 at the far panel's end, no
+        # more than that; so the closed form's height is within ROOT_TOL kappa
+        # u of the 40-digit height f + J(inf) - tau at its radius: ROOT_TOL / 2
+        # in u, as dt/du >= 2u kappa
         p = CmcParams(H, d)
         table = HeightTable(p)
         far = table.far_field()
         j_inf, tail, f = _mp_far_field(H, d)
-        # the limit is the table's height at the far panel's end, less f
+        lead = 2 * mp.mpf(d) / mp.sqrt(1 - 4 * mp.mpf(H) ** 2)
+        # the limit is the table's height at the far panel's end, less f,
+        # plus the tail's leading term A e^{-rho} there
         assert abs(far.limit - j_inf) <= far.error + ORACLE_TOL
         for t in (far.t, *ts):
             rho = table.radius(t)
             u = math.sqrt(rho - p.eta)
             resolution = integrand(p, rho) * math.ulp(rho)
-            tau = tail(rho)
-            assert abs(f(rho) + j_inf - tau - t) <= ROOT_TOL * u * p.kappa + resolution
-            # in floats: both underflow to 0 far out
-            assert float(tau) <= _tail_bound(p, rho)
-        assert tail(far.rho) <= _tail_bound(p, far.rho) <= ROOT_TOL * p.kappa * math.sqrt(
+            assert abs(f(rho) + j_inf - tail(rho) - t) <= ROOT_TOL * u * p.kappa + resolution
+        # the tail less its leading term is within tau_2 from rho_far on.
+        # It is about e^{-rho} of the tail, which 40 digits resolve up to
+        # rho ~ 60
+        for rho in (far.rho, far.rho + 1.0, far.rho + 4.0):
+            assert float(abs(tail(rho) - lead * mp.exp(-mp.mpf(rho)))) <= _tail_rest_bound(p, rho)
+        assert _tail_rest_bound(p, far.rho) <= 0.5 * ROOT_TOL * p.kappa * math.sqrt(
             far.rho - p.eta)
 
     @given(
@@ -607,19 +617,38 @@ class TestFarField:
         brent = math.sqrt(table._brent(table._piece(t), t) - p.eta)
         assert abs(u - brent) <= max(2.0 * ROOT_TOL, _RTOL * u)
 
+    @pytest.mark.parametrize("H,d", [(0.4999, 3.0), (0.25, 0.0), (0.25, 3.0), (1e-4, 1e6),
+                                     (1e-9, 3.0), (1e-20, 1e-3), (1e-20, 3.0), (1e-100, 3.0)])
+    def test_far_radius_solves_its_equation(self, H, d):
+        # f(rho) - A e^{-rho} = t - J(inf), to rounding.  The iteration
+        # contracts by d e^{-rho} / H, at most 1/4 from rho_far on, which
+        # moves rho_far out where H is below about 1e-11; at H = 1e-20,
+        # t - J(inf) rounds to 0 at t_far, and the first iterate, f's
+        # inverse there, is the neck
+        p = CmcParams(H, d)
+        table = HeightTable(p)
+        far = table.far_field()
+        assert d * math.exp(-far.rho) <= 0.25 * H * (1.0 + 1e-12)
+        for t in (far.t, far.t * 1.001, far.t * 2.0, far.t * 1e3):
+            rho = table.radius(t)
+            residual = f_closed(p, rho) + far.limit - far.lead * math.exp(-rho) - t
+            assert abs(residual) <= 4.0 * math.ulp(t)
+
     def test_inversion_stops_at_the_far_panel(self, inversion_counts):
         # the certificate's grid on the headline member: the table ends at
-        # u = 8, the panel holding rho_far (it grew to u = 16 before), and
-        # every height from t_far = 16.88 on is the far field's.  Brent
-        # solves none of them; the inverse series of the piece u in [4, 8],
-        # which holds t_far, is still fitted across the whole piece
+        # u = 4, the panel holding rho_far, and every height from t_far =
+        # 9.378 on is the far field's.  Brent solves none of them; the
+        # inverse series of the piece u in [2, 4], which holds t_far, is
+        # still fitted across the whole piece.  (With tau_b, the whole tail
+        # bounded, the table ended at u = 8 with t_far = 16.88, and at u = 16
+        # before the far field)
         from hcat.disjoint import height_grid
 
         table = HeightTable(CmcParams(0.25, 3.0))
         ts = height_grid(0.0, 50.0, 0.05)
         table.radii(ts)
-        assert table.breaks[-1] == 8.0 and len(table.pieces) == table.far.pieces
-        assert table.far.t == pytest.approx(16.8835, abs=1e-4)
+        assert table.breaks[-1] == 4.0 and len(table.pieces) == table.far.pieces
+        assert table.far.t == pytest.approx(9.3784, abs=1e-4)
         far = [t for t in ts if t >= table.far.t]
         assert sorted(t for _, t in inversion_counts.far) == far
         assert not set(far) & {t for _, t in inversion_counts.solves}
@@ -798,8 +827,10 @@ def _u_gap(params, rho1, rho2):
 
 class TestInverseReads:
     # a piece gets its inverse series when one `radii` call asks it for more
-    # than _INVERSE_AFTER = 68 distinct unsolved heights, before any of them
-    @given(H=st.floats(0.02, 0.4999), d=st.floats(0.0, 1e6), i=st.integers(1, 6))
+    # than _INVERSE_AFTER = 68 distinct unsolved heights, before any of them.
+    # Up to u = 16 the pieces away from the neck are 1 to 4, u in [1, 2] to
+    # [8, 16] (1 to 6 while the first pieces were 1/4 wide: [1/4, 1/2] on)
+    @given(H=st.floats(0.02, 0.4999), d=st.floats(0.0, 1e6), i=st.integers(1, 4))
     @settings(max_examples=15, deadline=None)
     def test_dense_grid_reads_within_root_tol(self, H, d, i):
         p = CmcParams(H, d)
@@ -837,17 +868,19 @@ class TestInverseReads:
             assert _u_gap(p, rho, b_inverse(p, t)) <= ROOT_TOL
 
     def test_headline_reads_are_certified(self):
-        # the certificate's coarse grid on the headline member: its two
-        # outer pieces below t_far = 16.88, asked 139 and 120 heights, read
-        # every one of them from their inverse series.  Before the far field
-        # the pieces u in [4, 8] and [8, 16] were asked 555 and 228 heights
-        # up to t = 50, and read them all
+        # the certificate's coarse grid on the headline member: its outer
+        # piece u in [2, 4] (piece 2), asked 109 heights below t_far = 9.378,
+        # reads every one of them from its inverse series.  While t_far was
+        # 16.88 (the whole tail bounded, and the first pieces 1/4 wide) the
+        # pieces u in [2, 4] and [4, 8] (4 and 5) were asked 139 and 120
+        # heights, and before the far field u in [4, 8] and [8, 16] 555 and
+        # 228 up to t = 50; each read them all
         from hcat.disjoint import height_grid
 
         table = HeightTable(CmcParams(0.25, 3.0))
         _, accepted = _ask(table, height_grid(0.0, 50.0, 0.05))
-        assert len(accepted) == 139 + 120
-        assert {i for i, _ in accepted.values()} == {4, 5}
+        assert len(accepted) == 109
+        assert {i for i, _ in accepted.values()} == {2}
         for t, (i, u) in accepted.items():
             assert abs(u - _series_root(table, i, t)) <= ROOT_TOL
 
@@ -874,18 +907,24 @@ class TestInverseReads:
             patch.setattr(core.HeightTable, "_brent", spy_brent)
             patch.setattr(core.HeightTable, "_invert", spy_invert)
             HeightTable(CmcParams(0.25, 3.0)).radii(height_grid(0.0, 50.0, 0.05))
-        # the piece u in [8, 16], fitted before the far field, is never built
-        assert [i for kind, i in events if kind == "fit"] == [4, 5]
+        # the piece u in [2, 4]: u in [4, 8], fitted while t_far was 16.88
+        # (as piece 5, after u in [2, 4] as piece 4), is never built
+        assert [i for kind, i in events if kind == "fit"] == [2]
         # Brent solves the grid's heights on the inner pieces only
-        assert {i for kind, i in events if kind == "solve"} <= {0, 1, 2, 3}
+        assert {i for kind, i in events if kind == "solve"} <= {0, 1}
 
     def test_radius_never_fits(self):
         # one height at a time never fits a series, however many are asked,
-        # so on a fresh table every radius is the memo's or Brent's
+        # so on a fresh table every radius is the memo's, Brent's or, from
+        # t_far on, the far field's.  The table is grown to its far panel, u
+        # in [2, 4], whose 200 heights these are (it was u in [4, 8] while the
+        # whole tail was bounded and the first pieces 1/4 wide)
         p = CmcParams(0.25, 3.0)
         table = HeightTable(p)
-        table.integral(p.eta + 64.0)
-        a, b = table.heights[5], table.heights[6]
+        table.integral(p.eta + 16.0)
+        i = table.breaks.index(2.0)
+        assert table.far.pieces == len(table.pieces) == i + 1
+        a, b = table.heights[i], table.heights[i + 1]
         ts = [a + (b - a) * (j + 0.5) / 200 for j in range(200)]
         radii = [table.radius(t) for t in ts]
         assert not any(table.inverses)
@@ -1082,39 +1121,46 @@ class TestEvaluationCounts:
         # one adaptive QAGS from the neck per radius and integrand took
         # 40 614 here, and a QAGS total beside each series 5 400; two tables
         # of 5 pieces (u up to sqrt(10)) for each of 12 members took 2 880,
-        # and `j_sup`'s far-field bound adds the remainder table's piece
-        # u in [4, 8], which holds rho_far, for each member: 3 168
+        # and 3 168 while `j_sup`'s far-field bound, from the whole tail,
+        # added the remainder table's piece u in [4, 8].  With one piece
+        # u in [0, 1] each table holds 3 (u up to 4), and the far panel,
+        # u in [2, 4], is among them: 12 x 2 x 3 x 24 = 1 728
         from hcat import cli
 
         assert cli.run(["verify-appendix", "--out", str(tmp_path / "a.json")]) == 0
-        assert inversion_counts.evaluations == 3_168
+        assert inversion_counts.evaluations == 1_728
 
     def test_appendix_at_800_radii(self, inversion_counts):
         # the benchmark's forward sweep: 643 692 with one QAGS per radius;
-        # the radii reach no further than at the defaults, so 3 168 (2 880
-        # before the far-field bound on `j_sup`)
+        # the radii reach no further than at the defaults, so 1 728 (3 168
+        # while the first pieces were 1/4 wide and the far panel u in [4, 8])
         verify_appendix([0.1, 0.25, 0.4], [2.5, 3.0, 10.0, 100.0], grid_points=800)
-        assert inversion_counts.evaluations == 3_168
+        assert inversion_counts.evaluations == 1_728
 
     def test_pair_of_the_cold_scan(self, inversion_counts, tmp_path):
         # one pair of the benchmark's pair scan: 2 070 on fixed 1/4 panels,
-        # 540 on doubling pieces with a QAGS total beside each series, and
-        # 288 on the series alone (12 pieces)
+        # 540 on doubling pieces with a QAGS total beside each series, 288
+        # on the series alone (12 pieces, up to u = 8), and 144 (6 pieces)
+        # with one piece u in [0, 1] and each table ending at the far panel
+        # u in [2, 4]
         from hcat import cli
 
         assert cli.run(["disjoint", "--H", ".25", "--d1", "3", "--d2", "30", "--t-max", "20",
                         "--step", ".5", "--out", str(tmp_path / "c.json")]) == 0
-        assert inversion_counts.evaluations == 288
+        assert inversion_counts.evaluations == 144
         # no piece is asked for more than _INVERSE_AFTER heights, so no
         # inverse series is fitted.  Brent solved every height, 98 solves of
-        # 535 evaluations, until the heights from t_far = 16.88 (d1) and
-        # 16.84 (d2) on came in closed form: per member 7 grid heights and
-        # the 18 new heights of the refinement about the least gap (t = 19.5),
-        # 50 in all; Brent solves the other 66, in 387 evaluations
+        # 535 evaluations, until the heights from t_far on came in closed
+        # form.  With t_far at 16.88 (d1) and 16.84 (d2), from the whole
+        # tail's bound, that was 50 heights, and Brent solved 66 in 387
+        # evaluations.  With the tail's leading term subtracted t_far is 9.38
+        # and 9.40: per member 22 grid heights and the 18 new heights of the
+        # refinement about the least gap (t = 19.5), 80 in all; Brent solves
+        # the other 36, in 237 evaluations
         assert inversion_counts.inverses == {}
-        assert sum(inversion_counts.far.values()) == 50
-        assert sum(inversion_counts.solves.values()) == 66
-        assert inversion_counts.solve_evaluations == 387
+        assert sum(inversion_counts.far.values()) == 80
+        assert sum(inversion_counts.solves.values()) == 36
+        assert inversion_counts.solve_evaluations == 237
 
     def test_headline_pipeline(self, inversion_counts, tmp_path):
         # 6 660 on fixed 1/4 panels, 1 260 on doubling pieces with a QAGS
@@ -1126,11 +1172,14 @@ class TestEvaluationCounts:
         # neck piece alone, 7 618 over 1 483 while a piece was fitted only
         # on its 65th distinct height, and 3 822 while d0 was solved by
         # Brent rather than in closed form, 1 ulp higher.  With the far field
-        # no table grows past u = 8, so the four pieces u in [8, 16] (96) go,
-        # and Brent evaluates 3 103 times over 498 solves
+        # no table grew past u = 8, so the four pieces u in [8, 16] (96) went,
+        # and Brent evaluated 3 103 times over 498 solves.  With one piece
+        # u in [0, 1] and t_far from the tail less its leading term, each of
+        # the four tables ends at u = 4 with 3 pieces: 288, and Brent
+        # evaluates 2 680 times over 392 solves
         _run_headline_pipeline(tmp_path)
-        assert inversion_counts.evaluations == 576
-        assert inversion_counts.solve_evaluations == 3_103
+        assert inversion_counts.evaluations == 288
+        assert inversion_counts.solve_evaluations == 2_680
 
     def test_headline_solves_read_few_series_terms(self, inversion_counts, tmp_path):
         # series reads per height solved, heights at piece ends and forward
@@ -1150,24 +1199,33 @@ class TestEvaluationCounts:
         # in u on the neck piece.  Brent's own reads are its evaluations
         # less the two tabulated ends of its bracket.  With the far field,
         # heights from t_far = 16.88 (d1) and 16.83 (d0) on are in closed
-        # form: 2 006 of 3 036 (the refinement now follows the least gap to
-        # t = 16.835, where d0's radii are the far field's and d1's not yet).
-        # No piece u in [8, 16] is built or fitted, and the strip grid asks
-        # u in [4, 8] for 60 and 59 heights below t_far, too few to fit: 498
-        # solves, 144 of them the sample solves of 6 fits, and 1.15 reads per
-        # height
+        # form: 2 006 of 3 036 (the refinement followed the least gap to
+        # t = 16.835, where d0's radii were the far field's and d1's not
+        # yet).  No piece u in [8, 16] was built or fitted, and the strip grid
+        # asked u in [4, 8] for 60 and 59 heights below t_far, too few to
+        # fit: 498 solves, 144 of them the sample solves of 6 fits, and 1.15
+        # reads per height.  With t_far = 9.378 (d1) and 9.403 (d0), from the
+        # tail less its leading term, 2 476 of 3 038 heights are in closed
+        # form; the refinement follows the least gap to t = 31.45, in the
+        # flat far field, and asks 19 heights per member that the coarse grid
+        # does not hold (18 about t = 16.8).  Each table ends at u = 4, the
+        # certificate's grid fits the piece u in [2, 4] of each member (109
+        # heights below t_far on each), and the strip grid asks it for 54
+        # and 55, too few to fit: 392 solves, 48 of them the sample solves of 2 fits,
+        # and 0.77 reads per height
         _run_headline_pipeline(tmp_path)
         heights = sum(inversion_counts.radii.values())
-        assert heights == 3_036
-        assert sum(inversion_counts.far.values()) == 2_006
-        assert sum(inversion_counts.solves.values()) == 498
-        assert len(inversion_counts.inverses) == 4
-        assert sum(inversion_counts.inverses.values()) == 6
+        assert heights == 3_038
+        assert sum(inversion_counts.far.values()) == 2_476
+        assert sum(inversion_counts.solves.values()) == 392
+        assert len(inversion_counts.inverses) == 2
+        assert sum(inversion_counts.inverses.values()) == 2
         assert inversion_counts.series_reads <= 2.7 * heights
 
     def test_one_off_far_read(self, inversion_counts):
         # a table built for one read at rho = 1e4: 400 fixed 1/4 panels
-        # (about 42 ms), 10 doubling pieces (about 0.7 ms).  Each series is
+        # (about 42 ms), 10 doubling pieces (about 0.7 ms), and 8 since the
+        # first piece is u in [0, 1].  Each series is
         # read once for its piece's end height, and the last piece's once
         # more for the read; with a break every 1/4 in u it read 401 series
         lambda_height(CmcParams(0.25, 2.0), 1e4)

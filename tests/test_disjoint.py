@@ -72,13 +72,31 @@ class TestThreshold:
         assert solve_d0(H, d1) == pytest.approx(_mp_d0(H, d1), rel=2.0 * (_k(H) + 1.0) * EPS,
                                                 abs=0.0)
 
-    @given(H=st.floats(1e-4, 0.4999), log_d1=st.floats(math.log10(2.0), 150.0))
+    @given(H=st.one_of(st.floats(1e-4, 0.4999),
+                       st.floats(-323.0, -4.0).map(lambda e: 10.0**e)),
+           log_d1=st.floats(math.log10(2.0), 150.0))
     @settings(max_examples=200, deadline=None)
     def test_solver_within_2_k_plus_1_eps_of_mpmath(self, H, log_d1):
-        # rounding k alone moves e^k by about k eps / 2
+        # rounding k alone moves e^k by about k eps / 2.  Below H = 1e-4 the
+        # bound's residual, checked to 1e-10 once, grew like sqrt(q)/(2H)
+        # times its rounding and refused correct roots (from H ~ 1e-6), or
+        # was NaN (H = 5e-324, a denormal) and passed the check
         d1 = max(10.0**log_d1, math.nextafter(2.0, 3.0))
         assert solve_d0(H, d1) == pytest.approx(_mp_d0(H, d1), rel=2.0 * (_k(H) + 1.0) * EPS,
                                                 abs=0.0)
+
+    @pytest.mark.parametrize("H", [1e-6, 1e-8, 1e-12, 1e-300, 5e-324])
+    def test_solver_at_small_h(self, H):
+        assert solve_d0(H, 3.0) == pytest.approx(_mp_d0(H, 3.0), rel=2.0 * (_k(H) + 1.0) * EPS,
+                                                 abs=0.0)
+
+    def test_nan_residual_is_refused(self, monkeypatch):
+        # `abs(nan - 1.0) > 1e-10` is False: a NaN residual once passed
+        from hcat import disjoint
+
+        monkeypatch.setattr(disjoint, "_bound_terms", lambda H, d1, d2: (math.nan, 1.0, 1.0))
+        with pytest.raises(CertificationFailure, match="residual above tolerance"):
+            solve_d0(0.25, 3.0)
 
     def test_solver_reaches_large_d1(self):
         # d0 = 2.29e294: bracket doubling on the bound with d squared met a NaN
@@ -203,6 +221,18 @@ class TestCertify:
         # the Chebyshev panels it takes 3 330
         certify(0.25, 3.0, solve_d0(0.25, 3.0), t_max=50.0, grid_step=0.05)
         assert 5 * inversion_counts.evaluations <= 187_110
+
+    def test_headline_least_gap_has_no_far_field_seam(self):
+        # between the two members' t_far one radius is the far field's and
+        # the other the table's.  While the far field left out the whole
+        # tail (within ROOT_TOL / 2 in u of the radius, below it), the gap
+        # dipped there: the least scanned gap read 10.012284523624452 at
+        # t = 16.835, 3.9e-12 below the gap on either side.  With the tail's
+        # leading term in closed form the gap is flat there too, and the
+        # least gap is no lower than the flat far field's at t = 50
+        d0 = solve_d0(0.25, 3.0)
+        cert = certify(0.25, 3.0, d0, t_max=50.0, grid_step=0.05, d0=d0)
+        assert cert.min_gap_observed >= _gap(0.25, 3.0, d0, 50.0) - 1e-13
 
     def test_failure_carries_location(self, monkeypatch):
         # an impossible monotone tolerance forces a certification failure

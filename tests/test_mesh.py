@@ -165,38 +165,43 @@ class TestExport:
 
 
 # sha256 of every file a command writes, fixed before `revolve` and
-# `export_obj` moved onto arrays; any change to these bytes needs a reason
+# `export_obj` moved onto arrays; any change to these bytes needs a reason.
+# The OBJ files were re-pinned when the height table's first piece became
+# u in [0, 1]: profile heights moved at rounding level, so some vertex
+# heights did, by at most 8.9e-16 in the meshes (78 336 of 261 376 lines
+# at n = m = 256) and 6.7e-16 in the family frames; the JSON sidecars and
+# the family manifest are unchanged
 PINNED_MESHES = {
     "poincare_doubled": (
         ["--H", "0.25", "--d", "2", "--rho-max", "6", "--n", "256", "--m", "256"],
-        "cf9a8216650beb62cb5cfb2e41e0de70b87a0cecf91688bf18f9670a9021513a",
+        "b2950499dd69c64cd475af463ee8527de66c10f3843bea81bf398176f8b0e541",
         "56d903841e5c8aa9c7c4fb09e011153083388ba5d24ca08ffe21579f9527ea17",
     ),
     "cylinder_doubled": (
         ["--H", "0.3", "--d", "1.5", "--rho-max", "4", "--n", "33", "--m", "24",
          "--mode", "cylinder_polar"],
-        "66c1b1d1d77cd7e65b0fd4f443e2559af85794d618539689e521c6617d0ae441",
+        "04e056263b9a043a981742760ebe8cb0612573d3e2772a4addb2b77e22e20b08",
         "0066d580124f9b8e955979c8006288cca71e0cf8ac2119ddd9d5ebbf2bc4a2f2",
     ),
     "not_doubled": (
         ["--H", "0.2", "--d", "5", "--rho-max", "8", "--n", "40", "--m", "17",
          "--no-doubled"],
-        "cf14a68bf6b8aff01ba084fae7497307ced5c65518ac3a91b897ad782f5b177c",
+        "3fa430f0e43b421bdf11068b8478c4d28c39d8c90ca8b3a834f244cf11a4c40c",
         "7f7c415870c1246cfba234d3a9b973f0d0ea77fb42888d58c752fac142de41ed",
     ),
     # d = -2H: the neck ring has radius 0, so 63 of its coordinates are -0.0
     "entire_graph": (
         ["--H", "0.25", "--d", "-0.5", "--rho-max", "3", "--n", "20", "--m", "64"],
-        "7e1706d41120c28fe64c35dafaf8587f25301c8177483121b3649b609e31c231",
+        "1164ca1d6ddf59a06eba1cc1a65f2bedb41117899868219b8fcaeaccfbbd0421",
         "ec3565f6311eae7baef8d3a173460c76073532996e857e6cbb441223e0f14cb7",
     ),
 }
 
 PINNED_FAMILY = {
     "family.json": "9a672336b63c90f679be964b6530112cf638729e25c9803e0481c894f12e75c1",
-    "frame_d_-0.5.obj": "873dd9f67f46d7b75f72cd03b80162c30ca781567f3f37c8e9cdb837e28baecb",
-    "frame_d_0.obj": "46eef2f254ba2e2b02ad64a5fe8a254e560a377429d2fd2c168bd832850646c3",
-    "frame_d_2.obj": "8506826220c25f711c1e0f0f0b8a62ca1cad3b41a5d277ae020b05c791af242c",
+    "frame_d_-0.5.obj": "538f626374f84960baba5f84da214b76b3fddccd8371faf007a1d597cc47c39b",
+    "frame_d_0.obj": "b466a2943c8ca3488ae8a3ddb9e5682054b5b8321f8e7c0d77ec80b349a248e6",
+    "frame_d_2.obj": "498183a80eb9cc7174089730f01ef2fb0e2074c24b2463c64ae462cfd5a597a1",
 }
 
 
