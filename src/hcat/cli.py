@@ -253,6 +253,8 @@ def _load_certificate(path: str) -> DisjointnessCertificate:
         return DisjointnessCertificate.from_json_dict(data)
     except KeyError as exc:
         raise _UsageError(f"{path} is not a disjointness certificate: no {exc}") from None
+    except PreconditionError as exc:
+        raise _UsageError(f"{path} is not a disjointness certificate: {exc}") from None
 
 
 def _log_spaced(lo: float, hi: float, n: int) -> list[float]:

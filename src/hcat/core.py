@@ -30,7 +30,11 @@ first gets an inverse series, u as a Chebyshev series in t (Chebfun's
 `inv`: Driscoll, Hale and Trefethen, *Chebfun Guide*, 2014).  A read
 from it is kept only when its residual on the forward series certifies
 it within ROOT_TOL in u; any other height is solved by Brent (see
-`HeightTable`).
+`HeightTable`).  Such bounds are on u against the root for the float
+height t: t's own rounding moves the exact radius by up to
+ulp(t) / (2 u kappa) in u more, kappa = 2H / sqrt(q), which exceeds
+ROOT_TOL below H of about 1e-5 (at t_far on d = 3: 1.3 ROOT_TOL at
+H = 1e-5, 12.5 ROOT_TOL at H = 1e-6).
 
 Far out no table is needed.  The height is f(rho) + J(rho), f in closed
 form (`f_closed`) and J the remainder (`j_remainder`).  For d >= 0 the
@@ -682,6 +686,11 @@ class HeightTable:
     only they count toward a piece's _INVERSE_AFTER.  A table that a
     forward read grew past its far panel inverts every height on its own
     pieces instead.
+
+    Every bound above is on u against the root for the float t.  The
+    rounding of t alone moves the exact radius by up to ulp(t) / (2 u
+    kappa) in u, which exceeds ROOT_TOL below H of about 1e-5: at t_far on
+    d = 3 it is 1.3 ROOT_TOL at H = 1e-5 and 12.5 ROOT_TOL at H = 1e-6.
 
     Every radius is kept in `memo`, keyed by |t|, so asking again returns
     the stored bits.  A radius depends only on the pieces fitted before it

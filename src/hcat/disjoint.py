@@ -27,6 +27,12 @@ def _require_d1(d1: float) -> None:
         raise PreconditionError(f"d1 must be finite and exceed 2, got {d1}")
 
 
+def _require_pair(d1: float, d2: float) -> None:
+    _require_d1(d1)
+    if not d1 < d2:
+        raise PreconditionError(f"need d1 < d2, got {d1} >= {d2}")
+
+
 def _bound_terms(H: float, d1: float, d2: float) -> tuple[float, float, float]:
     """The separation bound's terms: (1/2 ln(s2/s1), 2 pi sqrt(1-2H),
     sqrt(q)), s = sqrt(d^2 + q) formed without squaring d."""
@@ -97,8 +103,8 @@ class DisjointnessCertificate:
     falls there, by 8.4e-12 over t in [15, 50], and is flat to 2.8e-14 over
     [20, 50], where the least gap lies (t = 31.45).  Between the two t_far
     one radius is the far field's and the other the table's, each within
-    ROOT_TOL in u of the exact one, and the gap falls smoothly through
-    them.
+    ROOT_TOL in u of the exact one up to the rounding of t (see
+    `core.HeightTable`), and the gap falls smoothly through them.
     """
 
     H: float
@@ -123,6 +129,10 @@ class DisjointnessCertificate:
 
     @staticmethod
     def from_json_dict(data: dict) -> "DisjointnessCertificate":
+        """The certificate that `data` records.  A missing field is a
+        KeyError.  A number field that holds anything but an int or a float
+        (a bool, a string, null), or a pair that `certify` refuses, is a
+        PreconditionError naming the rule."""
         fields = {k: data[k] for k in (
             "H", "d1", "d2", "delta0", "sup_gap", "t_max", "grid_step",
             "min_gap_observed", "min_gap_t", "asymptotic_bound",
@@ -133,6 +143,12 @@ class DisjointnessCertificate:
         for opt in ("d0", "root_tol", "monotone_tol", "version"):
             if opt in data and data[opt] is not None:
                 fields[opt] = data[opt]
+        flags = ("monotone_decreasing", "beyond_lemma", "version")
+        for name, value in fields.items():
+            if type(value) not in (int, float) and name not in flags:
+                raise PreconditionError(f"{name} must be a number, got {value!r}")
+        curvature_q(fields["H"])
+        _require_pair(fields["d1"], fields["d2"])
         return DisjointnessCertificate(**fields)
 
 
@@ -176,9 +192,7 @@ def certify(
     bound when the latter is positive; the observed minimum region gets
     one 10x grid refinement.
     """
-    _require_d1(d1)
-    if not d1 < d2:
-        raise PreconditionError(f"need d1 < d2, got {d1} >= {d2}")
+    _require_pair(d1, d2)
     if not 0.0 < t_max < math.inf:
         raise PreconditionError(f"t_max must be positive and finite, got {t_max}")
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, cycle, islice, repeat
 from typing import Iterable, TextIO
 
 from . import __version__
@@ -24,7 +23,7 @@ from .core import b_inverse as b_inverse
 from .disjoint import DisjointnessCertificate, height_grid
 from .errors import PreconditionError
 from .geom import ORIGIN, HypPoint, hyp_distance, margin_at_distance
-from .report import Table, text_map
+from .report import Pattern, Table, write_csv
 
 
 @dataclass(frozen=True)
@@ -47,10 +46,12 @@ class StripReport:
 
     Record i is check `check_ids[i % len(check_ids)]` at height
     `t[i // (len(margins) // len(t))]`, with margin `margins[i]` and
-    witness `witnesses[i]`: each grid height's checks in turn, or one
-    record per swept member with its own height and id.  A record passes
-    when its margin is > 0.0, the report when all do.  `min_margin` is
-    the least margin, the first in record order among ties, at height
+    witness `witnesses[i]`: each grid height's checks in turn
+    (len(margins) == len(t) * len(check_ids)), or one record per swept
+    member with its own height and id (len(t) == len(check_ids) ==
+    len(margins)); any other layout, or no record, is refused.  A record
+    passes when its margin is > 0.0, the report when all do.  `min_margin`
+    is the least margin, the first in record order among ties, at height
     `min_margin_t` in check `min_margin_check`; where the margins are
     flat to round-off, that height is noise: past |t| = 20, where both
     members' radii are closed forms (from t_far = 9.378 and 9.403 on), the
@@ -69,21 +70,34 @@ class StripReport:
     min_margin_check: str = field(init=False)
 
     def __post_init__(self):
+        n, heights, checks = len(self.margins), len(self.t), len(self.check_ids)
+        if not (n and len(self.witnesses) == n
+                and (n == heights * checks or n == heights == checks)):
+            raise PreconditionError(
+                f"{self.kind}: {n} margins and {len(self.witnesses)} witnesses do not fit "
+                f"{heights} heights and {checks} check ids")
         # the first least margin in record order, as min() over records takes it
         i = self.margins.index(min(self.margins))
         summary = {"passed": all(map((0.0).__lt__, self.margins)),
                    "min_margin": self.margins[i],
-                   "min_margin_t": self.t[i // (len(self.margins) // len(self.t))],
-                   "min_margin_check": self.check_ids[i % len(self.check_ids)]}
+                   "min_margin_t": self.t[i // (n // heights)],
+                   "min_margin_check": self.check_ids[i % checks]}
         for name, value in summary.items():
             object.__setattr__(self, name, value)
 
+    def _layout(self) -> tuple[Pattern, Pattern]:
+        """The records' heights, each once per check, and their cycled ids."""
+        n = len(self.margins)
+        return Pattern(self.t, n, n // len(self.t)), Pattern(self.check_ids, n)
+
     def to_json_dict(self) -> dict:
-        per = len(self.margins) // len(self.t)
-        records = Table({"t": list(chain.from_iterable(map(repeat, self.t, repeat(per)))),
-                         "check_id": list(islice(cycle(self.check_ids), len(self.margins))),
-                         "margin": self.margins, "witness": self.witnesses,
-                         "passed": list(map((0.0).__lt__, self.margins))})
+        n = len(self.margins)
+        t, check_ids = self._layout()
+        # a value that every record shares is a one-value Pattern
+        passed = Pattern((True,), n) if self.passed else list(map((0.0).__lt__, self.margins))
+        witness = Pattern((None,), n) if self.witnesses.count(None) == n else self.witnesses
+        records = Table({"t": t, "check_id": check_ids, "margin": self.margins,
+                         "passed": passed, "witness": witness})
         return {"kind": self.kind, "passed": self.passed, "min_margin": self.min_margin,
                 "min_margin_t": self.min_margin_t, "min_margin_check": self.min_margin_check,
                 "records": records, "version": __version__}
@@ -98,21 +112,7 @@ def write_margin_csv(reports: Iterable[StripReport], fh: TextIO) -> None:
     then a row per record, floats with 17 significant digits."""
     fh.write("t,check_id,margin\n")
     for report in reports:
-        per = len(report.margins) // len(report.t)
-        step = max(1, _ROWS_PER_WRITE // per)
-        # each distinct margin formatted once where margins repeat: t and -t
-        # on a mirrored grid share their radii, so their margins are
-        # bit-equal.  The map holds at most one text per two records
-        texts = text_map("%.17g".__mod__, report.margins)
-        row = "%s,%s,%s\n" if texts else "%s,%s,%.17g\n"
-        for lo in range(0, len(report.t), step):
-            # each height formatted once, however many records share it
-            heights = map("%.17g".__mod__, report.t[lo:lo + step])
-            block = report.margins[lo * per:(lo + step) * per]
-            ids = islice(cycle(report.check_ids), lo * per % len(report.check_ids), None)
-            rows = zip(chain.from_iterable(map(repeat, heights, repeat(per))), ids,
-                       map(texts.__getitem__, block) if texts else block)
-            fh.write(row * len(block) % tuple(chain.from_iterable(rows)))
+        write_csv((*report._layout(), report.margins), fh, _ROWS_PER_WRITE)
 
 
 def compute_offsets(cert: DisjointnessCertificate) -> StripOffsets:
@@ -218,6 +218,8 @@ def remark_sweep(
     tenth of the grid's step from the best coarse |t| minus that step to
     it plus that step, clamped to the grid's range of |t|.
     """
+    if not d_grid:
+        raise PreconditionError("the sweep's parameter grid d_grid is empty")
     p1, p2 = pair.h1.params, pair.h2.params
     for d in d_grid:
         if not (p1.d < d < p2.d):
@@ -226,31 +228,26 @@ def remark_sweep(
     dist1 = hyp_distance(ORIGIN, HypPoint(offsets.delta1, 0.0))
     dist2 = hyp_distance(ORIGIN, HypPoint(offsets.delta2, math.pi))
 
-    def margin_at(hd: HeightTable, t: float) -> float:
-        bd, r1, r2 = hd.radius(t), pair.h1.radius(t), pair.h2.radius(t)
-        return max(margin_at_distance(dist1, bd, r1), margin_at_distance(dist2, bd, r2))
-
-    rows = []
-    for d in d_grid:
-        hd = HeightTable(CmcParams(p1.H, d))
-        best_margin, best_t = -math.inf, None
-        for t in ts_abs:
-            m = margin_at(hd, t)
+    def scan(hd: HeightTable, ts: list[float], best_margin: float, best_t: float | None):
+        # the best margin up to the first positive one, and its height
+        for t in ts:
+            bd, r1, r2 = hd.radius(t), pair.h1.radius(t), pair.h2.radius(t)
+            m = max(margin_at_distance(dist1, bd, r1), margin_at_distance(dist2, bd, r2))
             if m > best_margin:
                 best_margin, best_t = m, t
             if m > 0.0:
                 break
+        return best_margin, best_t
+
+    rows = []
+    for d in d_grid:
+        hd = HeightTable(CmcParams(p1.H, d))
+        best_margin, best_t = scan(hd, ts_abs, -math.inf, None)
         if best_margin <= 0.0 and len(ts_abs) > 1:
             # one 10x refinement pass around the best coarse height
-            step = pair.step
-            lo = max(best_t - step, ts_abs[0])
-            fine = height_grid(lo, min(best_t + step, ts_abs[-1]), step / 10.0)
-            for t in fine:
-                m = margin_at(hd, t)
-                if m > best_margin:
-                    best_margin, best_t = m, t
-                if m > 0.0:
-                    break
+            lo = max(best_t - pair.step, ts_abs[0])
+            fine = height_grid(lo, min(best_t + pair.step, ts_abs[-1]), pair.step / 10.0)
+            best_margin, best_t = scan(hd, fine, best_margin, best_t)
         rows.append((best_t if best_t is not None else 0.0, f"remark_d={d:.17g}",
                      best_margin, best_t))
     ts, check_ids, margins, witnesses = map(list, zip(*rows))

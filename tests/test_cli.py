@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from hcat import report
 from hcat.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _build_parser, _emit,
                       _envelope, _UsageError, run)
-from hcat.report import Table
+from hcat.report import Pattern, Table
 from hcat.strips import StripReport, write_margin_csv
 
 from conftest import validate_against
@@ -162,6 +162,33 @@ class TestExitCodes:
         assert run(["strips", "--cert", str(path), "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err == (
             f"error: {path} is not a disjointness certificate: {reason}\n")
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("min_gap_observed", "abc", "min_gap_observed must be a number, got 'abc'"),
+        ("H", "0.25", "H must be a number, got '0.25'"),
+        ("d1", None, "d1 must be a number, got None"),
+        ("d2", [1], "d2 must be a number, got [1]"),
+        ("d2", True, "d2 must be a number, got True"),
+        ("d0", "7", "d0 must be a number, got '7'"),
+        # disjoint's own rules: H in (0, 1/2), d1 > 2 and d1 < d2
+        ("H", math.nan, "H must lie in (0, 1/2), got nan"),
+        ("H", 0.5, "H must lie in (0, 1/2), got 0.5"),
+        ("d1", 1.5, "d1 must be finite and exceed 2, got 1.5"),
+        ("d2", 2.5, "need d1 < d2, got 3.0 >= 2.5"),
+    ])
+    def test_malformed_certificate_is_named(self, capsys, tmp_path, cert_file, field, value,
+                                            reason):
+        # each once raised TypeError out of run, or went on to check a pair
+        # that `disjoint` refuses
+        doc = json.loads(cert_file.read_text())
+        doc["result"][field] = value
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "s.json"
+        assert run(["strips", "--cert", str(path), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {path} is not a disjointness certificate: {reason}\n")
+        assert not out.exists()
 
     def test_inflated_gap_fails_margins(self, capsys, tmp_path, cert_file):
         doc = json.loads(cert_file.read_text())
@@ -594,16 +621,34 @@ _COLUMNS = [
 
 @st.composite
 def _tables(draw):
+    """Tables of plain columns and of patterns: values repeated `each`
+    times and cycled, as a report's heights, check ids and constants are."""
     keys = draw(st.lists(_TEXT, max_size=4, unique=True))
     rows = draw(st.integers(0, 9))
-    return Table({k: draw(st.lists(draw(st.sampled_from(_COLUMNS)),
-                                   min_size=rows, max_size=rows)) for k in keys})
+    columns = {}
+    for k in keys:
+        values = draw(st.sampled_from(_COLUMNS))
+        if draw(st.booleans()):
+            columns[k] = Pattern(draw(st.lists(values, min_size=1, max_size=4)), rows,
+                                 draw(st.integers(1, 4)))
+        else:
+            columns[k] = draw(st.lists(values, min_size=rows, max_size=rows))
+    return Table(columns)
+
+
+def _column(column):
+    """A column's values: a Pattern's expanded by its definition."""
+    if type(column) is Pattern:
+        return [column.values[i // column.each % len(column.values)]
+                for i in range(column.size)]
+    return column
 
 
 def _expanded(doc):
     """`doc` with each Table replaced by the list of records it holds."""
     if type(doc) is Table:
-        return [dict(zip(doc.columns, row)) for row in zip(*doc.columns.values())]
+        columns = map(_column, doc.columns.values())
+        return [dict(zip(doc.columns, row)) for row in zip(*columns)]
     if type(doc) is dict:
         return {k: _expanded(v) for k, v in doc.items()}
     if type(doc) in (list, tuple):
@@ -637,15 +682,18 @@ class TestEmit:
 
     @settings(max_examples=300, deadline=None)
     @given(table=_tables(), nested=st.booleans(),
-           block=st.sampled_from([1, 2, 3, report._ROWS_PER_WRITE]))
+           block=st.sampled_from([1, 2, 3, report._ROWS_PER_WRITE]),
+           memo=st.sampled_from([1, 2, report._MEMO_SIZE]))
     def test_any_table_equals_dumps_of_its_rows(self, tmp_path_factory, table, nested,
-                                                block):
-        # small blocks split a table across writes; nested, it is written
-        # at depths 1 and 3
+                                                block, memo):
+        # small blocks split a table across writes, and split a pattern's
+        # period, so that it is formatted block by block; a small memo is
+        # emptied between blocks.  Nested, a table is written at depths 1 and 3
         doc = {"records": table, "runs": [{"records": table}]} if nested else table
         want = json.dumps(_expanded(doc), indent=2, sort_keys=True) + "\n"
         out = tmp_path_factory.getbasetemp() / "table.json"
-        with mock.patch.object(report, "_ROWS_PER_WRITE", block):
+        with mock.patch.object(report, "_ROWS_PER_WRITE", block), \
+                mock.patch.object(report, "_MEMO_SIZE", memo):
             _emit(doc, str(out))
         assert out.read_text() == want
 

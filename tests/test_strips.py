@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hcat import strips
+from hcat import report as report_writer, strips
 from hcat.core import CmcParams, necksize
 from hcat.disjoint import height_grid
 from hcat.errors import PreconditionError
@@ -35,7 +35,7 @@ _MARGINS = st.one_of(st.floats(), st.sampled_from([-1.0, 0.0, -0.0, 0.5, math.na
 def _reports(draw):
     """Reports of both layouts: each height's checks in turn, or one
     record per swept member with its own height and id; margins that tie,
-    fail and are NaN."""
+    fail and are NaN; no witnesses, or some, as the sweep records."""
     n = draw(st.integers(1, 8))
     t = draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n))
     if draw(st.booleans()):
@@ -44,7 +44,10 @@ def _reports(draw):
     else:
         ids, size = tuple(f"remark_d={j}" for j in range(n)), n
     margins = draw(st.lists(_MARGINS, min_size=size, max_size=size))
-    return StripReport("x", t, ids, margins, [None] * size)
+    witnesses = draw(st.one_of(st.just([None] * size),
+                               st.lists(st.one_of(st.none(), st.floats(-50.0, 50.0)),
+                                        min_size=size, max_size=size)))
+    return StripReport("x", t, ids, margins, witnesses)
 
 
 def _records(report):
@@ -276,6 +279,51 @@ class TestReportOutput:
             write_margin_csv([report, report], out)
         rows = "".join("%.17g,%s,%.17g\n" % r for r in _records(report))
         assert out.getvalue() == "t,check_id,margin\n" + rows * 2
+
+
+class TestJsonRecords:
+    @settings(max_examples=200, deadline=None)
+    @given(report=_reports(), block=st.sampled_from([1, 2, 3, report_writer._ROWS_PER_WRITE]),
+           memo=st.sampled_from([1, 2, report_writer._MEMO_SIZE]))
+    def test_json_equals_dumps_of_the_records(self, report, block, memo):
+        # small blocks split a height's records across writes, and a small
+        # memo is emptied between blocks
+        doc = report.to_json_dict()
+        records = [{"t": t, "check_id": c, "margin": m, "passed": m > 0.0, "witness": w}
+                   for (t, c, m), w in zip(_records(report), report.witnesses)]
+        want = json.dumps({**doc, "records": records}, indent=2, sort_keys=True) + "\n"
+        out = io.StringIO()
+        with mock.patch.object(report_writer, "_ROWS_PER_WRITE", block), \
+                mock.patch.object(report_writer, "_MEMO_SIZE", memo):
+            write_json(doc, out)
+        assert out.getvalue() == want
+
+
+class TestLayout:
+    @pytest.mark.parametrize("t, check_ids, margins, witnesses", [
+        # neither each height's checks in turn nor one record per member
+        ([0.0, 1.0], ("a", "b"), [1.0, 2.0, 3.0], [None] * 3),
+        ([0.0, 1.0], ("a", "b", "c"), [1.0, 2.0], [None] * 2),
+        # a witness too few or too many
+        ([0.0, 1.0], ("a", "b"), [1.0] * 4, [None] * 3),
+        ([0.0, 1.0], ("a", "b"), [1.0] * 2, [None] * 3),
+        # no record
+        ([], (), [], []),
+        ([0.0], ("a",), [], []),
+    ])
+    def test_inconsistent_layout_is_refused(self, t, check_ids, margins, witnesses):
+        with pytest.raises(PreconditionError, match="do not fit"):
+            StripReport("x", t, check_ids, margins, witnesses)
+
+    def test_both_layouts_are_accepted(self):
+        grid = StripReport("x", [0.0, 1.0], ("a", "b"), [1.0, 2.0, 3.0, 4.0], [None] * 4)
+        sweep = StripReport("x", [0.0, 1.0], ("a", "b"), [1.0, 2.0], [0.0, 1.0])
+        assert (grid.min_margin_t, grid.min_margin_check) == (0.0, "a")
+        assert (sweep.min_margin_t, sweep.min_margin_check) == (0.0, "a")
+
+    def test_empty_parameter_grid_is_named(self, small_pair, small_cert):
+        with pytest.raises(PreconditionError, match="parameter grid"):
+            remark_sweep(small_pair, compute_offsets(small_cert), [])
 
 
 class TestSummary:
