@@ -272,6 +272,7 @@ def _cmd_strips(args) -> int:
         "step": args.step, "d_points": args.d_points,
     }
     cert = _load_certificate(args.cert)
+    c3 = verify_c3_lemma(cert)
     try:
         offsets = compute_offsets(cert)
     except PreconditionError as exc:
@@ -281,7 +282,6 @@ def _cmd_strips(args) -> int:
     d_grid = _log_spaced(cert.d1, cert.d2, args.d_points)
     pair = pair_radii(cert, args.t_min, args.t_max, args.step)
     strip = verify_strip_claim(pair, offsets)
-    c3 = verify_c3_lemma(pair)
     remark = remark_sweep(pair, offsets, d_grid)
     passed = strip.passed and c3.passed and remark.passed
     result = {

@@ -122,6 +122,12 @@ def curvature_q(H: float) -> float:
     return (1.0 - 2.0 * H) * (1.0 + 2.0 * H)
 
 
+def remainder_bound(H: float) -> float:
+    """2 pi sqrt(1 - 2H), the paper's bound on the remainder integral J of
+    every member with d > 2, for H in (0, 1/2)."""
+    return 2.0 * math.pi * math.sqrt(1.0 - 2.0 * H)
+
+
 @dataclass(frozen=True)
 class CmcParams:
     """One member of the rotational family: mean curvature H and parameter d.
@@ -524,7 +530,7 @@ def j_bound_witness(params: CmcParams) -> JBoundWitness:
         alpha=alpha,
         beta=params.beta,
         omega=alpha - 1.0,
-        bound=2.0 * math.pi * math.sqrt(1.0 - 2.0 * params.H),
+        bound=remainder_bound(params.H),
     )
     cosh_eta = math.cosh(params.eta)
     if abs(alpha - cosh_eta) > 1e-10 * max(1.0, alpha):
@@ -587,7 +593,7 @@ def verify_appendix(
             if d >= 0.0:
                 far = remainders.far_field()
                 sup_j = far.limit + far.error
-            bound = 2.0 * math.pi * math.sqrt(1.0 - 2.0 * H)
+            bound = remainder_bound(H)
             entry = {
                 "H": H,
                 "d": d,
@@ -599,7 +605,7 @@ def verify_appendix(
                 "j_bound": bound,
                 "j_bound_margin": bound - sup_j,
                 "j_bound_ok": (sup_j < bound) if d > 2.0 else None,
-                "stated_pi_bound_held": sup_j < math.pi * math.sqrt(1.0 - 2.0 * H),
+                "stated_pi_bound_held": sup_j < 0.5 * bound,
                 "g_residual_decays": g_decays,
             }
             if d > 2.0:

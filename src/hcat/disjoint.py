@@ -13,13 +13,15 @@ import math
 from dataclasses import dataclass, asdict
 
 from . import __version__
-from .core import CmcParams, HeightTable, ROOT_TOL, curvature_q
+from .core import CmcParams, HeightTable, ROOT_TOL, curvature_q, remainder_bound
 from .errors import CertificationFailure, PreconditionError
 
 #: tolerance for the monotone-decrease finite-difference check
 MONOTONE_TOL = 1e-9
 #: default scan resolution in t
 GRID_STEP_DEFAULT = 0.05
+#: the most steps a height grid may take: 1 000 times a default grid's
+MAX_GRID_STEPS = 1_000_000
 
 
 def _require_d1(d1: float) -> None:
@@ -39,7 +41,7 @@ def _bound_terms(H: float, d1: float, d2: float) -> tuple[float, float, float]:
     _require_d1(d1)
     root_q = math.sqrt(curvature_q(H))
     ratio_log = math.log(math.hypot(d2, root_q) / math.hypot(d1, root_q))
-    return 0.5 * ratio_log, 2.0 * math.pi * math.sqrt(1.0 - 2.0 * H), root_q
+    return 0.5 * ratio_log, remainder_bound(H), root_q
 
 
 def separation_lower_bound(H: float, d1: float, d2: float) -> float:
@@ -74,7 +76,7 @@ def solve_d0(H: float, d1: float) -> float:
     """
     _require_d1(d1)
     q = curvature_q(H)
-    k = 4.0 * H / math.sqrt(q) + 4.0 * math.pi * math.sqrt(1.0 - 2.0 * H)
+    k = 4.0 * H / math.sqrt(q) + 2.0 * remainder_bound(H)
     try:
         s = math.hypot(d1, math.sqrt(q)) * math.exp(k)
     except OverflowError:
@@ -159,12 +161,16 @@ def height_grid(lo: float, hi: float, step: float) -> list[float]:
     stepped height past hi is clamped to hi, one short of it is followed
     by hi.  A range with lo < 0 <= hi is stepped outward from t = 0 both
     ways: its negative half is the exact mirror of the grid on [0, -lo],
-    so t and -t share one |t| wherever both are on the grid.
+    so t and -t share one |t| wherever both are on the grid.  A range of
+    more than MAX_GRID_STEPS steps is refused before any height is made.
     """
     if not (lo <= hi and math.isfinite(hi - lo)):
         raise PreconditionError(f"need a finite height range with lo <= hi, got [{lo}, {hi}]")
     if not step > 0.0:
         raise PreconditionError(f"step must be positive, got {step}")
+    if not (hi - lo) / step <= MAX_GRID_STEPS:
+        raise PreconditionError(f"the height grid on [{lo}, {hi}] at step {step} takes more "
+                                f"than MAX_GRID_STEPS = {MAX_GRID_STEPS} steps")
     if lo < 0.0 <= hi:
         # 0.0 comes from the upper half: the mirror would make it -0.0
         below = height_grid(0.0, -lo, step)
@@ -174,6 +180,27 @@ def height_grid(lo: float, hi: float, step: float) -> list[float]:
     if ts[-1] < hi:
         ts.append(hi)
     return ts
+
+
+def _positive_gaps(h1: HeightTable, h2: HeightTable, ts: list[float]) -> list[float]:
+    """The gaps b_{d2}(t) - b_{d1}(t) at the heights ts, all positive.
+
+    The first gap that is not positive is a crossing, a CertificationFailure,
+    unless it lies within the float spacing of the radii, ulp(max(r1, r2)):
+    then both radii round to one float, or to neighbours, and the scan can
+    neither certify nor refute the pair there, which is a PreconditionError.
+    """
+    r1s, r2s = h1.radii(ts), h2.radii(ts)
+    gaps = [r2 - r1 for r1, r2 in zip(r1s, r2s)]
+    for t, g, r1, r2 in zip(ts, gaps, r1s, r2s):
+        if g > 0.0:
+            continue
+        if -g <= math.ulp(max(r1, r2)):
+            raise PreconditionError(f"the radii at t = {t} are not resolved in floating "
+                                    f"point: b_d1 = {r1!r} and b_d2 = {r2!r} are within "
+                                    "one float spacing")
+        raise CertificationFailure(f"gap non-positive at t = {t}", t=t, values={"gap": g})
+    return gaps
 
 
 def certify(
@@ -187,7 +214,8 @@ def certify(
     """Scan the radial gap on [0, t_max] and assemble a certificate.
 
     Fails (raises CertificationFailure) if any scanned gap is <= 0 or
-    the gap increases beyond MONOTONE_TOL somewhere on t > 0.  The
+    the gap increases beyond MONOTONE_TOL somewhere on t > 0; a gap that
+    the radii's float spacing cannot resolve is a PreconditionError.  The
     certified infimum combines the scanned minimum with the asymptotic
     bound when the latter is positive; the observed minimum region gets
     one 10x grid refinement.
@@ -200,13 +228,7 @@ def certify(
     # one table per member, read by the coarse scan and the refinement
     h1 = HeightTable(CmcParams(H, d1))
     h2 = HeightTable(CmcParams(H, d2))
-    gaps = [r2 - r1 for r1, r2 in zip(h1.radii(ts), h2.radii(ts))]
-
-    for t, g in zip(ts, gaps):
-        if not g > 0.0:
-            raise CertificationFailure(
-                f"gap non-positive at t = {t}", t=t, values={"gap": g}
-            )
+    gaps = _positive_gaps(h1, h2, ts)
     for (ta, ga), (tb, gb) in zip(zip(ts, gaps), zip(ts[1:], gaps[1:])):
         if gb - ga > MONOTONE_TOL:
             raise CertificationFailure(
@@ -220,16 +242,12 @@ def certify(
     lo = max(ts[i_min] - grid_step, 0.0)
     hi = min(ts[i_min] + grid_step, t_max)
     fine_ts = height_grid(lo, hi, grid_step / 10.0)
-    fine_gaps = [r2 - r1 for r1, r2 in zip(h1.radii(fine_ts), h2.radii(fine_ts))]
+    fine_gaps = _positive_gaps(h1, h2, fine_ts)
     j_min = min(range(len(fine_gaps)), key=fine_gaps.__getitem__)
     if fine_gaps[j_min] < gaps[i_min]:
         min_gap, min_t = fine_gaps[j_min], fine_ts[j_min]
     else:
         min_gap, min_t = gaps[i_min], ts[i_min]
-    if not min_gap > 0.0:
-        raise CertificationFailure(
-            f"gap non-positive at t = {min_t}", t=min_t, values={"gap": min_gap}
-        )
 
     asym = separation_lower_bound(H, d1, d2)
     delta0 = min(min_gap, asym) if asym > 0.0 else min_gap

@@ -6,7 +6,9 @@ the circle's center along the theta in {0, pi} geodesic.  The checks
 here verify, height by height, the strict inequalities that make the
 intersection of a shifted surface with the region between a certified
 disjoint pair a strip (one arc per height), plus the sweep showing that
-every intermediate family member meets one of the shifted barriers.
+every intermediate family member meets one of the shifted barriers.  The
+second barrier, the outer surface shifted by its own neck radius, is
+checked at t = 0 alone, where its margins are least.
 """
 
 from __future__ import annotations
@@ -141,9 +143,9 @@ class PairRadii:
     d1 and d2, and r1[k], r2[k] their radii at t_grid[k], from one
     `HeightTable.radii` call each: each distinct |t| is solved or read
     once, and a piece the grid asks for many heights reads them from its
-    inverse series.  The strip and c3 checks read r1 and r2; the sweep
-    reads the tables, whose memo holds the grid's radii.  A grid across
-    t = 0 is mirrored about it, so t and -t are one |t|.
+    inverse series.  The strip claim reads r1 and r2; the sweep reads the
+    tables, whose memo holds the grid's radii.  A grid across t = 0 is
+    mirrored about it, so t and -t are one |t|.
     """
 
     t_grid: list[float]
@@ -186,25 +188,43 @@ def verify_strip_claim(pair: PairRadii, offsets: StripOffsets) -> StripReport:
                        [None] * len(margins))
 
 
-_C3_CHECKS = (
-    "shifted3_meets_outer",
-    # eta2 - b2(t) < b1(t)
-    "shifted3_reaches_inner",
-    # eta2 - b2(t) > -b1(t), i.e. the gap stays below eta2
-    "shifted3_not_swallowing_inner",
-)
+_C3_CHECKS = ("shifted3_meets_outer", "shifted3_reaches_inner",
+              "shifted3_not_swallowing_inner")
 
 
-def verify_c3_lemma(pair: PairRadii) -> StripReport:
-    """Check that the outer surface shifted by its own neck radius cuts a
-    pair of strips: per height, its circle meets both pair circles twice."""
-    eta2 = necksize(pair.h2.params)
+def verify_c3_lemma(cert: DisjointnessCertificate) -> StripReport:
+    """Check that the outer surface shifted by its own neck radius eta2
+    cuts a pair of strips: at every height t its circle meets both pair
+    circles in two points.
+
+    With r1 = b_{d1}(t), r2 = b_{d2}(t), the gap g = r2 - r1 and the
+    shifted center at distance dist3 ~ eta2 from the pair's, the three
+    margins are each least at t = 0, where r1 = eta1, r2 = eta2 and
+    g(0) = eta2 - eta1:
+
+    - shifted3_meets_outer = min(dist3, 2 r2 - dist3) >= its value at
+      r2 = eta2, since no radius is below its member's neck;
+    - shifted3_reaches_inner = r1 + r2 - eta2 >= eta1, for the same reason;
+    - shifted3_not_swallowing_inner = eta2 - g(t) >= eta2 - g(0) = eta1,
+      since the gap falls from g(0) = sup g.
+
+    So the report is these three margins, once, at t = 0.  The gap's fall
+    is the certificate's claim: one that does not record
+    `monotone_decreasing` as true, or whose `sup_gap` is not exactly
+    eta2 - eta1, as `certify` records it, is refused.
+    """
+    eta1 = necksize(CmcParams(cert.H, cert.d1))
+    eta2 = necksize(CmcParams(cert.H, cert.d2))
+    if cert.monotone_decreasing is not True:
+        raise PreconditionError("the c3 lemma needs a certificate whose gap is "
+                                f"monotone_decreasing, got {cert.monotone_decreasing!r}")
+    if cert.sup_gap != eta2 - eta1:
+        raise PreconditionError(f"the c3 lemma needs sup_gap = eta2 - eta1 = {eta2 - eta1!r} "
+                                f"of the certified pair, got {cert.sup_gap!r}")
     dist3 = hyp_distance(ORIGIN, HypPoint(eta2, 0.0))
-
-    margins: list[float] = []
-    for r1, r2 in zip(pair.r1, pair.r2):
-        margins.extend((margin_at_distance(dist3, r2, r2), r1 - (eta2 - r2), eta2 - (r2 - r1)))
-    return StripReport("c3_lemma", pair.t_grid, _C3_CHECKS, margins, [None] * len(margins))
+    r1, r2 = eta1, eta2
+    margins = [margin_at_distance(dist3, r2, r2), r1 - (eta2 - r2), eta2 - (r2 - r1)]
+    return StripReport("c3_lemma", [0.0], _C3_CHECKS, margins, [None] * len(margins))
 
 
 def remark_sweep(

@@ -134,7 +134,7 @@ def test_c6_strip_claims(capsys, full_certificate):
     offsets = compute_offsets(cert)
     pair = pair_radii(cert, -50.0, 50.0, 0.1)
     strip = verify_strip_claim(pair, offsets)
-    c3 = verify_c3_lemma(pair)
+    c3 = verify_c3_lemma(cert)
     log_lo, log_hi = math.log(cert.d1), math.log(cert.d2)
     d_grid = [math.exp(log_lo + (log_hi - log_lo) * (i + 1) / 21) for i in range(20)]
     remark = remark_sweep(pair, offsets, d_grid)

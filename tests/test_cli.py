@@ -309,9 +309,11 @@ class TestDisjoint:
         assert json.loads(out.read_text())["result"]["certified"] is True
 
     @pytest.mark.parametrize("H,d1,code", [("0.002", "10", EXIT_OK),
-                                           ("0.001", "3", EXIT_CHECK_FAILED)])
+                                           ("0.001", "3", EXIT_CHECK_FAILED),
+                                           ("0.0025", "2.0001", EXIT_CHECK_FAILED)])
     def test_small_h_reaches_the_checks(self, tmp_path, H, d1, code):
-        # radii pass 1e4 before t = 50 here; (.001, 3) really crosses
+        # radii pass 1e4 before t = 50 here; (.001, 3) and (.0025, 2.0001)
+        # really cross, the latter by gap(1.6) = -4.3
         cert = tmp_path / "cert.json"
         assert run(["disjoint", "--H", H, "--d1", d1, "--solve-d0", "--out", str(cert)]) == code
         result = json.loads(cert.read_text())["result"]
@@ -327,6 +329,33 @@ class TestDisjoint:
                 "--step", "1e307", "--out", str(tmp_path / "c.json")]
         assert run(args) == EXIT_USAGE
         assert "error: no finite radius reaches height t = 1.1e+308" in capsys.readouterr().err
+
+    def test_radii_one_float_apart_are_not_a_crossing(self, tmp_path, capsys):
+        # at t = 1e307 both radii round to 1.732050807568877e+307, so the
+        # gap reads 0.0; this once exited 2 as "gap non-positive"
+        out = tmp_path / "c.json"
+        args = ["disjoint", "--H", ".25", "--d1", "3", "--d2", "10", "--t-max", "1e308",
+                "--step", "1e307", "--out", str(out)]
+        assert run(args) == EXIT_USAGE
+        assert ("error: the radii at t = 1e+307 are not resolved in floating point"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["disjoint", "--H", ".25", "--d1", "3", "--d2", "10", "--step", "1e-9"],
+        ["strips", "--cert", "{cert}", "--step", "1e-300", "--t-max", "1e-290"],
+    ])
+    def test_grid_past_the_step_cap_is_named(self, capsys, tmp_path, cert_file, monkeypatch,
+                                             args):
+        # 5e10 and 5e301 heights: each once ran on past 60 s.  `height_grid`
+        # steps through range(), so a grid begun would raise TypeError here
+        from hcat import disjoint
+
+        monkeypatch.setattr(disjoint, "range", None, raising=False)
+        argv = [a.format(cert=cert_file) for a in args]
+        assert run([*argv, "--out", str(tmp_path / "r.json")]) == EXIT_USAGE
+        assert "more than MAX_GRID_STEPS = 1000000 steps\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestStrips:
@@ -386,6 +415,27 @@ class TestStrips:
         assert fine[0] == pytest.approx(0.3) and fine[-1] == 1.0
         assert all(b - a == pytest.approx(0.07) for a, b in zip(fine, fine[1:]))
 
+    def test_gap_not_monotone_is_refused(self, capsys, tmp_path, monkeypatch):
+        # the c3 lemma's margins are least at t = 0 only if the gap falls
+        monkeypatch.chdir(tmp_path)
+        _write_tampered_certificate(monotone_decreasing=False)
+        assert run(["strips", "--cert", "tampered.json", "--out", "r.json"]) == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            "certificate whose gap is monotone_decreasing, got False\n")
+        assert not Path("r.json").exists()
+
+    def test_sup_gap_off_the_necks_is_refused(self, capsys, tmp_path, monkeypatch,
+                                              cert_file):
+        # sup_gap is the gap at t = 0, eta2 - eta1 bit for bit as certify
+        # records it; one ulp above it is refused
+        monkeypatch.chdir(tmp_path)
+        sup_gap = json.loads(cert_file.read_text())["result"]["sup_gap"]
+        _write_tampered_certificate(sup_gap=math.nextafter(sup_gap, math.inf))
+        assert run(["strips", "--cert", "tampered.json", "--out", "r.json"]) == EXIT_USAGE
+        assert f"needs sup_gap = eta2 - eta1 = {sup_gap!r} of the certified pair" in (
+            capsys.readouterr().err)
+        assert not Path("r.json").exists()
+
     def test_accepts_bare_certificate_json(self, cert_file, tmp_path):
         # a bare certificate, and one as older versions wrote it, with the
         # quadrature tolerance they recorded, a key now ignored
@@ -404,8 +454,9 @@ def _sha256(path):
 
 
 # the headline pipeline, `disjoint --H .25 --d1 3 --solve-d0` then
-# `strips --csv`, and the sha256 of its reports: 9 029 strip records and
-# the margins of all three checks, on heights stepped outward from t = 0
+# `strips --csv`, and the sha256 of its reports: 6 029 strip records, the
+# strip claim's 6 006 on heights stepped outward from t = 0, the c3
+# lemma's three at t = 0 and the sweep's 20, each with its margin
 _HEADLINE_COMMANDS = [
     ["disjoint", "--H", ".25", "--d1", "3", "--solve-d0", "--out", "cert.json"],
     ["strips", "--cert", "cert.json", "--out", "strips.json", "--csv", "margins.csv"],
@@ -452,11 +503,15 @@ _HEADLINE_COMMANDS = [
 # 6 006 strip margins moved by at most 4.8e-12, 1 878 of 3 003 c3 margins
 # by at most 6.9e-12 and 18 of 20 sweep margins by at most 3.6e-12; the
 # least strip margin's height moved -49.9 -> -49.8 on margins flat to
-# round-off
+# round-off.  Re-pinned when the c3 lemma came from its closed form at
+# t = 0 instead of a scan of the strip grid: `strips.json` and
+# `margins.csv` are the earlier reports without the lemma's 3 000 records
+# at t != 0; its summary fields and its three records at t = 0 are
+# bit-equal, as are the other checks and `cert.json`
 _HEADLINE_SHA256 = {
     "cert.json": "684508854bcaa1e96b556ca949c836c8dc56998662211336564f37d539bfda12",
-    "strips.json": "dadfbde7404263e5af9ee46a1cd2c56b567e1cd134cae4c67258cafa9c0f67f3",
-    "margins.csv": "d67cbb167938e3ab16c435100695630afca2859eb14ab3b32c284c68a48a03f8",
+    "strips.json": "5b9df268fcbfc2ee3adc93d7c09e245c67ade10529e52a06464f51d29c73223b",
+    "margins.csv": "b1f51b0b7c3b42d5a9dcc658f06833bfc3482dd580f6f333e42b4928bf6dd218",
 }
 # each check entry nests a `witness` dict: not a flat record.  Re-pinned
 # when `j_sup` became the far field's bound on sup J = J(inf), J + tau_b
@@ -488,12 +543,13 @@ def _written_sha256(directory):
     return {p.name: _sha256(p) for p in directory.iterdir()}
 
 
-def _write_tampered_certificate():
-    # the small pair's certificate with its scanned gap cut to 2e-3, so the
-    # barriers shift by 1e-3 and reach no intermediate member
+def _write_tampered_certificate(**changes):
+    # the small pair's certificate with `changes` made to its fields; by
+    # default its scanned gap cut to 2e-3, so the barriers shift by 1e-3 and
+    # reach no intermediate member
     assert run(_disjoint_args("small.json")) == EXIT_OK
     doc = json.loads(Path("small.json").read_text())
-    doc["result"]["min_gap_observed"] = 2e-3
+    doc["result"].update(changes or {"min_gap_observed": 2e-3})
     Path("tampered.json").write_text(json.dumps(doc))
 
 
@@ -518,11 +574,13 @@ class TestPinnedReports:
         assert run(args) == EXIT_CHECK_FAILED
         # re-pinned when the table's first piece became u in [0, 1]: radii
         # near the neck moved at rounding level, so 45 of the 84 margins of
-        # `r.csv` moved, by at most 4.0e-14
+        # `r.csv` moved, by at most 4.0e-14.  Re-pinned when the c3 lemma
+        # came from its closed form at t = 0: both reports lost the lemma's
+        # 24 records at t != 0, and are otherwise bit-equal
         assert _sha256(tmp_path / "r.json") == (
-            "89e41b5bcf721702ebae2cc52acbc895f3d9b80b68059d39f74860b0c0ba6f79")
+            "762f92dbd53124f37b8386b2f7564e6e2621bd1f7f7eb8a8cdc9c9cfed75f583")
         assert _sha256(tmp_path / "r.csv") == (
-            "068baf4c2a0cf0ae19ceca74592972dd596b4a35643d9b1077e423038abe44fc")
+            "fca095ce52eb429c8244c71138a3d43546ac2268a406372f34c8fdd3a90a58e8")
 
     def test_verify_appendix(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

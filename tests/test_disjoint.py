@@ -11,6 +11,7 @@ from hcat.core import CmcParams, HeightTable, necksize
 from hcat.disjoint import (
     DisjointnessCertificate,
     certify,
+    height_grid,
     separation_lower_bound,
     solve_d0,
 )
@@ -168,6 +169,19 @@ class TestGap:
     def test_decreasing_in_t(self):
         gaps = [_gap(0.25, 3.0, 6.0, t) for t in (0.0, 1.0, 3.0, 8.0)]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+
+class TestHeightGrid:
+    def test_steps_past_the_cap_are_refused(self, monkeypatch):
+        # the cap counts the steps of the whole range, both halves of a
+        # mirrored grid together
+        from hcat import disjoint
+
+        monkeypatch.setattr(disjoint, "MAX_GRID_STEPS", 10)
+        assert len(height_grid(0.0, 1.0, 0.1)) == len(height_grid(-0.5, 0.5, 0.1)) == 11
+        for lo, hi in [(0.0, 1.2), (-0.6, 0.6)]:
+            with pytest.raises(PreconditionError, match="MAX_GRID_STEPS = 10 steps"):
+                height_grid(lo, hi, 0.1)
 
 
 class TestCertify:

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from hcat import report as report_writer, strips
 from hcat.core import CmcParams, necksize
-from hcat.disjoint import height_grid
+from hcat.disjoint import GRID_STEP_DEFAULT, certify, height_grid, solve_d0
 from hcat.errors import PreconditionError
+from hcat.geom import ORIGIN, HypPoint, hyp_distance, margin_at_distance
 from hcat.report import write_json
 from hcat.strips import (
     StripOffsets,
@@ -61,6 +62,27 @@ def _records(report):
 @pytest.fixture(scope="module")
 def small_pair(small_cert):
     return pair_radii(small_cert, -2.0, 2.0, 0.5)
+
+
+@pytest.fixture(scope="module", params=[(0.25, 3.0), (0.0025, 3.0), (0.4999, 3.0),
+                                        (0.1, 2.5), (0.45, 10.0)], ids=str)
+def solved_pair(request):
+    """`disjoint --solve-d0` on (H, d1) at its defaults, and the pair's radii
+    on the default `strips` grid."""
+    H, d1 = request.param
+    d0 = solve_d0(H, d1)
+    cert = certify(H, d1, d0, t_max=50.0, grid_step=GRID_STEP_DEFAULT, d0=d0)
+    return cert, pair_radii(cert, -50.0, 50.0, 0.1)
+
+
+def _c3_scan(pair):
+    """The c3 lemma's three margins at every height of the pair's grid, as
+    (t, check_id, margin) records, from the pair's radii r1 and r2."""
+    eta2 = necksize(pair.h2.params)
+    dist3 = hyp_distance(ORIGIN, HypPoint(eta2, 0.0))
+    return [(t, c, m) for t, r1, r2 in zip(pair.t_grid, pair.r1, pair.r2)
+            for c, m in zip(strips._C3_CHECKS, (margin_at_distance(dist3, r2, r2),
+                                                r1 - (eta2 - r2), eta2 - (r2 - r1)))]
 
 
 class TestOffsets:
@@ -130,19 +152,31 @@ class TestStripClaim:
 
 
 class TestC3Lemma:
-    def test_all_checks_pass(self, small_pair):
-        report = verify_c3_lemma(small_pair)
+    def test_all_checks_pass(self, small_cert):
+        report = verify_c3_lemma(small_cert)
         assert report.passed
         assert report.min_margin > 0.0
-        assert len(report.margins) == 3 * len(T_GRID)
+        assert report.t == [0.0]
+        assert report.check_ids == ("shifted3_meets_outer", "shifted3_reaches_inner",
+                                    "shifted3_not_swallowing_inner")
 
     def test_reach_margin_at_zero_height(self, small_cert):
         # at t = 0 the radii are the necks, so the reach margin is
         # exactly eta1: b1 - (eta2 - b2) = eta1
-        report = verify_c3_lemma(pair_radii(small_cert, 0.0, 0.0, 1.0))
+        report = verify_c3_lemma(small_cert)
         eta1 = necksize(CmcParams(small_cert.H, small_cert.d1))
-        reach = report.margins[report.check_ids.index("shifted3_reaches_inner")]
-        assert reach == pytest.approx(eta1, abs=1e-12)
+        assert report.margins[report.check_ids.index("shifted3_reaches_inner")] == eta1
+
+    def test_closed_form_bounds_a_scan(self, solved_pair):
+        # the argument's oracle: on the default strips grid every scanned
+        # margin is at least its value at t = 0, which the report holds
+        cert, pair = solved_pair
+        report = verify_c3_lemma(cert)
+        least = dict(zip(report.check_ids, report.margins))
+        scan = _c3_scan(pair)
+        assert all(m >= least[c] for _, c, m in scan)
+        assert [(c, m) for t, c, m in scan if t == 0.0] == list(least.items())
+        assert report.passed and len(scan) == 3 * 1001
 
 
 class TestRemarkSweep:
@@ -238,11 +272,10 @@ class TestMirroredGrid:
         if min(-t_min, t_max) >= step:
             assert step in pair.t_grid and -step in pair.t_grid
         # t and -t read one solved radius, so each check's margin is even in t
-        offsets = compute_offsets(small_cert)
-        for report in (verify_strip_claim(pair, offsets), verify_c3_lemma(pair)):
-            margins = dict(zip(product(report.t, report.check_ids), report.margins))
-            assert all(margins[-t, c] == m for (t, c), m in margins.items() if t < 0.0
-                       and (-t, c) in margins)
+        report = verify_strip_claim(pair, compute_offsets(small_cert))
+        margins = dict(zip(product(report.t, report.check_ids), report.margins))
+        assert all(margins[-t, c] == m for (t, c), m in margins.items() if t < 0.0
+                   and (-t, c) in margins)
 
 
 class TestReportOutput:
@@ -260,7 +293,7 @@ class TestReportOutput:
         assert float(margin) == report.margins[0]
 
     def test_json_dict_round_trips_through_json(self, small_cert):
-        report = verify_c3_lemma(pair_radii(small_cert, 0.0, 0.0, 1.0))
+        report = verify_c3_lemma(small_cert)
         out = io.StringIO()
         write_json(report.to_json_dict(), out)
         data = json.loads(out.getvalue())
