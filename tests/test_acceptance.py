@@ -7,11 +7,14 @@ import random
 import time
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from hcat.core import (
     CmcParams,
     b_inverse,
+    f_closed,
+    integrand,
     lambda_height,
     necksize,
     verify_appendix,
@@ -59,7 +62,7 @@ def full_certificate():
 
 @pytest.fixture(scope="module")
 def appendix():
-    """The appendix sweep (50 radii per pair) behind criteria 1-3, timed."""
+    """The appendix checks behind criteria 1 and 3, timed."""
     start = time.perf_counter()
     report = verify_appendix(H_GRID, D_GRID)
     return report["checks"], time.perf_counter() - start
@@ -73,12 +76,37 @@ def test_c1_decomposition_identity(capsys, appendix):
             f"max scaled residual {worst:.3e} (tol 1e-8), {elapsed:.2f}s (budget 10s)")
 
 
-def test_c2_closed_form_derivative(capsys, appendix):
-    # d/drho of the closed form is 2H sinh(rho) / sqrt(radicand)
-    worst = max(c["derivative_max_rel_err"] for c in appendix[0])
-    ok = worst <= 1e-6
+def test_c2_closed_form_derivative(capsys):
+    # d/drho of the closed form f = 2H / sqrt(q) acosh((q cosh rho - 2dH) / s)
+    # is 2H sinh(rho) / sqrt(radicand): mpmath's derivative of f at 40 digits
+    # against that formula, and `f_closed` and the package's float formula
+    # (the integrand times 2H sinh(rho) / (d + 2H cosh rho)) against both
+    mp.mp.dps = 40
+    exact = floats = 0.0
+    for H in H_GRID:
+        for d in D_GRID:
+            p = CmcParams(H, d)
+            Hm, dm = mp.mpf(H), mp.mpf(d)
+            q = 1 - 4 * Hm * Hm
+            s = mp.sqrt(dm * dm + q)
+
+            def f(r):
+                return 2 * Hm / mp.sqrt(q) * mp.acosh((q * mp.cosh(r) - 2 * dm * Hm) / s)
+
+            for offset in (0.05, 0.3, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0):
+                rho = p.eta + offset
+                r = mp.mpf(rho)
+                slope = 2 * Hm * mp.sinh(r) / mp.sqrt(
+                    mp.sinh(r) ** 2 - (dm + 2 * Hm * mp.cosh(r)) ** 2)
+                exact = max(exact, float(abs(mp.diff(f, r) / slope - 1)))
+                float_slope = (integrand(p, rho) * 2.0 * H * math.sinh(rho)
+                               / (d + 2.0 * H * math.cosh(rho)))
+                floats = max(floats, abs(f_closed(p, rho) / float(f(r)) - 1),
+                             abs(float_slope / float(slope) - 1))
+    ok = exact <= 1e-35 and floats <= 1e-13
     _report(capsys, 2, "closed-form derivative", ok,
-            f"max relative error {worst:.3e} (tol 1e-6)")
+            f"40-digit relative error {exact:.1e} (tol 1e-35), float "
+            f"{floats:.1e} (tol 1e-13), 12 members x 8 radii")
 
 
 def test_c3_remainder_bound(capsys, appendix):

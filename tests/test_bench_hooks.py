@@ -33,9 +33,11 @@ def test_forward_commands_read_heights_through_the_hooks(load_bench_module, tmp_
     assert metrics["mesh.revolve.s"] > 0
     assert metrics["mesh.export_obj.bytes"] == (tmp_path / "m.obj").stat().st_size
     assert metrics["core.b_inverse.calls"] == 0
-    # 12 members x 10 radii, then 15 curve and 4 mesh samples past the neck
-    assert metrics["core.lambda_height.calls"] == 12 * 10 + 15 + 4
-    assert metrics["core.j_remainder.calls"] == 12 * 10
+    # 12 members x 75 nodes (24 per piece and the ends of u in [0, 1], [1,
+    # 2] and [2, 4]; 10 radii each while the appendix swept --grid-points),
+    # then 15 curve and 4 mesh samples past the neck
+    assert metrics["core.lambda_height.calls"] == 12 * 75 + 15 + 4
+    assert metrics["core.j_remainder.calls"] == 12 * 75
     assert metrics["core.profile.calls"] == 2
 
 

@@ -253,6 +253,9 @@ class TestVerifyAppendix:
         for entry in doc["result"]["checks"]:
             assert entry["j_bound_margin"] > 0.0
             assert "witness" in entry
+            # --grid-points is ignored: 75 nodes, and the far field for d >= 0
+            assert entry["decomposition_nodes"] == 75
+            assert entry["decomposition_rho_range"][1] is None
 
     def test_report_deterministic(self, tmp_path):
         docs = []
@@ -523,10 +526,17 @@ _HEADLINE_SHA256 = {
 # tau_2 at the end of the far panel u in [2, 4] (J + tau_b at u = 8
 # before), and rose by at most 3.8e-15 on the 12 members, `j_bound_margin`
 # falling by as much; 9 `decomposition_max_scaled_residual` moved by at
-# most 1.4e-16, heights moving at rounding level with the piece layout
+# most 1.4e-16, heights moving at rounding level with the piece layout.
+# Re-pinned when the checks came from the tables' nodes and two closed
+# forms instead of 50 radii: the derivative fields went, and
+# `decomposition_nodes` (75) and `decomposition_rho_range` ([neck, null])
+# came; `decomposition_max_scaled_residual` is now the larger of the 75
+# node residuals and the far field's bound past the far panel, and rose by
+# at most 1.6e-15, to at most 2.1e-15; `j_sup`, `j_bound_margin`,
+# `g_residual_decays` and the witnesses are bit-equal
 _APPENDIX_COMMAND = ["verify-appendix", "--out", "appendix.json"]
 _APPENDIX_SHA256 = {
-    "appendix.json": "2d44d6a6bb9faa56aca53123465d6f082fbf36f6b118463f54fc95eede1ca0f1",
+    "appendix.json": "6ca0e3861083e09cda68e6159116b3433587365af407d46ccd5a350fee5e167c",
 }
 # `samples` is a list of flat records.  Re-pinned when the table's first
 # piece became u in [0, 1]: 63 of the 64 heights moved at rounding level,
@@ -593,14 +603,14 @@ class TestPinnedReports:
         assert _written_sha256(tmp_path) == _CURVE_SHA256
 
 
-# run in a fresh interpreter: import the CLI, list the numpy and scipy
-# modules it loaded, then block both and run the commands given as a JSON
-# list of argument lists, capturing what they print
+# run in a fresh interpreter: import the CLI, list the numpy, scipy and
+# mpmath modules it loaded, then block all three and run the commands given
+# as a JSON list of argument lists, capturing what they print
 _WITHOUT_NUMPY_OR_SCIPY = """
 import contextlib, io, json, sys
 import hcat.cli
-loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
-sys.modules["numpy"] = sys.modules["scipy"] = None
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy", "mpmath"))
+sys.modules["numpy"] = sys.modules["scipy"] = sys.modules["mpmath"] = None
 stdout = io.StringIO()
 with contextlib.redirect_stdout(stdout):
     codes = [hcat.cli.run(argv) for argv in json.loads(sys.argv[1])]
@@ -609,7 +619,8 @@ print(json.dumps({"loaded": loaded, "codes": codes, "stdout": stdout.getvalue()}
 
 
 def test_headline_pipeline_runs_without_scipy(tmp_path, capsys):
-    # nor does any command but `mesh` and `family` need numpy
+    # nor does any command but `mesh` and `family` need numpy, and none
+    # needs mpmath, the tests' 40-digit oracle
     necksize = ["necksize", "--H", "0.25", "--d", "2"]
     commands = [*_HEADLINE_COMMANDS, _APPENDIX_COMMAND, _CURVE_COMMAND, necksize]
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -356,6 +356,73 @@ class TestDecomposition:
             )
 
 
+def _appendix_sweep(H, d, grid_points=800):
+    """The appendix checks as `verify_appendix` made them on `grid_points`
+    radii from the neck to 10 beyond it: (largest scaled residual of
+    height = f + J, largest J, whether |f - f_asymptote| never rose by more
+    than 1e-12 from one radius to the next from neck + 1 on)."""
+    p = CmcParams(H, d)
+    heights, remainders = HeightTable(p), HeightTable(p, remainder=True)
+    residual = sup_j = 0.0
+    previous, decays = None, True
+    for i in range(grid_points):
+        rho = p.eta + 1e-6 + (10.0 - 1e-6) * i / (grid_points - 1)
+        lam, f = lambda_height(p, rho, heights), f_closed(p, rho)
+        j = j_remainder(p, rho, remainders)
+        residual = max(residual, abs(lam - (f + j)) / max(1.0, lam))
+        sup_j = max(sup_j, j)
+        if rho - p.eta >= 1.0:
+            g = abs(f - f_asymptote(p, rho))
+            decays = decays and (previous is None or g <= previous + 1e-12)
+            previous = g
+    return residual, sup_j, decays
+
+
+# the default members, and members with d < 0 on both sides of the rule
+# 4|d|H cosh(neck + 1) >= d^2 + 4H^2 for |f - f_asymptote| to fall
+_APPENDIX_MEMBERS = [(H, d) for H in (0.1, 0.25, 0.4) for d in (2.5, 3.0, 10.0, 100.0)] + [
+    (0.25, -0.01), (0.25, -0.1), (0.25, -0.3), (0.25, -0.45), (0.1, -0.05), (0.4, -0.05)]
+
+
+class TestAppendix:
+    @pytest.mark.parametrize("H,d", _APPENDIX_MEMBERS)
+    def test_closed_forms_agree_with_the_sweep(self, H, d):
+        (check,) = verify_appendix([H], [d])["checks"]
+        residual, sup_j, decays = _appendix_sweep(H, d)
+        assert check["decomposition_max_scaled_residual"] <= 1e-8 and residual <= 1e-8
+        assert check["g_residual_decays"] is decays
+        # j_sup bounds J everywhere (for d < 0 it is J at its one maximum)
+        assert check["j_sup"] >= sup_j
+        neck, end = check["decomposition_rho_range"]
+        assert neck == necksize(CmcParams(H, d))
+        assert end is None if d >= 0.0 else end >= neck + 10.0
+        # the identity behind the verdict, at 40 digits: with X = (q cosh rho
+        # - 2dH) / s, (q sinh rho)^2 - s^2 (X^2 - 1) = q (4dH cosh rho + d^2 +
+        # 4H^2), whose sign is that of the slope of f - f_asymptote
+        mp.mp.dps = 40
+        Hm, dm = mp.mpf(H), mp.mpf(d)
+        q = 1 - 4 * Hm * Hm
+        s = mp.sqrt(dm * dm + q)
+        for rho in (mp.mpf(neck) + 1, mp.mpf(neck) + 5):
+            x = (q * mp.cosh(rho) - 2 * dm * Hm) / s
+            lhs = (q * mp.sinh(rho)) ** 2 - s * s * (x * x - 1)
+            rhs = q * (4 * dm * Hm * mp.cosh(rho) + dm * dm + 4 * Hm * Hm)
+            assert abs(lhs - rhs) <= mp.mpf(10) ** -35 * (q * mp.sinh(rho)) ** 2
+
+    @pytest.mark.parametrize("H,d", [(0.25, -0.1), (0.25, -0.45), (0.1, -0.05)])
+    def test_j_sup_below_zero_against_40_digits(self, H, d):
+        # the remainder numerator d + 2H e^{-r} vanishes at r* = log(2H / |d|),
+        # beyond the neck on these members, so sup J = J(r*)
+        mp.mp.dps = 40
+        r_star = mp.log(2 * mp.mpf(H) / -mp.mpf(d))
+        assert r_star > _mp_eta(H, d)
+        want = _mp_lambda_split(H, d, float(r_star), remainder=True)
+        assert verify_appendix([H], [d])["checks"][0]["j_sup"] == pytest.approx(
+            want, abs=ORACLE_TOL)
+        for side in (-0.05, 0.05):
+            assert _mp_lambda_split(H, d, float(r_star + side), remainder=True) < want
+
+
 class TestInversion:
     def test_neck_at_zero_height(self):
         p = CmcParams(0.25, 2.0)
@@ -1130,12 +1197,23 @@ class TestEvaluationCounts:
         assert cli.run(["verify-appendix", "--out", str(tmp_path / "a.json")]) == 0
         assert inversion_counts.evaluations == 1_728
 
-    def test_appendix_at_800_radii(self, inversion_counts):
-        # the benchmark's forward sweep: 643 692 with one QAGS per radius;
-        # the radii reach no further than at the defaults, so 1 728 (3 168
-        # while the first pieces were 1/4 wide and the far panel u in [4, 8])
-        verify_appendix([0.1, 0.25, 0.4], [2.5, 3.0, 10.0, 100.0], grid_points=800)
+    def test_appendix_at_800_radii(self, inversion_counts, tmp_path):
+        # the benchmark's forward command: 643 692 with one QAGS per radius,
+        # then 1 728 while it swept 800 radii no further than the defaults
+        # (3 168 while the first pieces were 1/4 wide and the far panel u in
+        # [4, 8]).  --grid-points is now ignored: the same 1 728
+        from hcat import cli
+
+        assert cli.run(["verify-appendix", "--grid-points", "800",
+                        "--out", str(tmp_path / "a.json")]) == 0
         assert inversion_counts.evaluations == 1_728
+
+    def test_appendix_reads_the_far_panels_end_without_growing(self, inversion_counts):
+        # at d = 3e20 the neck is 48.5 and neck + 16 rounds so that
+        # sqrt(rho - neck) passes 4, the far panel's end: read there, each
+        # table would add the panel u in [4, 8]
+        verify_appendix([0.25], [3e20])
+        assert inversion_counts.evaluations == 2 * 3 * 24
 
     def test_pair_of_the_cold_scan(self, inversion_counts, tmp_path):
         # one pair of the benchmark's pair scan: 2 070 on fixed 1/4 panels,
