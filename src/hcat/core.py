@@ -499,11 +499,9 @@ class FarField:
     `error` = tau_2(rho_e) of J(inf), so `limit + error` bounds the
     remainder from above for d >= 0.  The far field starts inside that
     panel at `rho`, rho_far, where the closed form takes the value `t`
-    (t_far on a height table), and `pieces` is the table's piece count
-    once that panel was added.
+    (t_far on a height table).
     """
 
-    pieces: int
     rho: float
     t: float
     limit: float
@@ -689,9 +687,9 @@ class HeightTable:
     takes every |t| >= t_far in closed form: f(rho) - A e^{-rho} =
     t - J(inf), solved by acosh iterated on the small term (`_far_radius`).
     Only the heights below t_far are fitted, read or solved as above, and
-    only they count toward a piece's _INVERSE_AFTER.  A table that a
-    forward read grew past its far panel inverts every height on its own
-    pieces instead.
+    only they count toward a piece's _INVERSE_AFTER.  That holds whatever
+    grew the table: a forward read may grow it past its far panel, but
+    every piece past it lies above t_far and no inversion reads it.
 
     Every bound above is on u against the root for the float t.  The
     rounding of t alone moves the exact radius by up to ulp(t) / (2 u
@@ -700,9 +698,8 @@ class HeightTable:
 
     Every radius is kept in `memo`, keyed by |t|, so asking again returns
     the stored bits.  A radius depends only on the pieces fitted before it
-    was first asked and on whether a forward read had grown the table past
-    its far panel, and `radii(ts)` on a fresh table only on the set of |t|
-    in ts.  The table lives as long as its caller keeps it; nothing
+    was first asked, and `radii(ts)` on a fresh table only on the set of
+    |t| in ts.  The table lives as long as its caller keeps it; nothing
     outlives one call of a command.
     """
 
@@ -770,7 +767,7 @@ class HeightTable:
             # at most the panel's end height, so the table holds every
             # height below t_far (the closed form meets it at rho_hi)
             t = min(t + f_closed(params, rho), self.heights[-1])
-        return FarField(len(self.pieces), rho, t, limit, tail_hi, lead)
+        return FarField(rho, t, limit, tail_hi, lead)
 
     def far_field(self) -> FarField:
         """The table's far field, growing the table to the panel that holds
@@ -871,11 +868,11 @@ class HeightTable:
             self._add_panel()
 
     def _far_start(self) -> float:
-        """t_far while the table ends at the panel holding rho_far, which
-        inversion never grows past; inf otherwise (no far field, or a
-        table that forward reads grew further, whose pieces invert)."""
+        """t_far, from which every height is the far field's; inf where
+        there is none (a member with d < 0, or a table not yet grown to its
+        far panel)."""
         far = self.far
-        return far.t if far is not None and far.pieces == len(self.pieces) else math.inf
+        return far.t if far is not None else math.inf
 
     def _far_radius(self, t: float) -> float:
         """The radius at a height t >= t_far, where t = f(rho) + J(inf) -

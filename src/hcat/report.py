@@ -77,12 +77,11 @@ def write_json(doc, fh: TextIO) -> None:
     fh.write("\n")
 
 
-def write_csv(columns: Sequence[Sequence | Pattern], fh: TextIO, rows_per_write: int) -> None:
+def write_csv(columns: Sequence[Sequence | Pattern], fh: TextIO) -> None:
     """Write the rows of `columns` as comma-separated lines, floats with 17
-    significant digits and strings as they are, `rows_per_write` at a time."""
+    significant digits and strings as they are, _ROWS_PER_WRITE at a time."""
     parts = [""] + [","] * (len(columns) - 1) + ["\n"]
-    for block in _blocks(columns, {float: "%.17g".__mod__, str: str}, str, parts,
-                         ("", ""), rows_per_write):
+    for block in _blocks(columns, {float: "%.17g".__mod__, str: str}, str, parts, ("", "")):
         fh.write(block)
 
 
@@ -138,21 +137,21 @@ def _table_chunks(table: Table, level: int) -> Iterator[str]:
     end = "[]"
     for block in _blocks([table.columns[k] for k in keys], _SCALARS,
                          lambda v: "".join(_chunks(v, level + 2)), parts,
-                         ("[" + pad, "," + pad), _ROWS_PER_WRITE):
+                         ("[" + pad, "," + pad)):
         yield block
         end = "\n" + _INDENT * level + "]"
     yield end
 
 
 def _blocks(columns: Sequence[Sequence | Pattern], formats: dict[type, Callable],
-            other: Callable, parts: list[str], seps: tuple[str, str],
-            rows_per_write: int) -> Iterator[str]:
-    """The rows of `columns` a block at a time: parts[i] before the text of
-    column i and parts[-1] after the last, rows joined by seps[1], the
-    first block led by seps[0] and the others by seps[1].  A `Pattern`
-    that repeats within a block is written into the rows' texts once, and
-    blocks start where they repeat; the other columns are formatted a
-    block at a time (`_texts`), and one join assembles a block."""
+            other: Callable, parts: list[str], seps: tuple[str, str]) -> Iterator[str]:
+    """The rows of `columns`, _ROWS_PER_WRITE at a time: parts[i] before
+    the text of column i and parts[-1] after the last, rows joined by
+    seps[1], the first block led by seps[0] and the others by seps[1].  A
+    `Pattern` that repeats within a block is written into the rows' texts
+    once, and blocks start where they repeat; the other columns are
+    formatted a block at a time (`_texts`), and one join assembles a
+    block."""
     rows = min(map(len, columns), default=0)
     if not rows:
         return
@@ -160,7 +159,7 @@ def _blocks(columns: Sequence[Sequence | Pattern], formats: dict[type, Callable]
     for i, column in enumerate(columns):
         if type(column) is Pattern:
             repeats = math.lcm(period, len(column.values) * column.each)
-            if repeats <= rows_per_write:
+            if repeats <= _ROWS_PER_WRITE:
                 period, fixed[i] = repeats, _texts(column.values, formats, other, memo)
     # a period of rows: each row's texts with None in its other columns'
     # slots, then the separator of rows
@@ -173,7 +172,7 @@ def _blocks(columns: Sequence[Sequence | Pattern], formats: dict[type, Callable]
             else:
                 texts += [None, parts[i + 1]]
         records += texts + [seps[1]]
-    width, per_write = len(records) // period, period * max(1, rows_per_write // period)
+    width, per_write = len(records) // period, period * max(1, _ROWS_PER_WRITE // period)
 
     def pieces(n: int) -> list:
         # n rows after a slot for the block's separator

@@ -105,16 +105,12 @@ class StripReport:
                 "records": records, "version": __version__}
 
 
-# rows formatted per write: bounds the strings alive at once
-_ROWS_PER_WRITE = 2048
-
-
 def write_margin_csv(reports: Iterable[StripReport], fh: TextIO) -> None:
     """Write one margin table for `reports`: a `t,check_id,margin` header,
     then a row per record, floats with 17 significant digits."""
     fh.write("t,check_id,margin\n")
     for report in reports:
-        write_csv((*report._layout(), report.margins), fh, _ROWS_PER_WRITE)
+        write_csv((*report._layout(), report.margins), fh)
 
 
 def compute_offsets(cert: DisjointnessCertificate) -> StripOffsets:
@@ -141,11 +137,13 @@ class PairRadii:
     t_grid is `height_grid(t_min, t_max, step)` and `step` its spacing,
     by which the sweep refines.  h1 and h2 are the tables of the members
     d1 and d2, and r1[k], r2[k] their radii at t_grid[k], from one
-    `HeightTable.radii` call each: each distinct |t| is solved or read
-    once, and a piece the grid asks for many heights reads them from its
-    inverse series.  The strip claim reads r1 and r2; the sweep reads the
-    tables, whose memo holds the grid's radii.  A grid across t = 0 is
-    mirrored about it, so t and -t are one |t|.
+    `HeightTable.radii` call each: each distinct |t| is solved once, in
+    closed form from t_far on and by Brent below it.  (A piece asked for
+    more than `_INVERSE_AFTER` heights below t_far would read them from an
+    inverse series; the default grid asks the headline pair's u in [2, 4]
+    for 54 and 55, and fits none.)  The strip claim reads r1 and r2; the
+    sweep reads the tables, whose memo holds the grid's radii.  A grid
+    across t = 0 is mirrored about it, so t and -t are one |t|.
     """
 
     t_grid: list[float]

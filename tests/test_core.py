@@ -9,7 +9,7 @@ import sys
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq as scipy_brentq
 from scipy.special import roots_jacobi
 
@@ -553,12 +553,18 @@ class TestHeightTable:
 
     def test_inversion_stays_finite_at_the_top_of_the_float_range(self):
         # the piece [2^511, 2^512] of u holds the largest float radius, and
-        # its end, where u^2 overflows, holds a height just above `top`
+        # its end, where u^2 overflows, holds a height just above `top`.
+        # Each of these heights lies past t_far, so its radius is the far
+        # field's, however far the table grew: at `top` one ulp below the
+        # largest float (Brent on the grown table's last piece found the
+        # largest float itself), and its height reads back as `top`
         p = CmcParams(0.25, 3.0)
         table = HeightTable(p)
         top = lambda_height(p, sys.float_info.max, table=table)
         assert table.breaks[-1] == 2.0**512 and table.heights[-1] > top
-        assert table.radius(top) == sys.float_info.max
+        rho = table.radius(top)
+        assert rho == 1.7976931348623155e308 == math.nextafter(sys.float_info.max, 0.0)
+        assert lambda_height(p, rho, table=table) == top
         for t in (1e307, 1e308, math.nextafter(top, 0.0)):
             rho = table.radius(t)
             assert rho < math.inf
@@ -583,13 +589,26 @@ class TestHeightTable:
             lambda_height(CmcParams(0.4999, 3.0), sys.float_info.max)
 
     def test_inversion_where_the_height_overflows(self):
-        # t = 1.7e308 lies in the piece whose end height is infinite; Brent
-        # runs on a bracket bisected down to a finite end.  No float radius
-        # has a finite height at or above the largest float
+        # at H = .4999 the height passes the largest float near rho = 3.6e306.
+        # On d = 3 that height lies past t_far: the far field gives it a
+        # radius, whose height reads back one ulp below it.  (A table that a
+        # forward read grew past its far panel solved it on its pieces, and
+        # found no finite radius)
         p = CmcParams(0.4999, 3.0)
         table = HeightTable(p)
+        rho = table.radius(sys.float_info.max)
+        assert rho == 3.5959256810526996e306
+        assert lambda_height(p, rho, table=table) == 1.7976931348623155e308
+
+    def test_brent_where_the_height_overflows(self):
+        # d = -0.5 has no far field, so t = 1.7e308 is Brent's, on the piece
+        # whose end height is infinite; its bracket is bisected down to a
+        # finite end.  No float radius has a finite height at or above the
+        # largest float
+        p = CmcParams(0.4999, -0.5)
+        table = HeightTable(p)
         rho = table.radius(1.7e308)
-        assert rho < math.inf
+        assert table.heights[-1] == math.inf and rho == 3.400510097769153e306
         assert lambda_height(p, rho, table=table) == pytest.approx(1.7e308, rel=1e-15)
         with pytest.raises(DomainError,
                            match=r"no finite radius reaches height t = 1\.7976931348623157e\+308"):
@@ -675,9 +694,10 @@ class TestFarField:
         p = CmcParams(H, d)
         table = HeightTable(p)
         far = table.far_field()
+        n = len(table.pieces)
         t = far.t * (1e6 / far.t) ** frac
         rho = table.radius(t)
-        assert table.pieces == table.pieces[:far.pieces]
+        assert len(table.pieces) == n
         while table.heights[-1] <= t:
             table._add_panel()
         u = math.sqrt(rho - p.eta)
@@ -714,7 +734,9 @@ class TestFarField:
         table = HeightTable(CmcParams(0.25, 3.0))
         ts = height_grid(0.0, 50.0, 0.05)
         table.radii(ts)
-        assert table.breaks[-1] == 4.0 and len(table.pieces) == table.far.pieces
+        p = table.params
+        assert table.breaks == [0.0, 1.0, 2.0, 4.0]
+        assert p.eta + 4.0 < table.far.rho < p.eta + 16.0
         assert table.far.t == pytest.approx(9.3784, abs=1e-4)
         far = [t for t in ts if t >= table.far.t]
         assert sorted(t for _, t in inversion_counts.far) == far
@@ -729,18 +751,38 @@ class TestFarField:
         with pytest.raises(PreconditionError):
             table.far_field()
 
-    def test_a_table_grown_past_its_far_panel_inverts_on_its_pieces(self, inversion_counts):
-        # a forward read past the far panel: the table's own pieces serve
-        # every radius, as before the far field (this keeps the top of the
-        # float range as it was: see TestHeightTable)
-        p = CmcParams(0.25, 3.0)
+    @pytest.mark.parametrize("H,d,grow_to", [
+        (0.25, 3.0, 256.0),
+        (0.25, 3.0, math.inf),
+        (0.4999, 3.0, 256.0),
+        (0.0025, 3.0, 256.0),
+    ])
+    def test_a_radius_does_not_depend_on_what_grew_the_table(self, H, d, grow_to):
+        # a forward read to neck + 256 (u = 16), or to the largest float
+        # radius, grows the table past its far panel; the pieces it adds lie
+        # above t_far, and no inversion reads them.  So each radius, or its
+        # DomainError, is the same on that table as on a fresh one: the far
+        # field's from t_far on, and below it Brent's on the same piece.
+        # (While a grown table inverted on its own pieces, (.25, 3) moved by
+        # 1 ulp at t = 50, and (.4999, 3) had no radius at the largest float)
+        p = CmcParams(H, d)
         grown = HeightTable(p)
-        grown.integral(p.eta + 256.0)
-        assert grown.far.pieces < len(grown.pieces)
-        rho = grown.radius(50.0)
-        assert not inversion_counts.far and inversion_counts.solves
-        # both within ROOT_TOL in u of the root, at u ~ 9.2: 2u 2 ROOT_TOL in rho
-        assert rho == pytest.approx(HeightTable(p).radius(50.0), abs=4.0 * ROOT_TOL * 9.2)
+        grown.integral(p.eta + grow_to if grow_to < math.inf else sys.float_info.max)
+        t_far = HeightTable(p).far_field().t
+        ts = [0.0, math.nextafter(t_far, 0.0), t_far, math.nextafter(t_far, math.inf)]
+        ts += [10.0 ** (k / 4.0) for k in range(-8, 25)]
+        ts += [1e300, 1e307, 1.7e308, sys.float_info.max]
+        with contextlib.suppress(DomainError):
+            top = lambda_height(p, sys.float_info.max)
+            ts += [math.nextafter(top, 0.0), top, math.nextafter(top, math.inf)]
+
+        def outcome(table, t):
+            try:
+                return table.radius(t)
+            except DomainError as error:
+                return str(error)
+
+        assert [outcome(grown, t) for t in ts] == [outcome(HeightTable(p), t) for t in ts]
 
 
 def _brent_outcome(solve, *args, **kwargs):
@@ -762,20 +804,27 @@ class TestBrentKernel:
         t=st.floats(1e-9, 1e4),
         k=st.integers(1, 12),
     )
+    # the two overflowing brackets: u^2 overflows at the last piece's end, and
+    # the height overflows inside it
+    @example(H=0.25, d=-0.2, t=1.0, k=12)
+    @example(H=0.4999, d=-0.5, t=1.0, k=12)
     @settings(max_examples=25, deadline=None)
     def test_matches_the_generic_brent_bit_for_bit(self, H, d, t, k):
         # every bracket the table hands `core.brentq`, solved again by
         # SciPy's `brentq` on the piece's excess as a closure that returns
         # the bracket's end values at its ends: the same root, bit for bit,
         # after the same number of evaluations.  Heights: t, a tabulated
-        # piece end and the floats either side of it, and just below the
-        # height at the largest float radius (where that height overflows,
-        # H above about .354, inside the piece whose end height is infinite),
-        # and a third of the way up the piece from the neck.  On that piece
-        # the kernel solves in u, elsewhere in v = u^2, and the excess follows
-        # the same variable.  Should Brent use up its 100 iterations, both
-        # routines must fail alike; the closure raises the kernel's
-        # DomainError where the series is NaN
+        # piece end below the last piece and the floats either side of it,
+        # a third of the way up the piece from the neck, and the top of what
+        # Brent solves.  On a member with d < 0 that is just below the height
+        # at the largest float radius (where that height overflows, H above
+        # about .354, inside the piece whose end height is infinite); with
+        # d >= 0 it is just below t_far, since the far field takes every
+        # height from there.  On the piece from the neck the kernel solves in
+        # u, elsewhere in v = u^2, and the excess follows the same variable.
+        # Should Brent use up its 100 iterations, both routines must fail
+        # alike; the closure raises the kernel's DomainError where the
+        # series is NaN
         from hcat import core
 
         table = HeightTable(CmcParams(H, max(d, -2.0 * H + 1e-12)))
@@ -787,11 +836,14 @@ class TestBrentKernel:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "brentq", spy)
-            try:
-                top = math.nextafter(table.integral(sys.float_info.max), 0.0)
-            except DomainError:
-                top = 0.999 * sys.float_info.max
-            end = table.heights[min(k, len(table.heights) - 1)]
+            if table.params.d >= 0.0:
+                top = math.nextafter(table.far_field().t, 0.0)
+            else:
+                try:
+                    top = math.nextafter(table.integral(sys.float_info.max), 0.0)
+                except DomainError:
+                    top = 0.999 * sys.float_info.max
+            end = table.heights[min(k, len(table.heights) - 2)]
             for s in (t, end, math.nextafter(end, 0.0), math.nextafter(end, math.inf), top,
                       table.heights[1] / 3.0):
                 with contextlib.suppress(ConvergenceError):
@@ -862,9 +914,12 @@ def _series_root(table, i, t):
 
 
 def _ask_piece(table, i, n):
-    """n heights spread evenly inside piece i, asked in one `radii` call:
-    (heights, *_ask(table, heights))."""
+    """n heights spread evenly inside piece i, below t_far where the table
+    has a far field, asked in one `radii` call: (heights, *_ask(table,
+    heights))."""
     a, b = table.heights[i], table.heights[i + 1]
+    if table.far is not None:
+        b = min(b, table.far.t)
     ts = [a + (b - a) * (j + 0.5) / n for j in range(n)]
     return (ts, *_ask(table, ts))
 
@@ -895,14 +950,17 @@ def _u_gap(params, rho1, rho2):
 class TestInverseReads:
     # a piece gets its inverse series when one `radii` call asks it for more
     # than _INVERSE_AFTER = 68 distinct unsolved heights, before any of them.
-    # Up to u = 16 the pieces away from the neck are 1 to 4, u in [1, 2] to
-    # [8, 16] (1 to 6 while the first pieces were 1/4 wide: [1/4, 1/2] on)
-    @given(H=st.floats(0.02, 0.4999), d=st.floats(0.0, 1e6), i=st.integers(1, 4))
+    # Below t_far the pieces away from the neck are 1 to 2 or 3: u in [1, 2]
+    # up to the far panel, [2, 4] or [4, 8]
+    @given(H=st.floats(0.02, 0.4999), d=st.floats(0.0, 1e6), i=st.integers(1, 3))
     @settings(max_examples=15, deadline=None)
     def test_dense_grid_reads_within_root_tol(self, H, d, i):
+        # 144 heights of piece i below t_far (up to u in [8, 16], on a table
+        # grown to u = 16, while such a table inverted on its own pieces)
         p = CmcParams(H, d)
         table = HeightTable(p)
-        table.integral(p.eta + 256.0)
+        table.far_field()
+        i = min(i, len(table.pieces) - 1)
         ts, radii, accepted = _ask_piece(table, i, 144)
         assert table.inverses[i] and accepted
         for t, rho in zip(ts, radii):
@@ -990,7 +1048,7 @@ class TestInverseReads:
         table = HeightTable(p)
         table.integral(p.eta + 16.0)
         i = table.breaks.index(2.0)
-        assert table.far.pieces == len(table.pieces) == i + 1
+        assert table.far is not None and len(table.pieces) == i + 1
         a, b = table.heights[i], table.heights[i + 1]
         ts = [a + (b - a) * (j + 0.5) / 200 for j in range(200)]
         radii = [table.radius(t) for t in ts]
@@ -1001,16 +1059,17 @@ class TestInverseReads:
         # a series an earlier call fitted serves one-height asks too: on two
         # tables with the piece u in [2, 4] fitted, `radius` one height at a
         # time returns the bits that `radii` reads for the same heights.
-        # (The piece u in [4, 8], used here before the far field, holds
-        # t_far = 16.88, and only 22 of those 100 heights lie below it)
+        # That piece is the far panel, and these heights lie below its t_far
+        # = 9.378.  (The piece u in [4, 8], used here before the far field,
+        # held t_far = 16.88, and only 22 of 100 heights across it lay below)
         p = CmcParams(0.25, 3.0)
         one, many = HeightTable(p), HeightTable(p)
         for table in (one, many):
-            table.integral(p.eta + 64.0)
+            table.far_field()
             _ask_piece(table, table.breaks.index(2.0), 100)
         i = one.breaks.index(2.0)
         assert one.inverses[i] and many.inverses[i]
-        a, b = one.heights[i], one.heights[i + 1]
+        a, b = one.heights[i], one.far.t
         ts = [a + (b - a) * (j + 1 / 3) / 50 for j in range(50)]
         radii, accepted = _ask(many, ts)
         assert len(accepted) == len(ts)

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 defines a private function, class or constant that nothing in it reads,
-imports a third-party package that pyproject.toml does not declare, or
-writes indented JSON other than through the report writer."""
+defines a constant that another module defines too, imports a third-party
+package that pyproject.toml does not declare, or writes indented JSON
+other than through the report writer."""
 
 import ast
 import re
@@ -95,6 +96,34 @@ def test_no_unused_module_imports(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_private_defs(path):
     assert _unused_private_defs(ast.parse(path.read_text())) == []
+
+
+def _module_constants(tree: ast.Module) -> set[str]:
+    """Upper-case names, private or public, that the module body assigns."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets
+                         if isinstance(t, ast.Name) and re.fullmatch(r"_*[A-Z][A-Z0-9_]*", t.id))
+    return names
+
+
+def test_detects_module_constants():
+    source = ("_BLOCK = 512\nLIMIT: int = 3\n_A = B_2 = 4\n__all__ = []\n_memo = {}\n"
+              "x, Y = 1, 2\ndef f():\n    LOCAL = 8\n    return LOCAL\n")
+    assert _module_constants(ast.parse(source)) == {"_BLOCK", "LIMIT", "_A", "B_2"}
+
+
+def test_no_constant_is_defined_in_two_modules():
+    # one value per name: a second copy, set apart from the first, drifts
+    # from it (a block size once differed between the report writer and
+    # the strips' margin CSV)
+    owners = {}
+    for path in SOURCES:
+        for name in _module_constants(ast.parse(path.read_text())):
+            owners.setdefault(name, []).append(path.name)
+    assert {name: files for name, files in owners.items() if len(files) > 1} == {}
 
 
 def _third_party_imports(tree: ast.Module) -> set[str]:

@@ -304,11 +304,11 @@ class TestReportOutput:
             for c, m in zip(report.check_ids, report.margins)]
 
     @settings(max_examples=100, deadline=None)
-    @given(report=_reports(), block=st.sampled_from([1, 2, 3, strips._ROWS_PER_WRITE]))
+    @given(report=_reports(), block=st.sampled_from([1, 2, 3, report_writer._ROWS_PER_WRITE]))
     def test_margin_csv_equals_a_record_scan(self, report, block):
         # small blocks split a height's records across writes
         out = io.StringIO()
-        with mock.patch.object(strips, "_ROWS_PER_WRITE", block):
+        with mock.patch.object(report_writer, "_ROWS_PER_WRITE", block):
             write_margin_csv([report, report], out)
         rows = "".join("%.17g,%s,%.17g\n" % r for r in _records(report))
         assert out.getvalue() == "t,check_id,margin\n" + rows * 2
